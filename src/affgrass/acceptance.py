@@ -20,9 +20,9 @@ from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, coweight,
 from .paving import contracting_cell, greedy_paving, is_normal_position, paving_121
 from .rootdata import weyl_family
 from .springer import (criterion, criterion_bound, criterion_l_values,
-                       criterion_oracle, criterion_raw_case1, member_springer,
-                       pattern_realizable, springer_dim, synthesize_gamma,
-                       truncated_paving, ultrametric)
+                       criterion_oracle, criterion_raw_case1, pattern_realizable,
+                       springer_dim, synthesize_gamma, truncated_paving,
+                       ultrametric)
 
 BIG_PRIME = 10007
 
@@ -219,12 +219,9 @@ def check_springer_criterion(seed: int = 7) -> Dict:
                     key = (b, q)
                     if key not in cell_cache:
                         cell_cache[key] = contracting_cell(P, b).enumerate(field)
-                    count = sum(1 for x in cell_cache[key]
-                                if member_springer(x, gam))
-                    ls = criterion_l_values(n, b, c)
-                    oracle = count == q ** sum(ls)
-                    if criterion(P, b, gam) != oracle:
-                        bad.append((n, c, b, q, count, sum(ls)))
+                    if criterion(P, b, gam) != criterion_oracle(P, b, gam,
+                                                                cell_cache[key]):
+                        bad.append((n, c, b, q))
     passed = not bad and raw_bad == 0
     return _result(7, "Springer affine-cell criterion vs oracle", passed,
                    time.time() - t0, cases=cases, failures=bad[:5],
@@ -248,7 +245,7 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
     t0 = time.time()
     rng = random.Random(seed * 1000 + 8)
     bad = []
-    plans = {}
+    plans = 0
     for (n1, n2) in SPRINGER_FAMILIES:
         c = (n1, n2, n2)
         qs = tuple(q for q in (2, 3, 5) if pattern_realizable(c, q))[:2]
@@ -261,7 +258,7 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
             except Exception as e:  # noqa: BLE001 - report, never hide
                 bad.append(((n1, n2), j, f"{type(e).__name__}: {e}"))
                 continue
-            plans[(n1, n2, j)] = plan
+            plans += 1
             if len(j) == 2 * n2:
                 # the Springer condition is vacuous on the deepest truncation:
                 # the plan must agree with the plain MV paving of E_j.P
@@ -278,26 +275,23 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
                                 rng=rng)
         if over.steps:
             bad.append(((n1, n2), "overlong", "expected empty plan"))
-    check_truncated_pavings.plans = plans
     return _result(8, "truncated Springer fibers pave and count", not bad,
-                   time.time() - t0, plans=len(plans), failures=bad)
+                   time.time() - t0, plans=plans, failures=bad)
 
 
 def check_springer_dimension(seed: int = 7) -> Dict:
-    """Top cell of the full fundamental-domain plan has the fiber dimension."""
+    """Top cell of the full fundamental-domain plan has the fiber dimension.
+
+    A plan depends only on the root valuations of gamma, so this is the plan
+    that criterion 8 verifies by point counts; it is not verified again here.
+    """
     t0 = time.time()
-    plans = getattr(check_truncated_pavings, "plans", None)
-    if plans is None:
-        check_truncated_pavings(seed)
-        plans = check_truncated_pavings.plans
     bad = []
     for (n1, n2) in SPRINGER_FAMILIES:
-        plan = plans[(n1, n2, ())]
+        gam = synthesize_gamma((n1, n2, n2), PrimeField(3, 64), random.Random(0))
+        plan = truncated_paving(gam, (), verify_qs=())
         top = max(s.dim for s in plan.steps)
         want = n1 + 2 * n2
-        rng = random.Random(0)
-        gam = synthesize_gamma((n1, n2, n2),
-                               PrimeField(3, 64), rng)
         if top != want or springer_dim(gam) != want:
             bad.append(((n1, n2), top, want))
     return _result(9, "fundamental domain dimension", not bad, time.time() - t0,

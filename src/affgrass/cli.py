@@ -7,6 +7,7 @@ failure, 2 domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -34,17 +35,27 @@ def family_to_json(f: GTFamily):
             "vertices": {_perm_key(BORELS[b]): list(f.vertices[b]) for b in range(6)}}
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """A missing key or a value of the wrong type in an input file is a domain error."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError) as e:
+        raise AffgrassError(f"malformed {what} file: {type(e).__name__}: {e}") from e
+
+
 def family_from_json(data) -> GTFamily:
-    if "weyl" in data:
-        return weyl_family(tuple(data["weyl"]))
-    if "word" in data:
-        d = LusztigDatum(str(data["word"]), tuple(data["n"]))
-        base = tuple(data["base"]) if "base" in data else None
-        return MVPolytope.from_datum(d, base=base).family
-    verts = [None] * 6
-    for key, v in data["vertices"].items():
-        verts[BORELS.index(tuple(int(ch) for ch in key))] = tuple(v)
-    return GTFamily(data["nu"], tuple(verts))
+    with _malformed("polytope"):
+        if "weyl" in data:
+            return weyl_family(tuple(data["weyl"]))
+        if "word" in data:
+            d = LusztigDatum(str(data["word"]), tuple(data["n"]))
+            base = tuple(data["base"]) if "base" in data else None
+            return MVPolytope.from_datum(d, base=base).family
+        verts = [None] * 6
+        for key, v in data["vertices"].items():
+            verts[BORELS.index(tuple(int(ch) for ch in key))] = tuple(v)
+        return GTFamily(data["nu"], tuple(verts))
 
 
 def point_to_json(x):
@@ -168,13 +179,14 @@ def cmd_pave(args):
 def cmd_springer(args):
     data = _load(args.gamma)
     rng = random.Random(args.seed)
-    field = PrimeField(int(data.get("prime", args.prime or 3)),
-                       args.prec or 64)
-    if "series" in data:
-        gam = RegularDiagonal.from_series([series_from_json(field, s)
-                                           for s in data["series"]])
-    else:
-        gam = synthesize_gamma(tuple(data["pattern"]), field, rng)
+    with _malformed("gamma"):
+        field = PrimeField(int(data.get("prime", args.prime or 3)),
+                           args.prec or 64)
+        if "series" in data:
+            gam = RegularDiagonal.from_series([series_from_json(field, s)
+                                               for s in data["series"]])
+        else:
+            gam = synthesize_gamma(tuple(data["pattern"]), field, rng)
     if args.truncate is None:
         trunc = fundamental_domain(gam)
         _emit(args, {"c": list(gam.c), "polytope": family_to_json(trunc.polytope)})

@@ -284,11 +284,6 @@ def member(x: GrassPoint, f: GTFamily) -> bool:
     return all(dv >= -m for dv, m in zip(dprofile(x), M))
 
 
-def borel_values(x: GrassPoint) -> Tuple[Coweight, ...]:
-    """The retraction values f_B(x) for the six Borel chambers."""
-    return ec(x).vertices
-
-
 # ---------------------------------------------------------------------------
 # total positivity maps (Gaussian decomposition)
 # ---------------------------------------------------------------------------
@@ -405,54 +400,49 @@ def decompose_u0(x: GrassPoint, word: str, rng: random.Random,
 # exhaustive enumeration (the master oracle)
 # ---------------------------------------------------------------------------
 
-def require_precision(field: PrimeField, f: GTFamily):
-    need = 2 * f.span() + 8
-    if field.prec < need:
-        raise PrecisionLoss(
-            f"working precision {field.prec} below the bound {need} for this polytope")
-
-
-def _entry_windows(f: GTFamily, d: Coweight, slack: int = 0):
+def _entry_windows(f: GTFamily, d: Coweight):
     """Exact exponent windows for the below-diagonal entries at diagonal d."""
     M = f.support
     nu = f.nu
-    w21 = (max(d[0] + d[1] - M[0], nu - M[4]) - slack, d[1])
-    w32 = (max(d[1] + d[2] - M[1], nu - M[3]) - slack, d[2])
-    w31 = (nu - M[3] - slack, d[2])
+    w21 = (max(d[0] + d[1] - M[0], nu - M[4]), d[1])
+    w32 = (max(d[1] + d[2] - M[1], nu - M[3]), d[2])
+    w31 = (nu - M[3], d[2])
     return w21, w31, w32
 
 
-def iter_points(f: GTFamily, field: PrimeField,
-                budget: int = 5_000_000, slack: int = 0):
-    """Stream the F_q-points of the truncated affine Grassmannian of f."""
-    require_precision(field, f)
+def _window_entries(field: PrimeField,
+                    windows: Iterable[Tuple[int, int]]) -> List[List[LaurentSeries]]:
+    """Per (lo, hi) window, every exact polynomial with exponents in [lo, hi)."""
+    return [[LaurentSeries(field, lo, cs)
+             for cs in itertools.product(range(field.p), repeat=max(0, hi - lo))]
+            for lo, hi in windows]
+
+
+def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
+    """Stream the F_q-points of the truncated affine Grassmannian of f.
+
+    Entries are exact polynomials, so the field's precision is never read.
+    """
     q = field.p
     verts = f.lattice_points()
     total = 0
     for d in verts:
-        ws = _entry_windows(f, d, slack)
-        total += q ** sum(max(0, t - l) for l, t in ws)
+        total += q ** sum(max(0, hi - lo) for lo, hi in _entry_windows(f, d))
         if total > budget:
             raise BudgetExceeded(f"enumeration needs > {budget} candidates")
     M = f.support
     for d in verts:
-        (l21, t21), (l31, t31), (l32, t32) = _entry_windows(f, d, slack)
-        s21, s31, s32 = max(0, t21 - l21), max(0, t31 - l31), max(0, t32 - l32)
-        for c21 in itertools.product(range(q), repeat=s21):
-            h21 = LaurentSeries(field, l21, c21)
-            for c31 in itertools.product(range(q), repeat=s31):
-                h31 = LaurentSeries(field, l31, c31)
-                for c32 in itertools.product(range(q), repeat=s32):
-                    h32 = LaurentSeries(field, l32, c32)
-                    x = _canonical_from_entries(field, d, h21, h31, h32)
-                    if all(dv >= -m for dv, m in zip(dprofile(x), M)):
-                        yield x
+        for h21, h31, h32 in itertools.product(
+                *_window_entries(field, _entry_windows(f, d))):
+            x = _canonical_from_entries(field, d, h21, h31, h32)
+            if all(dv >= -m for dv, m in zip(dprofile(x), M)):
+                yield x
 
 
 def enumerate_points(f: GTFamily, field: PrimeField,
-                     budget: int = 5_000_000, slack: int = 0) -> List[GrassPoint]:
+                     budget: int = 5_000_000) -> List[GrassPoint]:
     """All F_q-points of the truncated affine Grassmannian of f, sorted."""
-    out = list(iter_points(f, field, budget, slack))
+    out = list(iter_points(f, field, budget))
     out.sort(key=lambda x: x.key())
     return out
 
@@ -468,7 +458,6 @@ def _canonical_from_entries(field, d, h21, h31, h32) -> GrassPoint:
 def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
                  retries: int = 2000) -> GrassPoint:
     """Uniformish random F_q-point of the truncation (rejection from windows)."""
-    require_precision(field, f)
     verts = f.lattice_points()
     M = f.support
     for _ in range(retries):

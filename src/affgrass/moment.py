@@ -63,11 +63,6 @@ def wt(g: MomentGraph, v: Coweight) -> int:
     return len(g.incident(v))
 
 
-def L(g: MomentGraph, v: Coweight, a: Root) -> int:
-    line = a if a[0] < a[1] else (a[1], a[0])
-    return sum(1 for e in g.incident(v) if e[2] == line)
-
-
 @dataclass(frozen=True)
 class PoincarePoly:
     """Coefficients b_0, b_2, b_4, ... of a formal Poincare polynomial."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import NotMV
+from .errors import InconsistentFamily, NotMV
 from .rootdata import (BORELS, CANON_ORDER, GTFamily, RHO, W0, Coweight, Perm,
                        act, add_cw, coroot, perm_inv, perm_mul, scale_cw, sub_cw)
 
@@ -46,7 +46,8 @@ def vertices_of(d: LusztigDatum, base: Coweight) -> GTFamily:
     le = add_cw(ls1, scale_cw(n[0], _ALPHA1))
     ls2s1 = add_cw(lw0, scale_cw(m[2], _ALPHA1))
     ls2 = add_cw(ls2s1, scale_cw(m[1], _ALPHA13))
-    assert add_cw(ls2, scale_cw(m[0], _ALPHA2)) == le
+    if add_cw(ls2, scale_cw(m[0], _ALPHA2)) != le:
+        raise InconsistentFamily(f"the two edge paths of {d} do not close up")
     verts = [None] * 6
     for w, v in ((BORELS[0], le), (BORELS[5], ls1), (BORELS[4], ls1s2),
                  (BORELS[3], lw0), (BORELS[1], ls2), (BORELS[2], ls2s1)):

@@ -15,14 +15,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired,
                      NotMV, PavingVerificationFailed, ShapeMismatch)
-from .grass import (GrassPoint, canonicalize_point, ec, enumerate_points, mat,
-                    mat_diag_eps, mat_identity, mat_inv, mat_mul)
-from .laurent import LaurentSeries, PrimeField
+from .grass import (GrassPoint, _window_entries, canonicalize_point, ec,
+                    enumerate_points, mat, mat_identity, mat_inv)
+from .laurent import PrimeField
 from .moment import MomentGraph, PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
 from .rootdata import (CHAMBERS, Coweight, GTFamily, contains,
-                       family_from_support, pairing, sub_cw, weyl_family)
+                       family_from_support, pairing, sub_cw)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -51,20 +51,26 @@ class ContractingCell:
     windows: Tuple[Tuple[int, int, int, int], ...]  # (row, col, lo, hi)
 
     def enumerate(self, field: PrimeField) -> Set[GrassPoint]:
-        q = field.p
-        ranges = [max(0, hi - lo) for (_r, _c, lo, hi) in self.windows]
-        pts = set()
-        for coeff_sets in itertools.product(
-                *[itertools.product(range(q), repeat=k) for k in ranges]):
-            u = [list(r) for r in mat_identity(field)]
-            for (r, c, lo, _hi), cs in zip(self.windows, coeff_sets):
-                u[r - 1][c - 1] = LaurentSeries(field, lo, cs)
-            m = mat(u)
-            if self.inverted:
-                m = mat_inv(m)
-            g = mat_mul(m, mat_diag_eps(field, self.diag))
-            pts.add(canonicalize_point(g, field))
-        return pts
+        return _cell_points(field, self.diag, self.windows, self.inverted)
+
+
+def _cell_points(field: PrimeField, diag: Coweight,
+                 windows: Sequence[Tuple[int, int, int, int]],
+                 inverted: bool = False) -> Set[GrassPoint]:
+    """The points u . eps^diag, entry (row, col) of the unipotent u ranging
+    over the exact polynomials with exponents in [lo, hi); ``inverted`` puts
+    u^-1 in place of u."""
+    pts = set()
+    for entries in itertools.product(
+            *_window_entries(field, [(lo, hi) for (_r, _c, lo, hi) in windows])):
+        u = [list(r) for r in mat_identity(field)]
+        for (r, c, _lo, _hi), e in zip(windows, entries):
+            u[r - 1][c - 1] = e
+        m = mat_inv(mat(u)) if inverted else u
+        # right multiplication by eps^diag shifts column c by diag[c]
+        g = tuple(tuple(e.shift(k) for e, k in zip(row, diag)) for row in m)
+        pts.add(canonicalize_point(g, field))
+    return pts
 
 
 def is_normal_position(d: LusztigDatum) -> bool:
@@ -88,7 +94,10 @@ def contracting_cell(P: MVPolytope, b: int) -> ContractingCell:
         hi = lam[r - 1] - lam[c - 1]
         windows.append((r, c, lo, hi))
     dim = sum(max(0, hi - lo) for (_r, _c, lo, hi) in windows)
-    assert dim == n[0] + 2 * n[1] + n[2]
+    if dim != n[0] + 2 * n[1] + n[2]:
+        raise PavingVerificationFailed(
+            f"chamber-{b} cell windows give dimension {dim}, "
+            f"wants n1 + 2 n2 + n3 = {n[0] + 2 * n[1] + n[2]}")
     return ContractingCell(P, b, dim, lam, inverted, tuple(windows))
 
 
@@ -101,28 +110,11 @@ class IwahoriCell:
     shift: Coweight          # the conjugation a with I_a = Ad(eps^a) I
     lam: Coweight            # Schubert highest coweight
     vertex: Coweight         # the torus fixed point eps^{lam'}
-    thresholds: Tuple[Tuple[Optional[int], ...], ...]
+    windows: Tuple[Tuple[int, int, int, int], ...]  # (row, col, lo, hi)
     dim: int
 
     def enumerate(self, field: PrimeField) -> Set[GrassPoint]:
-        q = field.p
-        wins = []
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                lo = self.thresholds[i][j]
-                hi = self.vertex[i] - self.vertex[j]
-                wins.append((i, j, lo, max(0, hi - lo)))
-        pts = set()
-        for coeff_sets in itertools.product(
-                *[itertools.product(range(q), repeat=k) for (_i, _j, _lo, k) in wins]):
-            m = [list(r) for r in mat_identity(field)]
-            for (i, j, lo, _k), cs in zip(wins, coeff_sets):
-                m[i][j] = LaurentSeries(field, lo, cs)
-            g = mat_mul(mat(m), mat_diag_eps(field, self.vertex))
-            pts.add(canonicalize_point(g, field))
-        return pts
+        return _cell_points(field, self.vertex, self.windows)
 
 
 def iwahori_cell(a: Coweight, lam: Coweight, lamp: Coweight) -> IwahoriCell:
@@ -135,17 +127,15 @@ def iwahori_cell(a: Coweight, lam: Coweight, lamp: Coweight) -> IwahoriCell:
             return -lam[0] + lamp[i]
     else:
         raise ShapeMismatch(f"{lam} has neither shape (a,b,b) nor (a,a,b)")
-    thresholds = [[None] * 3 for _ in range(3)]
-    dim = 0
+    windows = []
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
             base = a[i] - a[j] + (1 if i > j else 0)
-            m = max(base, extra(i, j))
-            thresholds[i][j] = m
-            dim += max(0, (lamp[i] - lamp[j]) - m)
-    return IwahoriCell(a, lam, lamp, tuple(tuple(r) for r in thresholds), dim)
+            windows.append((i + 1, j + 1, max(base, extra(i, j)), lamp[i] - lamp[j]))
+    dim = sum(max(0, hi - lo) for (_r, _c, lo, hi) in windows)
+    return IwahoriCell(a, lam, lamp, tuple(windows), dim)
 
 
 def mv_as_intersection(d: LusztigDatum):

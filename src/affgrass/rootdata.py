@@ -9,7 +9,6 @@ column subsets of {1,2,3}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import InconsistentFamily
@@ -58,20 +57,11 @@ def act(w: Perm, v: Coweight) -> Coweight:
     return (v[wi[0] - 1], v[wi[1] - 1], v[wi[2] - 1])
 
 
-def act_root(w: Perm, a: Root) -> Root:
-    return (w[a[0] - 1], w[a[1] - 1])
-
-
 def coroot(a: Root) -> Coweight:
     v = [0, 0, 0]
     v[a[0] - 1] = 1
     v[a[1] - 1] = -1
     return tuple(v)  # type: ignore[return-value]
-
-
-def root_line(a: Root) -> Root:
-    """The positive representative of {a, -a}."""
-    return a if a[0] < a[1] else (a[1], a[0])
 
 
 def add_cw(u: Coweight, v: Coweight) -> Coweight:
@@ -256,12 +246,3 @@ def iota_family(f: GTFamily) -> GTFamily:
 def eq_up_to_translation(f: GTFamily, g: GTFamily) -> bool:
     chi = sub_cw(g.vertices[0], f.vertices[0])
     return f.translate(chi) == g
-
-
-@lru_cache(maxsize=None)
-def sep_root(b: int) -> Root:
-    """Root line separating chambers b and b+1 (positive representative)."""
-    unit = _SEP[b]
-    i = unit.index(1) + 1
-    j = unit.index(-1) + 1
-    return root_line((i, j))

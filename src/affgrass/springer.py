@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed)
@@ -16,8 +16,7 @@ from .grass import GrassPoint, mat_inv, mat_mul
 from .laurent import LaurentSeries, PrimeField, random_with_val, val, zero
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      datum121_of, datum212_of, is_alternating, ZERO)
-from .paving import (PavingPlan, _pave, _verify_steps, contracting_cell,
-                     greedy_paving, is_normal_position)
+from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
 from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, pairing,
                        perm_inv, perm_mul)
 
@@ -74,7 +73,8 @@ def synthesize_gamma(c: Pattern, field: PrimeField, rng: random.Random) -> Regul
     if c12 != c23:
         b = random_with_val(field, c23, rng, exact=True)
         # val(a+b) = min automatically; it must equal c13
-        assert min(c12, c23) == c13
+        if min(c12, c23) != c13:
+            raise PatternMismatch(f"valuation pattern {c} breaks the ultrametric inequality")
     elif c13 > c12:
         b = (-a) + random_with_val(field, c13, rng, exact=True)
     else:
@@ -84,7 +84,8 @@ def synthesize_gamma(c: Pattern, field: PrimeField, rng: random.Random) -> Regul
                 break
     g = (a, zero(field), -b)
     out = RegularDiagonal.from_series(g)
-    assert out.c == tuple(c)
+    if out.c != tuple(c):
+        raise PatternMismatch(f"synthesized gamma has root valuations {out.c}, not {c}")
     return out
 
 
@@ -179,16 +180,13 @@ def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
             >= min(n1 + n2, n1 - n3 + c13))
 
 
-def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal, q: int) -> bool:
-    """Brute force: count F_q-points of the cell-with-Springer-condition."""
-    field = PrimeField(q, 64)
-    if gamma.field.p != q:
-        raise ValueError("oracle field must match gamma's field")
-    cell = contracting_cell(P, b)
-    n = P.datum121.n
-    ls = criterion_l_values(n, b, gamma.c)
-    count = sum(1 for x in cell.enumerate(field) if member_springer(x, gamma))
-    return count == q ** sum(ls)
+def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal,
+                     points: Iterable[GrassPoint]) -> bool:
+    """Brute force: count the Springer points among ``points``, the F_q-points
+    of ``contracting_cell(P, b)`` with q = gamma.field.p."""
+    ls = criterion_l_values(P.datum121.n, b, gamma.c)
+    count = sum(1 for x in points if member_springer(x, gamma))
+    return count == gamma.field.p ** sum(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,8 @@ def truncated_paving(gamma: RegularDiagonal, j: Sequence[int],
     polys = []
     for w in chain:
         Q = apply_crystal_word(w, P0)
-        assert Q is not ZERO
+        if Q is ZERO:
+            raise PavingVerificationFailed(f"crystal word {w} kills the fundamental domain")
         polys.append(Q.family)
     forced: List[Coweight] = []
     for big, small in zip(polys, polys[1:]):

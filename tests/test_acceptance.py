@@ -1,4 +1,7 @@
 """One test per acceptance criterion; each prints its own pass/fail line."""
+import json
+import subprocess
+import sys
 
 from affgrass import acceptance
 
@@ -69,6 +72,18 @@ def test_criterion_08_truncated_pavings():
 def test_criterion_09_springer_dimension():
     r = _run(acceptance.check_springer_dimension)
     assert r["passed"], r
+
+
+def test_criterion_09_alone_in_fresh_interpreter():
+    # criterion 9 builds its own plans; it reads nothing left by criterion 8
+    code = ("import json; from affgrass import acceptance; "
+            "r = acceptance.check_springer_dimension(7); r.pop('seconds'); "
+            "print(json.dumps(r))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["passed"] and out["failures"] == []
+    assert not hasattr(acceptance.check_truncated_pavings, "plans")
 
 
 def test_criterion_10_kostant():

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
 
-def run(*args):
-    return subprocess.run([sys.executable, "-m", "affgrass", *args],
+
+def run(*args, flags=()):
+    return subprocess.run([sys.executable, *flags, "-m", "affgrass", *args],
                           capture_output=True, text=True)
 
 
@@ -77,3 +79,30 @@ def test_check_fast_deterministic(tmp_path):
 def test_domain_error_exit_code():
     r = run("braid", "--word", "121", "--n", "1,-1,0")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("cmd, flag, data", [
+    ("betti", "--polytope", {"word": "121"}),
+    ("betti", "--polytope", {"word": "121", "n": 5}),
+    ("springer", "--gamma", {"prime": 3}),
+    ("springer", "--gamma", [2, 1, 1]),
+])
+def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    r = run(cmd, flag, str(f))
+    assert r.returncode == 2
+    assert "malformed" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_same_output_under_optimize(tmp_path):
+    # library invariants raise typed errors, so -O changes nothing
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
+    gam = tmp_path / "g.json"
+    gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))
+    for args in (("pave", "--polytope", str(poly)),
+                 ("springer", "--gamma", str(gam), "--truncate", "j=")):
+        plain, opt = run(*args), run(*args, flags=("-O",))
+        assert plain.returncode == opt.returncode == 0
+        assert json.loads(opt.stdout) == json.loads(plain.stdout)

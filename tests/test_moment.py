@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from affgrass.errors import BudgetExceeded
-from affgrass.moment import (L, MomentGraph, PoincarePoly, compare, formal_betti,
+from affgrass.moment import (MomentGraph, PoincarePoly, compare, formal_betti,
                              graph_to_json, min_formal_poincare, skeleton, to_dot,
                              wt)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
@@ -32,13 +32,6 @@ def test_wt_is_cell_dimension_at_corners():
     # interior vertices carry strictly more edges
     interior = set(fam.lattice_points()) - set(fam.vertices)
     assert interior and all(wt(g, v) > 5 for v in interior)
-
-
-def test_L_counts_by_direction():
-    tri = skeleton(weyl_family((1, 0, 0)))
-    v = (1, 0, 0)
-    assert wt(tri, v) == sum(L(tri, v, a) for a in ((1, 2), (1, 3), (2, 3)))
-    assert L(tri, v, (2, 3)) == 0  # the opposite edge of the triangle
 
 
 def test_springer_filter_prunes_edges():

@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
 from affgrass.errors import NormalPositionRequired, ShapeMismatch
-from affgrass.grass import ec, enumerate_points, member, translate_point
-from affgrass.laurent import PrimeField
+from affgrass.grass import (canonicalize_point, ec, enumerate_points, mat,
+                            mat_diag_eps, mat_identity, mat_inv, mat_mul, member,
+                            translate_point)
+from affgrass.laurent import LaurentSeries, PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope
-from affgrass.paving import (contracting_cell, greedy_paving,
+from affgrass.paving import (_cell_points, contracting_cell, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
@@ -27,8 +31,9 @@ def test_iwahori_cells_of_p2():
 def test_iwahori_threshold_convention():
     # below-diagonal congruences are strict: the 1/3 offsets round up
     c = iwahori_cell((1, 1, 0), (1, 0, 0), (1, 0, 0))
-    assert c.thresholds[1][0] == 1  # a2 - a1 + 1
-    assert c.thresholds[0][1] == 0  # a1 - a2
+    lows = {(r, col): lo for (r, col, lo, _hi) in c.windows}
+    assert lows[(2, 1)] == 1  # a2 - a1 + 1
+    assert lows[(1, 2)] == 0  # a1 - a2
     with pytest.raises(ShapeMismatch):
         iwahori_cell((0, 0, 0), (2, 1, 0), (2, 1, 0))
 
@@ -107,6 +112,38 @@ def test_contracting_cell_windows():
         assert contracting_cell(degenerate, b).dim == 0
     with pytest.raises(NormalPositionRequired):
         contracting_cell(MVPolytope.from_datum(LusztigDatum("121", (0, 1, 0))), 0)
+
+
+def _cell_points_by_matrices(field, diag, windows, inverted=False):
+    """Reference construction: canonical forms of u . eps^diag by matrix products."""
+    q = field.p
+    ranges = [max(0, hi - lo) for (_r, _c, lo, hi) in windows]
+    pts = set()
+    for coeff_sets in itertools.product(
+            *[itertools.product(range(q), repeat=k) for k in ranges]):
+        u = [list(r) for r in mat_identity(field)]
+        for (r, c, lo, _hi), cs in zip(windows, coeff_sets):
+            u[r - 1][c - 1] = LaurentSeries(field, lo, cs)
+        m = mat_inv(mat(u)) if inverted else mat(u)
+        pts.add(canonicalize_point(mat_mul(m, mat_diag_eps(field, diag)), field))
+    return pts
+
+
+def test_cell_points_match_matrix_products():
+    d = LusztigDatum("121", (2, 1, 1))
+    P = MVPolytope.from_datum(d)
+    cells = [contracting_cell(P, b) for b in range(6)]
+    assert {c.inverted for c in cells} == {True, False}
+    for c in cells:
+        want = _cell_points_by_matrices(F2, c.diag, c.windows, c.inverted)
+        assert len(want) == 2 ** c.dim
+        assert _cell_points(F2, c.diag, c.windows, c.inverted) == want
+        assert c.enumerate(F2) == want
+    lam1, shift, _lam2 = mv_as_intersection(d)
+    for lamp in schubert_anchored_family(d).lattice_points():
+        c = iwahori_cell(shift, lam1, lamp)
+        want = _cell_points_by_matrices(F2, c.vertex, c.windows)
+        assert len(want) == 2 ** c.dim and c.enumerate(F2) == want
 
 
 def test_first_step_cells_all_borels():

@@ -8,7 +8,7 @@ from affgrass.grass import (canonicalize_point, ec, enumerate_points, mat,
                             member, sample_point, translate_point)
 from affgrass.laurent import LaurentSeries, PrimeField, eps, one, zero
 from affgrass.mvcomb import LusztigDatum, MVPolytope
-from affgrass.paving import greedy_paving
+from affgrass.paving import contracting_cell, greedy_paving
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
                                criterion_bound, fundamental_domain,
@@ -157,8 +157,9 @@ def test_criterion_examples():
     P0 = MVPolytope.from_datum(LusztigDatum("121", (0, 0, 0)))
     g0 = synthesize_gamma((0, 0, 0), F3, rng)
     assert criterion(P0, 0, g0) is True
-    assert criterion_oracle(P, 0, g1, 3) is True
-    assert criterion_oracle(P, 0, g2, 3) is False
+    cell = contracting_cell(P, 0).enumerate(F3)
+    assert criterion_oracle(P, 0, g1, cell) is True
+    assert criterion_oracle(P, 0, g2, cell) is False
 
 
 def test_criterion_c_zero_forces_tiny_cells():
@@ -167,7 +168,7 @@ def test_criterion_c_zero_forces_tiny_cells():
     P = MVPolytope.from_datum(LusztigDatum("121", (1, 0, 1)))
     for b in range(6):
         assert criterion_l_values((1, 0, 1), b, (0, 0, 0)) == (0, 0, 0)
-        assert criterion_oracle(P, b, gam, 3) is True
+        assert criterion_oracle(P, b, gam, contracting_cell(P, b).enumerate(F3)) is True
 
 
 def test_raw_form_equivalence_spot():
