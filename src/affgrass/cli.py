@@ -74,10 +74,7 @@ def _emit(args, payload):
 
 def _field(args) -> PrimeField:
     p = args.prime if args.prime else int(os.environ.get("AFFGRASS_PRIME", "2"))
-    prec = args.prec if args.prec else int(os.environ.get("AFFGRASS_PREC", "64"))
-    if prec < 16:
-        raise AffgrassError("precision must be at least 16")
-    return PrimeField(p, prec)
+    return PrimeField(p)
 
 
 def _load(path):
@@ -144,10 +141,23 @@ def cmd_points(args):
                  "points": [point_to_json(x) for x in pts]})
 
 
+def _springer_c(text):
+    """The root-valuation triple c12,c23,c13 of ``--springer-c``, or None."""
+    if text is None:
+        return None
+    try:
+        c = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        c = ()
+    if len(c) != 3 or min(c) < 0:
+        raise AffgrassError(f"--springer-c wants three non-negative integers "
+                            f"c12,c23,c13, got {text!r}")
+    return c
+
+
 def cmd_graph(args):
     fam = family_from_json(_load(args.polytope))
-    c = _opt_vec(args.springer_c)
-    g = skeleton(fam, springer_c=c)
+    g = skeleton(fam, springer_c=_springer_c(args.springer_c))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(g) + "\n")
@@ -180,8 +190,7 @@ def cmd_springer(args):
     data = _load(args.gamma)
     rng = random.Random(args.seed)
     with _malformed("gamma"):
-        field = PrimeField(int(data.get("prime", args.prime or 3)),
-                           args.prec or 64)
+        field = PrimeField(int(data.get("prime", args.prime or 3)))
         if "series" in data:
             gam = RegularDiagonal.from_series([series_from_json(field, s)
                                                for s in data["series"]])
@@ -216,7 +225,6 @@ def main(argv=None) -> int:
                                  description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=None)
-    common.add_argument("--prec", type=int, default=None)
     common.add_argument("--seed", type=int, default=7)
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .grass import curve_point, member
-from .laurent import PrimeField
 from .rootdata import POSROOTS, GTFamily, Coweight, Root, coroot, scale_cw, sub_cw
 
 Edge = Tuple[Coweight, Coweight, Root, int]
@@ -28,16 +26,15 @@ class MomentGraph:
         return [e for e in self.edges if e[0] == v or e[1] == v]
 
 
-_SKELETON_FIELD = PrimeField(2, 64)
-
 _LINE_INDEX = {(1, 2): 0, (2, 3): 1, (1, 3): 2}
 
 
 def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
     """1-skeleton of the truncation (intersected with a Springer fiber if given).
 
-    Orbit membership in the truncation is decided exactly: the curve point has
-    monomial minors, so one coefficient value per edge suffices at any prime.
+    The closure of the orbit labeled (a, k) is a P^1 whose MV polytope is the
+    segment from v to v - k*coroot(a); the truncation is convex, so the orbit
+    lies in it exactly when both endpoints are lattice points of the polytope.
     The Springer condition on the curve is exactly k <= val(alpha(gamma)),
     supplied as the root-valuation triple (c12, c23, c13).
     """
@@ -48,12 +45,8 @@ def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
         for a in POSROOTS:
             for k in range(1, f.span() + 1):
                 u = sub_cw(v, scale_cw(k, coroot(a)))
-                if u not in vset:
-                    continue
-                if springer_c is not None and k > springer_c[_LINE_INDEX[a]]:
-                    continue
-                x = curve_point(_SKELETON_FIELD, a, k, v)
-                if member(x, f):
+                if u in vset and (springer_c is None
+                                  or k <= springer_c[_LINE_INDEX[a]]):
                     edges.append((v, u, a, k))
     edges.sort()
     return MomentGraph(tuple(verts), tuple(edges))

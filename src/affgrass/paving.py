@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired,
 from .grass import (GrassPoint, _window_entries, canonicalize_point, ec,
                     enumerate_points, mat, mat_identity, mat_inv)
 from .laurent import PrimeField
-from .moment import MomentGraph, PoincarePoly, skeleton
+from .moment import PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
 from .rootdata import (CHAMBERS, Coweight, GTFamily, contains,
@@ -280,15 +280,8 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight],
                     raise BudgetExceeded("support tightening walk exceeded its budget")
                 queue.append(m2)
     cands = list(found.values())
-    out = []
-    for P in cands:
-        if not any(Q is not P and contains(Q, P) and Q.support != P.support for Q in cands):
-            out.append(P)
-    # dedupe identical supports
-    uniq = {}
-    for P in out:
-        uniq[P.support] = P
-    return sorted(uniq.values(), key=lambda P: P.support)
+    out = [P for P in cands if not any(Q is not P and contains(Q, P) for Q in cands)]
+    return sorted(out, key=lambda P: P.support)
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +298,14 @@ def _mv_cell_fn(P: GTFamily, b: int) -> Tuple[int, bool]:
 def _pave(family: GTFamily, cell_fn: CellFn,
           forced: Optional[Sequence[Coweight]] = None,
           springer_c=None) -> List[PavingStep]:
-    if is_gmv(family):
-        actives = [family]
-    else:
-        actives = max_gmv_inside(family, None)
+    actives = max_gmv_inside(family, None)
     forced = list(forced) if forced else []
     fi = 0
     steps: List[PavingStep] = []
-    skel_cache: Dict[tuple, MomentGraph] = {}
-
-    def skel(P: GTFamily) -> MomentGraph:
-        key = (P.nu, P.vertices)
-        if key not in skel_cache:
-            skel_cache[key] = skeleton(P, springer_c=springer_c)
-        return skel_cache[key]
-
     while actives:
         edge_union = set()
         for P in actives:
-            edge_union.update(skel(P).edges)
+            edge_union.update(skeleton(P, springer_c=springer_c).edges)
 
         def cur_wt(v):
             return sum(1 for e in edge_union if e[0] == v or e[1] == v)

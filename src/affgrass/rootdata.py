@@ -203,10 +203,7 @@ def family_from_support(M, nu: int) -> GTFamily:
         v[w[1] - 1] = m12 - m1
         v[w[2] - 1] = nu - m12
         verts.append(tuple(v))
-    fam = GTFamily(nu, tuple(verts))
-    if tuple(M) != fam.support:
-        raise InconsistentFamily("support numbers are not tight on the vertex family")
-    return fam
+    return GTFamily(nu, tuple(verts))
 
 
 def contains(outer: GTFamily, inner: GTFamily) -> bool:

@@ -95,6 +95,15 @@ def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     assert "malformed" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("c", ["1,1", "1,1,1,1"])
+def test_graph_springer_c_wants_three_values(tmp_path, c):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "121", "n": [2, 1, 1]}))
+    r = run("graph", "--polytope", str(poly), "--springer-c", c)
+    assert r.returncode == 2
+    assert "springer-c" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_same_output_under_optimize(tmp_path):
     # library invariants raise typed errors, so -O changes nothing
     poly = tmp_path / "p.json"

@@ -3,11 +3,15 @@ import itertools
 import pytest
 
 from affgrass.errors import BudgetExceeded
+from affgrass.grass import curve_point, member
+from affgrass.laurent import PrimeField
 from affgrass.moment import (MomentGraph, PoincarePoly, compare, formal_betti,
                              graph_to_json, min_formal_poincare, skeleton, to_dot,
                              wt)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
-from affgrass.rootdata import family_from_support, weyl_family
+from affgrass.paving import max_gmv_inside
+from affgrass.rootdata import (BORELS, POSROOTS, coroot, family_from_support,
+                               scale_cw, sub_cw, weyl_family)
 
 
 def P(n):
@@ -22,6 +26,29 @@ def test_skeleton_examples():
     assert all(wt(tri, v) == 2 for v in tri.vertices)
     point = skeleton(family_from_support([0] * 6, 0))
     assert len(point.edges) == 0
+
+
+def test_skeleton_matches_curve_membership():
+    # reference: the orbit (a, k) at v is an edge when a nonfixed point of it,
+    # canonicalized over F_2, is a member of the truncation
+    F2 = PrimeField(2, 64)
+    fams = [P(n).weyl(w) for n in itertools.product(range(3), repeat=3)
+            for w in BORELS]
+    fams += [weyl_family((2, 1, 0)), weyl_family((3, 1, 0))]
+    big = P((2, 1, 1))
+    fams += [Q for v in big.lattice_points() for Q in max_gmv_inside(big, v)]
+    assert len(fams) == 200
+    n_edges = 0
+    for f in fams:
+        vset = set(f.lattice_points())
+        want = sorted(
+            (v, u, a, k) for v in vset for a in POSROOTS
+            for k in range(1, f.span() + 1)
+            if (u := sub_cw(v, scale_cw(k, coroot(a)))) in vset
+            and member(curve_point(F2, a, k, v), f))
+        assert list(skeleton(f).edges) == want
+        n_edges += len(want)
+    assert n_edges == 3920
 
 
 def test_wt_is_cell_dimension_at_corners():

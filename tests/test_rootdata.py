@@ -54,6 +54,21 @@ def test_infeasible_support_rejected():
     assert not found
 
 
+def test_family_from_support_reads_back_its_support():
+    # each support number is read back from a vertex built from it, so a
+    # support vector either fails the family invariants or comes back unchanged
+    feasible = 0
+    for nu in (-1, 0, 2):
+        for M in itertools.product((-1, 0, 1), repeat=6):
+            try:
+                fam = family_from_support(M, nu)
+            except InconsistentFamily:
+                continue
+            assert fam.support == M
+            feasible += 1
+    assert feasible > 0
+
+
 def test_contains():
     f = P((1, 0, 0))
     assert contains(f, f)
