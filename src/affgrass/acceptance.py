@@ -140,7 +140,7 @@ def _normal_data(top: int = 2):
 def check_contracting_cells(seed: int = 7) -> Dict:
     """|C_b(F_2)| = 2^(n1+2n2+n3) and the explicit coordinates carve that exact set."""
     t0 = time.time()
-    field = PrimeField(2, 64)
+    field = PrimeField(2)
     bad = 0
     cases = 0
     for n in _normal_data():
@@ -212,7 +212,7 @@ def check_springer_criterion(seed: int = 7) -> Dict:
                     continue
                 if not pattern_realizable(c, q):
                     continue
-                field = PrimeField(q, 64)
+                field = PrimeField(q)
                 gam = synthesize_gamma(c, field, rng)
                 for b in range(6):
                     cases += 1
@@ -249,7 +249,7 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
     for (n1, n2) in SPRINGER_FAMILIES:
         c = (n1, n2, n2)
         qs = tuple(q for q in (2, 3, 5) if pattern_realizable(c, q))[:2]
-        field = PrimeField(qs[0], 64)
+        field = PrimeField(qs[0])
         gam = synthesize_gamma(c, field, rng)
         P0 = MVPolytope.from_datum(LusztigDatum("121", c))
         for j in _alternating_words(2 * n2):
@@ -288,7 +288,7 @@ def check_springer_dimension(seed: int = 7) -> Dict:
     t0 = time.time()
     bad = []
     for (n1, n2) in SPRINGER_FAMILIES:
-        gam = synthesize_gamma((n1, n2, n2), PrimeField(3, 64), random.Random(0))
+        gam = synthesize_gamma((n1, n2, n2), PrimeField(3), random.Random(0))
         plan = truncated_paving(gam, (), verify_qs=())
         top = max(s.dim for s in plan.steps)
         want = n1 + 2 * n2

@@ -84,10 +84,11 @@ def _load(path):
 
 def cmd_polytope(args):
     d = LusztigDatum(args.word, tuple(int(s) for s in args.n.split(",")))
-    P = MVPolytope.from_datum(d, base=_opt_vec(args.base))
+    P = MVPolytope.from_datum(d, base=_triple(args.base, "--base") if args.base else None)
     if args.apply:
-        op, i = args.apply[0], int(args.apply[1])
-        P2 = crystal_E(i, P) if op == "E" else crystal_F(i, P)
+        if args.apply not in ("E1", "E2", "F1", "F2"):
+            raise AffgrassError(f"--apply wants one of E1, E2, F1, F2, got {args.apply!r}")
+        P2 = _crystal(args.apply[0], int(args.apply[1]), P)
         if P2 is ZERO:
             _emit(args, {"result": "zero"})
             return
@@ -111,8 +112,15 @@ def _crystal(op, i, P):
     return crystal_E(i, P) if op == "E" else crystal_F(i, P)
 
 
-def _opt_vec(s):
-    return tuple(int(x) for x in s.split(",")) if s else None
+def _triple(text, flag):
+    """Exactly three comma-separated integers, else a domain error."""
+    try:
+        v = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        v = ()
+    if len(v) != 3:
+        raise AffgrassError(f"{flag} wants three integers, got {text!r}")
+    return v
 
 
 def cmd_braid(args):
@@ -124,7 +132,10 @@ def cmd_braid(args):
 def cmd_crystal(args):
     d = LusztigDatum(args.word, tuple(int(s) for s in args.n.split(",")))
     P = MVPolytope.from_datum(d)
-    js = [int(c) for c in args.j.replace(",", "")]
+    word = args.j.replace(",", "")
+    if not set(word) <= {"1", "2"}:
+        raise AffgrassError(f"--j wants a word in the digits 1 and 2, got {args.j!r}")
+    js = [int(c) for c in word]
     out = apply_crystal_word(js, P)
     if out is ZERO:
         _emit(args, {"result": "zero"})
@@ -145,11 +156,8 @@ def _springer_c(text):
     """The root-valuation triple c12,c23,c13 of ``--springer-c``, or None."""
     if text is None:
         return None
-    try:
-        c = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        c = ()
-    if len(c) != 3 or min(c) < 0:
+    c = _triple(text, "--springer-c")
+    if min(c) < 0:
         raise AffgrassError(f"--springer-c wants three non-negative integers "
                             f"c12,c23,c13, got {text!r}")
     return c

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
-from .laurent import INF, LaurentSeries, PrimeField, eps, one, val, zero
+from .laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from .rootdata import (CHAMBERS, GTFamily, Coweight, Root, coroot,
                        family_from_support, pairing)
 
@@ -37,11 +37,7 @@ def mat_identity(field: PrimeField) -> Matrix:
 
 def mat_diag_eps(field: PrimeField, d: Coweight) -> Matrix:
     z = zero(field)
-    return (
-        (eps(field, d[0]), z, z),
-        (z, eps(field, d[1]), z),
-        (z, z, eps(field, d[2])),
-    )
+    return tuple(tuple(eps(field, d[i]) if i == j else z for j in range(3)) for i in range(3))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -102,12 +98,6 @@ def Delta(g: Matrix, S: Iterable[int]) -> LaurentSeries:
     return minor(g, list(range(1, len(cols) + 1)), cols)
 
 
-def x_elem(field: PrimeField, i: int, t: LaurentSeries) -> Matrix:
-    m = [list(r) for r in mat_identity(field)]
-    m[i - 1][i] = t
-    return mat(m)
-
-
 def root_elem(field: PrimeField, a: Root, t: LaurentSeries) -> Matrix:
     m = [list(r) for r in mat_identity(field)]
     m[a[0] - 1][a[1] - 1] = t
@@ -134,6 +124,10 @@ class GrassPoint:
     def key(self):
         return (self.d,
                 tuple((e.lead, e.coeffs) for row in self.h for e in row))
+
+    def entries(self):
+        """The lower entries h21, h31, h32 as (lead, coeffs) pairs."""
+        return tuple((e.lead, e.coeffs) for e in (self.h[1][0], self.h[2][0], self.h[2][1]))
 
     def __hash__(self):
         return hash(self.key())
@@ -247,12 +241,39 @@ def dprofile_matrix(g: Matrix) -> Tuple[Union[int, float], ...]:
 
 def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     """Closed-form D-profile of a canonical representative."""
-    d1, d2, d3 = x.d
-    a = x.h[1][0].shift(-d1)
-    c = x.h[2][0].shift(-d1)
-    b = x.h[2][1].shift(-d2)
-    va, vb, vc = val(a), val(b), val(c)
-    vab_c = val(a * b - c)
+    return _profile(x.d, *x.entries(), x.field.p)
+
+
+# The integer point kernel works on entries (lead, coeffs), the normal form
+# of an exact LaurentSeries: coeffs in [0, p), first and last nonzero.
+
+def _mul(x, y, p: int, top=INF):
+    """Product of two nonzero entries, its coefficients below exponent top."""
+    (lx, cx), (ly, cy) = x, y
+    n = min(len(cx) + len(cy) - 1, top - lx - ly)
+    out = [0] * n
+    for i, a in enumerate(cx[:n]):
+        for j, b in enumerate(cy[:n - i]):
+            out[i + j] += a * b
+    return lx + ly, tuple(c % p for c in out)
+
+
+def _val_diff(x, y) -> Union[int, float]:
+    """val(x - y) for two nonzero entries with the same lead."""
+    pairs = itertools.zip_longest(x[1], y[1], fillvalue=0)
+    return next((x[0] + k for k, (a, b) in enumerate(pairs) if a != b), INF)
+
+
+def _profile(d: Coweight, e21, e31, e32, p: int) -> Tuple[Union[int, float], ...]:
+    """The D-profile of the point with diagonal eps^d and lower entries e21,
+    e31, e32.  With a = h21 eps^-d1, b = h32 eps^-d2, c = h31 eps^-d1 it is
+    made of leads; val(ab - c) needs a product only when its leads meet."""
+    d1, d2, d3 = d
+    va = e21[0] - d1 if e21[1] else INF
+    vb = e32[0] - d2 if e32[1] else INF
+    vc = e31[0] - d1 if e31[1] else INF
+    vab_c = (_val_diff(_mul(e21, e32, p), (e31[0] + d2, e31[1])) - d1 - d2
+             if va + vb == vc != INF else min(va + vb, vc))
     return (
         min(-d1, va - d2, vab_c - d3),
         min(-d2, vb - d3),
@@ -280,8 +301,7 @@ def ec(x: GrassPoint) -> GTFamily:
 def member(x: GrassPoint, f: GTFamily) -> bool:
     if x.nu != f.nu:
         return False
-    M = f.support
-    return all(dv >= -m for dv, m in zip(dprofile(x), M))
+    return all(dv >= -m for dv, m in zip(dprofile(x), f.support))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +349,7 @@ def eta_w0_inv(x: Matrix) -> Matrix:
 def x_mat(word: str, ts: Sequence[LaurentSeries]) -> Matrix:
     m = mat_identity(ts[0].field)
     for i, t in zip(word, ts):
-        m = mat_mul(x_elem(t.field, int(i), t), m)
+        m = mat_mul(root_elem(t.field, (int(i), int(i) + 1), t), m)
     return m
 
 
@@ -376,17 +396,13 @@ def decompose_u0(x: GrassPoint, word: str, rng: random.Random,
             if word == "121":
                 if not (r.nonzero and q.nonzero):
                     continue
-                t2 = r
                 t3 = q * r.inv()
-                t1 = p - t3
-                ts = (t1, t2, t3)
+                ts = (p - t3, r, t3)
             else:
                 if not (p.nonzero and q.nonzero):
                     continue
-                t2 = p
                 t1 = q * p.inv()
-                t3 = r - t1
-                ts = (t1, t2, t3)
+                ts = (t1, p, r - t1)
             if not all(t.nonzero for t in ts):
                 continue
             if point_from_y(word, ts) == x:
@@ -410,12 +426,26 @@ def _entry_windows(f: GTFamily, d: Coweight):
     return w21, w31, w32
 
 
-def _window_entries(field: PrimeField,
-                    windows: Iterable[Tuple[int, int]]) -> List[List[LaurentSeries]]:
-    """Per (lo, hi) window, every exact polynomial with exponents in [lo, hi)."""
-    return [[LaurentSeries(field, lo, cs)
-             for cs in itertools.product(range(field.p), repeat=max(0, hi - lo))]
+def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
+    """Per (lo, hi) window, every polynomial over F_q with exponents in [lo, hi)."""
+    field = PrimeField(q)
+    return [[(e.lead, e.coeffs) for e in (LaurentSeries(field, lo, cs) for cs in
+                                          itertools.product(range(q), repeat=max(0, hi - lo)))]
             for lo, hi in windows]
+
+
+def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000):
+    """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
+    of f: the candidates of the entry windows whose D-profile passes."""
+    windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
+    if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
+        raise BudgetExceeded(f"enumeration needs > {budget} candidates")
+    floor = [-m for m in f.support]
+    for d, ws in windows:
+        for e21, e31, e32 in itertools.product(*_window_entries(q, ws)):
+            prof = _profile(d, e21, e31, e32, q)
+            if all(v >= m for v, m in zip(prof, floor)):
+                yield d, e21, e31, e32, prof
 
 
 def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
@@ -423,52 +453,33 @@ def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
 
     Entries are exact polynomials, so the field's precision is never read.
     """
-    q = field.p
-    verts = f.lattice_points()
-    total = 0
-    for d in verts:
-        total += q ** sum(max(0, hi - lo) for lo, hi in _entry_windows(f, d))
-        if total > budget:
-            raise BudgetExceeded(f"enumeration needs > {budget} candidates")
-    M = f.support
-    for d in verts:
-        for h21, h31, h32 in itertools.product(
-                *_window_entries(field, _entry_windows(f, d))):
-            x = _canonical_from_entries(field, d, h21, h31, h32)
-            if all(dv >= -m for dv, m in zip(dprofile(x), M)):
-                yield x
+    for d, e21, e31, e32, _prof in _iter_entries(f, field.p, budget):
+        yield _point(field, d, e21, e31, e32)
 
 
 def enumerate_points(f: GTFamily, field: PrimeField,
                      budget: int = 5_000_000) -> List[GrassPoint]:
     """All F_q-points of the truncated affine Grassmannian of f, sorted."""
-    out = list(iter_points(f, field, budget))
-    out.sort(key=lambda x: x.key())
-    return out
+    return sorted(iter_points(f, field, budget), key=GrassPoint.key)
 
 
-def _canonical_from_entries(field, d, h21, h31, h32) -> GrassPoint:
-    z = zero(field)
-    h = ((eps(field, d[0]), z, z),
-         (h21, eps(field, d[1]), z),
-         (h31, h32, eps(field, d[2])))
-    return GrassPoint(field, h, d, sum(d))
+def _point(field: PrimeField, d: Coweight, *entries) -> GrassPoint:
+    """The point with diagonal eps^d and lower entries (lo, coeffs) h21, h31, h32."""
+    h = [list(r) for r in mat_diag_eps(field, d)]
+    for (r, c), (lo, cs) in zip(((1, 0), (2, 0), (2, 1)), entries):
+        h[r][c] = LaurentSeries(field, lo, cs)
+    return GrassPoint(field, mat(h), d, sum(d))
 
 
 def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
                  retries: int = 2000) -> GrassPoint:
     """Uniformish random F_q-point of the truncation (rejection from windows)."""
     verts = f.lattice_points()
-    M = f.support
     for _ in range(retries):
         d = rng.choice(verts)
-        ws = _entry_windows(f, d)
-        entries = []
-        for (l, t) in ws:
-            n = max(0, t - l)
-            entries.append(LaurentSeries(field, l, [rng.randrange(field.p) for _ in range(n)]))
-        x = _canonical_from_entries(field, d, *entries)
-        if all(dv >= -m for dv, m in zip(dprofile(x), M)):
+        x = _point(field, d, *[(lo, [rng.randrange(field.p) for _ in range(max(0, hi - lo))])
+                               for lo, hi in _entry_windows(f, d)])
+        if member(x, f):
             return x
     raise RetryExhausted("rejection sampling failed")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import InconsistentFamily, NotMV
+from .errors import InconsistentFamily, NotMV, PreconditionViolated
 from .rootdata import (BORELS, CANON_ORDER, GTFamily, RHO, W0, Coweight, Perm,
                        act, add_cw, coroot, perm_inv, perm_mul, scale_cw, sub_cw)
 
@@ -131,15 +131,22 @@ def canonicalize(f: GTFamily) -> Tuple[Perm, MVPolytope]:
     raise NotMV(f"no minimizing Weyl twist of {f.vertices} is braid-consistent")
 
 
+def _crystal_datum(i: int, P: MVPolytope) -> LusztigDatum:
+    """The datum whose word ends with i, the one crystal operator i acts on."""
+    if i not in (1, 2):
+        raise PreconditionViolated(f"crystal operators are indexed by 1 and 2, got {i!r}")
+    return P.datum121 if i == 1 else P.datum212
+
+
 def crystal_F(i: int, P: MVPolytope) -> MVPolytope:
     """Lengthen the last edge of the path for the word ending with i."""
-    d = P.datum121 if i == 1 else P.datum212
+    d = _crystal_datum(i, P)
     nd = LusztigDatum(d.word, (d.n[0], d.n[1], d.n[2] + 1))
     return MVPolytope.from_datum(nd, base=_base_keeping_top(nd, P.family.vertex(0)))
 
 
 def crystal_E(i: int, P: MVPolytope) -> CrystalResult:
-    d = P.datum121 if i == 1 else P.datum212
+    d = _crystal_datum(i, P)
     if d.n[2] == 0:
         return ZERO
     nd = LusztigDatum(d.word, (d.n[0], d.n[1], d.n[2] - 1))

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired,
                      NotMV, PavingVerificationFailed, ShapeMismatch)
-from .grass import (GrassPoint, _window_entries, canonicalize_point, ec,
+from .grass import (GrassPoint, _iter_entries, _window_entries, canonicalize_point,
                     enumerate_points, mat, mat_identity, mat_inv)
-from .laurent import PrimeField
+from .laurent import LaurentSeries, PrimeField
 from .moment import PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
@@ -59,17 +60,23 @@ def _cell_points(field: PrimeField, diag: Coweight,
                  inverted: bool = False) -> Set[GrassPoint]:
     """The points u . eps^diag, entry (row, col) of the unipotent u ranging
     over the exact polynomials with exponents in [lo, hi); ``inverted`` puts
-    u^-1 in place of u."""
+    u^-1 in place of u.  The field's precision is never read."""
+    # Hermite reduction inverts unit pivots to work.prec terms; one more than
+    # the exponent range of g's entries (windows shifted by diag) was enough
+    # on every contracting cell with n_i <= 3, dim <= 7 (most need 1 to 4).
+    exps = list(diag) + [e + diag[c - 1] for (_r, c, lo, hi) in windows for e in (lo, hi)]
+    work = PrimeField(field.p, max(exps) - min(exps) + 1)
     pts = set()
     for entries in itertools.product(
-            *_window_entries(field, [(lo, hi) for (_r, _c, lo, hi) in windows])):
-        u = [list(r) for r in mat_identity(field)]
-        for (r, c, _lo, _hi), e in zip(windows, entries):
-            u[r - 1][c - 1] = e
+            *_window_entries(field.p, [(lo, hi) for (_r, _c, lo, hi) in windows])):
+        u = [list(r) for r in mat_identity(work)]
+        for (r, c, _lo, _hi), (lead, cs) in zip(windows, entries):
+            u[r - 1][c - 1] = LaurentSeries(work, lead, cs)
         m = mat_inv(mat(u)) if inverted else u
         # right multiplication by eps^diag shifts column c by diag[c]
         g = tuple(tuple(e.shift(k) for e, k in zip(row, diag)) for row in m)
-        pts.add(canonicalize_point(g, field))
+        x = canonicalize_point(g, work)
+        pts.add(GrassPoint(field, x.h, x.d, x.nu))
     return pts
 
 
@@ -202,7 +209,7 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
     steps = tuple(PavingStep(c.vertex, None, c.dim, family) for c in cells)
     record = {"per_q": [], "ok": True}
     for q in verify_qs:
-        field = PrimeField(q, 64)
+        field = PrimeField(q)
         pts = set(enumerate_points(family, field))
         seen: Set[GrassPoint] = set()
         by_cell = []
@@ -339,10 +346,7 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         steps.append(PavingStep(v, b, dim, P))
         subs = max_gmv_inside(P, v)
         pool = [Q for Q in actives if Q.support != P.support] + subs
-        uniq = {}
-        for Q in pool:
-            uniq[Q.support] = Q
-        pool = list(uniq.values())
+        pool = list({Q.support: Q for Q in pool}.values())
         actives = [Q for Q in pool
                    if not any(R.support != Q.support and contains(R, Q) for R in pool)]
         actives.sort(key=lambda Q: Q.support)
@@ -357,35 +361,30 @@ def _pave(family: GTFamily, cell_fn: CellFn,
 def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
                   qs: Sequence[int], springer_pattern=None,
                   rng: Optional[random.Random] = None) -> dict:
-    from .grass import iter_points
+    from .springer import synthesize_gamma  # springer imports this module
     record = {"per_q": [], "ok": True}
     for q in qs:
-        field = PrimeField(q, 64)
-        pts = iter_points(family, field)
-        if springer_pattern is not None:
-            from .springer import member_springer, synthesize_gamma
-            gam = synthesize_gamma(springer_pattern, field, rng or random.Random(0))
-            pts = (x for x in pts if member_springer(x, gam))
+        gam = None if springer_pattern is None else synthesize_gamma(
+            springer_pattern, PrimeField(q), rng or random.Random(0))
+        # Ec of a point is a function of its D-profile (nu is the family's),
+        # so points are counted by profile and each profile matched to a step once
+        by_profile = Counter(prof for d, e21, e31, e32, prof in _iter_entries(family, q)
+                             if gam is None or gam.admits(d, e21, e31, e32))
         counts = [0] * len(steps)
-        total = 0
-        for x in pts:
-            total += 1
-            fx = ec(x)
-            supp = fx.support
-            for i, st in enumerate(steps):
-                target = st.polytope.support
-                if all(a <= b for a, b in zip(supp, target)) \
-                        and fx.vertices[st.borel] == st.vertex:
-                    counts[i] += 1
-                    break
-            else:
-                raise PavingVerificationFailed(f"point {x} matched no paving step")
+        for prof, n in by_profile.items():
+            fx = family_from_support([-v for v in prof], family.nu)
+            i = next((i for i, st in enumerate(steps) if contains(st.polytope, fx)
+                      and fx.vertices[st.borel] == st.vertex), None)
+            if i is None:
+                raise PavingVerificationFailed(
+                    f"{n} points with Ec {fx.vertices} match no paving step")
+            counts[i] += n
         for st, cnt in zip(steps, counts):
             if cnt != q ** st.dim:
                 raise PavingVerificationFailed(
                     f"cell at {st.vertex} (chamber {st.borel}) counts {cnt} over F_{q}, "
                     f"wants {q}^{st.dim}")
-        record["per_q"].append({"q": q, "total": total, "by_step": counts})
+        record["per_q"].append({"q": q, "total": sum(counts), "by_step": counts})
     return record
 
 

@@ -6,14 +6,16 @@ the pavings of the crystal-truncated fibers with the boundary vertex orders.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed)
-from .grass import GrassPoint, mat_inv, mat_mul
-from .laurent import LaurentSeries, PrimeField, random_with_val, val, zero
+from .grass import GrassPoint, _mul, _val_diff, mat_inv, mat_mul
+from .laurent import INF, LaurentSeries, PrimeField, random_with_val, val, zero
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      datum121_of, datum212_of, is_alternating, ZERO)
 from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
@@ -54,7 +56,6 @@ class RegularDiagonal:
             raise PatternMismatch("gamma is not regular: two eigenvalues coincide")
         if any(x < 0 for x in c):
             raise PatternMismatch(f"gamma has root valuations {c}, not all >= 0")
-        c = tuple(int(x) for x in c)
         if not ultrametric(c):
             raise PatternMismatch(f"root valuations {c} break the ultrametric inequality")
         return cls(tuple(gamma), c)
@@ -62,6 +63,36 @@ class RegularDiagonal:
     @property
     def field(self) -> PrimeField:
         return self.gamma[0].field
+
+    @cached_property
+    def _roots(self):
+        """g1 - g2 and g1 - g3 as ((lead, coeffs), absolute precision)."""
+        g1, g2, g3 = self.gamma
+        return tuple(((r.lead, r.coeffs), INF if r.prec is None else r.prec)
+                     for r in (g1 - g2, g1 - g3))
+
+    def admits(self, d: Coweight, e21, e31, e32) -> bool:
+        """Ad(h)^-1 gamma integral for the point h = L eps^d with lower entries
+        e21, e31, e32 (a, b, c as in ``grass._profile``).  L^-1 gamma L has
+        t21 = a (g2 - g1), t32 = b (g3 - g2), t31 = ab (g1 - g2) - c (g1 - g3):
+        the first two reduce to va + c12 >= d2 - d1 and vb + c23 >= d3 - d2,
+        and t31 scaled by eps^(d1+d2) must vanish below d2 + d3."""
+        d1, d2, d3 = d
+        c12, c23, c13 = self.c
+        if e21[1] and e21[0] + c12 < d2 or e32[1] and e32[0] + c23 < d3:
+            return False
+        top = d2 + d3
+        x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
+        y = e31[0] + d2 + c13 if e31[1] else INF
+        if min(x, y) >= top:
+            return True
+        (r12, s12), (r13, s13) = self._roots
+        # unequal leads cannot cancel; a truncated gamma must reach top
+        if x != y or min(x - c12 + s12, y - c13 + s13) < top:
+            return False
+        p = self.field.p
+        return _val_diff(_mul(_mul(e21, e32, p), r12, p, top),
+                         _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
 
 
 def synthesize_gamma(c: Pattern, field: PrimeField, rng: random.Random) -> RegularDiagonal:
@@ -96,17 +127,7 @@ def springer_dim(gamma: RegularDiagonal) -> int:
 
 def member_springer(x: GrassPoint, gamma: RegularDiagonal) -> bool:
     """Ad(g)^-1 gamma integral, tested on the canonical representative."""
-    d1, d2, d3 = x.d
-    a = x.h[1][0].shift(-d1)
-    c = x.h[2][0].shift(-d1)
-    b = x.h[2][1].shift(-d2)
-    g1, g2, g3 = gamma.gamma
-    # for h = L eps^d lower unipotent, L^-1 gamma L has the three lower entries
-    t21 = a * (g2 - g1)
-    t32 = b * (g3 - g2)
-    t31 = (a * b) * (g1 - g2) - c * (g1 - g3)
-    return (t21.effval() >= d2 - d1 and t32.effval() >= d3 - d2
-            and t31.effval() >= d3 - d1)
+    return gamma.admits(x.d, *x.entries())
 
 
 def member_springer_matrix(g, gamma: RegularDiagonal) -> bool:
@@ -223,12 +244,9 @@ def springer_cell_data(f: GTFamily, b: int, gamma: RegularDiagonal):
 
 def _transport_pattern(c: Pattern, w: Perm) -> Pattern:
     """Root valuations of Ad(w)^-1 gamma: c'_{ij} = c_{w(i) w(j)}."""
-    by_pair = {(1, 2): c[0], (2, 3): c[1], (1, 3): c[2]}
-    out = []
-    for (i, j) in ((1, 2), (2, 3), (1, 3)):
-        a, b = sorted((w[i - 1], w[j - 1]))
-        out.append(by_pair[(a, b)])
-    return tuple(out)
+    pairs = ((1, 2), (2, 3), (1, 3))
+    by_pair = dict(zip(pairs, c))
+    return tuple(by_pair[tuple(sorted((w[i - 1], w[j - 1])))] for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -257,54 +275,26 @@ def _cap_order(big: GTFamily, small: GTFamily) -> List[Coweight]:
             raise PavingVerificationFailed(f"stripped vertex {v} lies on no receding facet")
     if len(moved) == 1:
         pts = on_facet[moved[0]]
-        return _ends_inward(pts, big)
+        # start from the w0-side end when the w0 vertex is one of the two ends
+        if pts and pts[-1] == big.vertex(3) and pts[0] != big.vertex(3):
+            pts = pts[::-1]
+        return _ends_inward(pts)
     ca, cb = moved
     corner = [v for v in cap if pairing(v, CHAMBERS[ca]) == Mb[ca]
               and pairing(v, CHAMBERS[cb]) == Mb[cb]]
     if len(corner) != 1:
         raise PavingVerificationFailed(f"receding facets share {len(corner)} cap corners")
     v0 = corner[0]
-    seq_a = _from_far(sorted(set(on_facet[ca]) - {v0}), v0)
-    seq_b = _from_far(sorted(set(on_facet[cb]) - {v0}), v0)
-    out = [v0]
-    for i in range(max(len(seq_a), len(seq_b))):
-        if i < len(seq_a):
-            out.append(seq_a[i])
-        if i < len(seq_b):
-            out.append(seq_b[i])
-    return out
+    seq_a, seq_b = (_ends_inward(sorted(sorted(set(on_facet[ci]) - {v0}), reverse=True,
+                                        key=lambda v: _lattice_dist(v, v0)))
+                    for ci in (ca, cb))
+    return [v0] + [v for pair in itertools.zip_longest(seq_a, seq_b)
+                   for v in pair if v is not None]
 
 
-def _ends_inward(pts: List[Coweight], big: GTFamily) -> List[Coweight]:
-    pts = sorted(pts)
-    if not pts:
-        return []
-    # start from the w0-side end when the w0 vertex is one of the two ends
-    if pts[-1] == big.vertex(3) and pts[0] != big.vertex(3):
-        pts = pts[::-1]
-    lo, hi = 0, len(pts) - 1
-    out = []
-    while lo <= hi:
-        out.append(pts[lo])
-        if hi != lo:
-            out.append(pts[hi])
-        lo += 1
-        hi -= 1
-    return out
-
-
-def _from_far(pts: List[Coweight], corner: Coweight) -> List[Coweight]:
-    """Alternate far end, near end, then inward."""
-    pts = sorted(pts, key=lambda v: _lattice_dist(v, corner), reverse=True)
-    far_first = []
-    lo, hi = 0, len(pts) - 1
-    while lo <= hi:
-        far_first.append(pts[lo])
-        if hi != lo:
-            far_first.append(pts[hi])
-        lo += 1
-        hi -= 1
-    return far_first
+def _ends_inward(pts: List[Coweight]) -> List[Coweight]:
+    """First, last, second, second to last, ... of pts."""
+    return [pts[k // 2] if k % 2 == 0 else pts[-1 - k // 2] for k in range(len(pts))]
 
 
 def _lattice_dist(u: Coweight, v: Coweight) -> int:

@@ -104,6 +104,20 @@ def test_graph_springer_c_wants_three_values(tmp_path, c):
     assert "springer-c" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("polytope", "--word", "121", "--n", "2,1,1", "--apply", "X1"), "--apply"),
+    (("polytope", "--word", "121", "--n", "2,1,1", "--apply", "E7"), "--apply"),
+    (("crystal", "--word", "121", "--n", "2,1,1", "--j", "3"), "--j"),
+    (("polytope", "--word", "121", "--n", "2,1,1", "--base", "1,2"), "--base"),
+])
+def test_crystal_input_is_checked(args, flag):
+    # a bad crystal operator, crystal word or base is a domain error, never a
+    # silently wrong answer or a traceback
+    r = run(*args)
+    assert r.returncode == 2
+    assert flag in r.stderr and "Traceback" not in r.stderr
+
+
 def test_same_output_under_optimize(tmp_path):
     # library invariants raise typed errors, so -O changes nothing
     poly = tmp_path / "p.json"

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from affgrass.errors import (BudgetExceeded, GaussFailure, PreconditionViolated,
                              SingularMatrix)
-from affgrass.grass import (D, Delta, canonicalize_point,
+from affgrass.grass import (D, Delta, _entry_windows, _iter_entries, _point,
+                            _window_entries, canonicalize_point,
                             curve_point, decompose_u0, dprofile, dprofile_matrix,
                             ec, enumerate_points, eta_w0, eta_w0_inv, gauss_plus,
                             mat, mat_det, mat_diag_eps, mat_identity, mat_inv,
@@ -130,6 +132,28 @@ def test_dprofile_closed_form_matches_minors():
         g = rand_invertible(F3, rng)
         x = canonicalize_point(g)
         assert dprofile(x) == dprofile_matrix(x.h)
+
+
+@pytest.mark.parametrize("n, q, every", [((2, 1, 1), 2, True), ((2, 1, 1), 3, True),
+                                         ((2, 2, 2), 2, True), ((2, 2, 2), 3, False)])
+def test_profile_kernel_matches_minors(n, q, every):
+    # the tuple D-profile decides which window candidates are points; it is
+    # checked against the minors of g^-1 on every point, and on every
+    # candidate but the 14,796 rejected ones of P(2,2,2) over F_3
+    fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
+    field = PrimeField(q)
+    floor = [-m for m in fam.support]
+    kept = []
+    for d in fam.lattice_points():
+        for es in itertools.product(*_window_entries(q, _entry_windows(fam, d))):
+            x = _point(field, d, *es)
+            prof = dprofile(x)
+            passes = all(v >= m for v, m in zip(prof, floor))
+            if passes or every:
+                assert dprofile_matrix(x.h) == prof
+            if passes:
+                kept.append((d, *es, prof))
+    assert list(_iter_entries(fam, q)) == kept
 
 
 def test_ec_examples():

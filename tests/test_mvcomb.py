@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from affgrass.errors import NotMV
+from affgrass.errors import NotMV, PreconditionViolated
 from affgrass.mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word,
                              braid, canonicalize, coweight, crystal_E, crystal_F,
                              dimension, vertices_of)
@@ -73,6 +73,10 @@ def test_crystal_examples():
     assert crystal_F(1, P((2, 1, 0))).datum121.n == (2, 1, 1)
     assert crystal_E(1, P((2, 1, 0))) is ZERO
     assert crystal_E(2, P((2, 1, 0))).datum121.n == (1, 1, 0)
+    for op in (crystal_E, crystal_F):
+        for i in (0, 3, 7, -1, "1"):
+            with pytest.raises(PreconditionViolated):
+                op(i, P((2, 1, 0)))
 
 
 def test_crystal_word_examples():

@@ -146,6 +146,23 @@ def test_cell_points_match_matrix_products():
         assert len(want) == 2 ** c.dim and c.enumerate(F2) == want
 
 
+def test_cell_enumeration_ignores_precision():
+    # the contracting cells of the normal data with n_i <= 2, and Iwahori
+    # cells: the enumerator picks its own working precision, so the field's
+    # precision (1 or 64) changes nothing
+    cells = [contracting_cell(MVPolytope.from_datum(LusztigDatum("121", n)), b)
+             for n in itertools.product(range(3), repeat=3) if n[0] >= n[2] >= n[1]
+             for b in range(6)]
+    for n in ((2, 1, 1), (3, 1, 2)):
+        d = LusztigDatum("121", n)
+        lam1, shift, _lam2 = mv_as_intersection(d)
+        cells += [iwahori_cell(shift, lam1, v)
+                  for v in schubert_anchored_family(d).lattice_points()]
+    for c in cells:
+        pts = c.enumerate(PrimeField(2, 64))
+        assert len(pts) == 2 ** c.dim and c.enumerate(PrimeField(2, 1)) == pts
+
+
 def test_first_step_cells_all_borels():
     P = MVPolytope.from_datum(LusztigDatum("121", (1, 0, 1)))
     pts = enumerate_points(P.family, F2)

@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from affgrass.errors import PatternMismatch
-from affgrass.grass import (canonicalize_point, ec, enumerate_points, mat,
-                            mat_diag_eps, mat_identity, mat_inv, mat_mul,
-                            member, sample_point, translate_point)
-from affgrass.laurent import LaurentSeries, PrimeField, eps, one, zero
+from affgrass.errors import PatternMismatch, PavingVerificationFailed
+from affgrass.grass import (GrassPoint, _entry_windows, canonicalize_point, ec,
+                            enumerate_points, iter_points, mat, mat_diag_eps,
+                            mat_identity, mat_inv, mat_mul, member, sample_point,
+                            translate_point)
+from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
+                              val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import contracting_cell, greedy_paving
+from affgrass.rootdata import contains, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
                                criterion_bound, fundamental_domain,
@@ -213,3 +217,106 @@ def test_regular_diagonal_from_series():
     assert gam.c == (1, 1, 1)
     with pytest.raises(PatternMismatch):
         RegularDiagonal.from_series((one(F3), one(F3) + eps(F3), one(F3)))
+
+
+# ---------------------------------------------------------------------------
+# the integer point kernel against the LaurentSeries forms it replaced
+# ---------------------------------------------------------------------------
+
+def _truncated_gamma(q):
+    """A gamma read from JSON, its series truncated at eps^3 and eps^4."""
+    zero_ = {"lead": 0, "coeffs": [], "prec": "exact"}
+    data = {2: [{"lead": 2, "coeffs": [1], "prec": 4}, zero_,
+                {"lead": 1, "coeffs": [1], "prec": 3}],
+            3: [{"lead": 1, "coeffs": [1, 2], "prec": 3}, zero_,
+                {"lead": 1, "coeffs": [2], "prec": 3}]}[q]
+    return RegularDiagonal.from_series([series_from_json(PrimeField(q), s) for s in data])
+
+
+@pytest.mark.parametrize("n, q", [((2, 1, 1), 2), ((2, 1, 1), 3),
+                                  ((2, 2, 2), 2), ((2, 2, 2), 3)])
+def test_member_kernel_matches_matrix(n, q):
+    field = PrimeField(q)
+    rng = random.Random(30 + q)
+    gams = [synthesize_gamma(c, field, rng) for c in itertools.product(range(3), repeat=3)
+            if pattern_realizable(c, q)] + [_truncated_gamma(q)]
+    pts = list(iter_points(MVPolytope.from_datum(LusztigDatum("121", n)).family, field))
+    # each point takes the gammas in turn, so every gamma meets many points
+    for k, x in enumerate(pts):
+        gam = gams[k % len(gams)]
+        assert member_springer(x, gam) == member_springer_matrix(x.h, gam)
+
+
+def _dprofile_series(x):
+    """The LaurentSeries closed form of the D-profile."""
+    d1, d2, d3 = x.d
+    a = x.h[1][0].shift(-d1)
+    c = x.h[2][0].shift(-d1)
+    b = x.h[2][1].shift(-d2)
+    va, vb, vc = val(a), val(b), val(c)
+    vab_c = val(a * b - c)
+    return (min(-d1, va - d2, vab_c - d3), min(-d2, vb - d3), -d3,
+            min(-d1 - d2, vb - d1 - d3, vc - d2 - d3), min(-d1 - d3, va - d2 - d3),
+            -d2 - d3)
+
+
+def _member_springer_series(x, gamma):
+    """The LaurentSeries closed form of the Springer condition."""
+    d1, d2, d3 = x.d
+    a = x.h[1][0].shift(-d1)
+    c = x.h[2][0].shift(-d1)
+    b = x.h[2][1].shift(-d2)
+    g1, g2, g3 = gamma.gamma
+    t21 = a * (g2 - g1)
+    t32 = b * (g3 - g2)
+    t31 = (a * b) * (g1 - g2) - c * (g1 - g3)
+    return (t21.effval() >= d2 - d1 and t32.effval() >= d3 - d2
+            and t31.effval() >= d3 - d1)
+
+
+def _verify_steps_series(steps, family, qs, springer_pattern=None, rng=None):
+    """The point-count loop on LaurentSeries points that paving._verify_steps replaced."""
+    record = {"per_q": [], "ok": True}
+    for q in qs:
+        field = PrimeField(q)
+        if springer_pattern is not None:
+            gam = synthesize_gamma(springer_pattern, field, rng or random.Random(0))
+        counts = [0] * len(steps)
+        total = 0
+        for d in family.lattice_points():
+            windows = _entry_windows(family, d)
+            for cs in itertools.product(*[itertools.product(range(q), repeat=max(0, hi - lo))
+                                          for lo, hi in windows]):
+                h = [list(r) for r in mat_diag_eps(field, d)]
+                for (r, col), (lo, _hi), c in zip(((1, 0), (2, 0), (2, 1)), windows, cs):
+                    h[r][col] = LaurentSeries(field, lo, c)
+                x = GrassPoint(field, mat(h), d, sum(d))
+                prof = _dprofile_series(x)
+                if not all(v >= -m for v, m in zip(prof, family.support)):
+                    continue
+                if springer_pattern is not None and not _member_springer_series(x, gam):
+                    continue
+                total += 1
+                fx = family_from_support([-v for v in prof], x.nu)
+                for i, st in enumerate(steps):
+                    if contains(st.polytope, fx) and fx.vertices[st.borel] == st.vertex:
+                        counts[i] += 1
+                        break
+                else:
+                    raise PavingVerificationFailed(f"point {x} matched no paving step")
+        record["per_q"].append({"q": q, "total": total, "by_step": counts})
+    return record
+
+
+@pytest.mark.parametrize("j", [(), (1,), (2, 1)])
+def test_verify_steps_match_series_loop(j):
+    gam = synthesize_gamma((2, 2, 2), F3, random.Random(40))
+    plan = truncated_paving(gam, j, verify_qs=(3,), rng=random.Random(41))
+    want = _verify_steps_series(plan.steps, plan.polytope, (3,), gam.c, random.Random(41))
+    assert plan.verified == want
+
+
+def test_greedy_verification_matches_series_loop():
+    fam = MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1))).family
+    plan = greedy_paving(fam, verify_qs=(2, 3))
+    assert plan.verified == _verify_steps_series(plan.steps, fam, (2, 3))
