@@ -47,15 +47,23 @@ def _malformed(what: str):
 def family_from_json(data) -> GTFamily:
     with _malformed("polytope"):
         if "weyl" in data:
-            return weyl_family(tuple(data["weyl"]))
+            return weyl_family(_file_triple(data, "weyl"))
         if "word" in data:
-            d = LusztigDatum(str(data["word"]), tuple(data["n"]))
-            base = tuple(data["base"]) if "base" in data else None
-            return MVPolytope.from_datum(d, base=base).family
+            base = _file_triple(data, "base") if "base" in data else None
+            return MVPolytope.from_datum(_datum(data), base=base).family
         verts = [None] * 6
-        for key, v in data["vertices"].items():
-            verts[BORELS.index(tuple(int(ch) for ch in key))] = tuple(v)
+        for key in data["vertices"]:
+            verts[BORELS.index(tuple(int(ch) for ch in key))] = \
+                _file_triple(data["vertices"], key)
         return GTFamily(data["nu"], tuple(verts))
+
+
+def _datum(data) -> LusztigDatum:
+    return LusztigDatum(str(data["word"]), _file_triple(data, "n"))
+
+
+def _file_triple(data, key):
+    return _three_ints(data[key], f'malformed polytope file: "{key}"')
 
 
 def point_to_json(x):
@@ -83,7 +91,7 @@ def _load(path):
 
 
 def cmd_polytope(args):
-    d = LusztigDatum(args.word, tuple(int(s) for s in args.n.split(",")))
+    d = LusztigDatum(args.word, _triple(args.n, "--n"))
     P = MVPolytope.from_datum(d, base=_triple(args.base, "--base") if args.base else None)
     if args.apply:
         if args.apply not in ("E1", "E2", "F1", "F2"):
@@ -114,23 +122,26 @@ def _crystal(op, i, P):
 
 def _triple(text, flag):
     """Exactly three comma-separated integers, else a domain error."""
-    try:
-        v = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        v = ()
-    if len(v) != 3:
-        raise AffgrassError(f"{flag} wants three integers, got {text!r}")
-    return v
+    with contextlib.suppress(ValueError):
+        return _three_ints([int(x) for x in text.split(",")], flag)
+    raise AffgrassError(f"{flag} wants three integers, got {text!r}")
+
+
+def _three_ints(value, what):
+    if not (isinstance(value, list) and len(value) == 3
+            and all(type(x) is int for x in value)):
+        raise AffgrassError(f"{what} wants three integers, got {value!r}")
+    return tuple(value)
 
 
 def cmd_braid(args):
-    d = LusztigDatum(args.word, tuple(int(s) for s in args.n.split(",")))
+    d = LusztigDatum(args.word, _triple(args.n, "--n"))
     b = braid(d)
     _emit(args, {"word": b.word, "n": list(b.n)})
 
 
 def cmd_crystal(args):
-    d = LusztigDatum(args.word, tuple(int(s) for s in args.n.split(",")))
+    d = LusztigDatum(args.word, _triple(args.n, "--n"))
     P = MVPolytope.from_datum(d)
     word = args.j.replace(",", "")
     if not set(word) <= {"1", "2"}:
@@ -181,16 +192,16 @@ def cmd_betti(args):
 
 
 def cmd_pave(args):
-    fam = family_from_json(_load(args.polytope))
+    data = _load(args.polytope)
+    fam = family_from_json(data)
     qs = tuple(int(q) for q in args.verify_q.split(","))
     rng = random.Random(args.seed)
     if args.method == "greedy":
         plan = greedy_paving(fam, verify_qs=qs, rng=rng)
     else:
-        data = _load(args.polytope)
         if "word" not in data:
             raise AffgrassError("iwahori paving needs a polytope given by a Lusztig datum")
-        plan = paving_121(LusztigDatum(str(data["word"]), tuple(data["n"])), verify_qs=qs)
+        plan = paving_121(_datum(data), verify_qs=qs)
     _emit(args, plan.to_json())
 
 

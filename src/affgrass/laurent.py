@@ -263,10 +263,6 @@ def eps(field: PrimeField, k: int = 1) -> LaurentSeries:
     return LaurentSeries(field, k, (1,), None)
 
 
-def const(field: PrimeField, c: int) -> LaurentSeries:
-    return LaurentSeries(field, 0, (c,), None)
-
-
 def val(x: LaurentSeries) -> Union[int, float]:
     """Valuation; +inf for the exact zero; PrecisionLoss for a truncated zero."""
     if x.coeffs:

@@ -12,10 +12,10 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired,
-                     NotMV, PavingVerificationFailed, ShapeMismatch)
+from .errors import (BudgetExceeded, NormalPositionRequired, NotMV,
+                     PavingVerificationFailed, ShapeMismatch)
 from .grass import (GrassPoint, _iter_entries, _window_entries, canonicalize_point,
                     enumerate_points, mat, mat_identity, mat_inv)
 from .laurent import LaurentSeries, PrimeField
@@ -246,48 +246,46 @@ def gmv_dimension(f: GTFamily) -> int:
     return dimension(P)
 
 
-def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight],
-                   state_budget: int = 200_000) -> List[GTFamily]:
+_WALK_BUDGET = 200_000  # states of one max_gmv_inside walk
+
+
+def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
     """Maximal generalized MV polytopes inside f, not containing ``avoid``.
 
-    Unit tightening walk on support vectors: decrement one support number at a
-    time, keep the valid generalized MV families that exclude the forbidden
-    vertex, stop descending below found candidates.
+    Walk on tight supports: from the family of support m, drop its lattice
+    points on one facet and tighten the support to the points left (two
+    chamber lines meet in a lattice point, so every state is a family).  Keep
+    the generalized MV families that exclude ``avoid``; stop descending below them.
     """
-    pts = f.lattice_points()
-    if not pts:
-        return []
-    floors = [min(pairing(v, S) for v in pts) for S in CHAMBERS]
-    start = f.support
-    seen = {start}
-    queue = [start]
+    seen = {f.support}
+    queue = [f.support]
     found: Dict[Tuple[int, ...], GTFamily] = {}
-
-    def excluded(m):
-        return avoid is None or any(pairing(avoid, S) > m[ci] for ci, S in enumerate(CHAMBERS))
-
     while queue:
         m = queue.pop()
-        if any(all(m[i] <= r[i] for i in range(6)) for r in found):
+        if any(all(a <= b for a, b in zip(m, r)) for r in found):
             continue
-        try:
-            fam = family_from_support(list(m), f.nu)
-        except InconsistentFamily:
-            fam = None
-        if fam is not None and excluded(m) and is_gmv(fam):
+        fam = family_from_support(m, f.nu)
+        if (avoid is None or not fam.contains_point(avoid)) and is_gmv(fam):
             found[m] = fam
             continue
-        for ci in range(6):
-            if m[ci] - 1 < floors[ci]:
+        pts = fam.lattice_points()
+        for ci, S in enumerate(CHAMBERS):
+            rest = [v for v in pts if pairing(v, S) < m[ci]]
+            if not rest:
                 continue
-            m2 = m[:ci] + (m[ci] - 1,) + m[ci + 1:]
+            m2 = tuple(max(pairing(v, T) for v in rest) for T in CHAMBERS)
             if m2 not in seen:
                 seen.add(m2)
-                if len(seen) > state_budget:
+                if len(seen) > _WALK_BUDGET:
                     raise BudgetExceeded("support tightening walk exceeded its budget")
                 queue.append(m2)
-    cands = list(found.values())
-    out = [P for P in cands if not any(Q is not P and contains(Q, P) for Q in cands)]
+    return _maximal(found.values())
+
+
+def _maximal(pieces: Iterable[GTFamily]) -> List[GTFamily]:
+    """One piece per support, minus those inside another, sorted by support."""
+    pool = list({P.support: P for P in pieces}.values())
+    out = [P for P in pool if not any(Q.support != P.support and contains(Q, P) for Q in pool)]
     return sorted(out, key=lambda P: P.support)
 
 
@@ -344,12 +342,8 @@ def _pave(family: GTFamily, cell_fn: CellFn,
                 f"cell at vertex {v}, chamber {b} of {P.vertices} is not affine "
                 f"by the criterion")
         steps.append(PavingStep(v, b, dim, P))
-        subs = max_gmv_inside(P, v)
-        pool = [Q for Q in actives if Q.support != P.support] + subs
-        pool = list({Q.support: Q for Q in pool}.values())
-        actives = [Q for Q in pool
-                   if not any(R.support != Q.support and contains(R, Q) for R in pool)]
-        actives.sort(key=lambda Q: Q.support)
+        actives = _maximal([Q for Q in actives if Q.support != P.support]
+                           + max_gmv_inside(P, v))
     want = set(family.lattice_points())
     got = [s.vertex for s in steps]
     if len(set(got)) != len(got) or set(got) != want:

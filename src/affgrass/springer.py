@@ -188,9 +188,7 @@ def criterion(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
     """Whether the Springer slice of the chamber-b contracting cell is affine."""
     if not is_normal_position(P.datum121):
         raise NormalPositionRequired(f"datum {P.datum121.n} needs n1 >= n3 >= n2")
-    n = P.datum121.n
-    ls = criterion_l_values(n, b, gamma.c)
-    return sum(ls) <= criterion_bound(n, b, gamma.c)
+    return springer_cell_data(P.family, b, gamma)[1]
 
 
 def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
@@ -215,7 +213,7 @@ def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal,
 # ---------------------------------------------------------------------------
 
 def _normalize_gmv(f: GTFamily):
-    """Present f as iota^delta (w . h) with h a normal-position MV family."""
+    """(delta, w, d): f is iota^delta (w . h), h normal-position MV with datum d."""
     from .rootdata import iota_family
     for delta in (0, 1):
         g0 = iota_family(f) if delta else f
@@ -225,19 +223,19 @@ def _normalize_gmv(f: GTFamily):
             if braid(d) != datum212_of(h):
                 continue
             if d.n[0] >= d.n[2] >= d.n[1]:
-                return delta, w, h
+                return delta, w, d
     raise NormalPositionRequired(f"{f.vertices} has no normal-position presentation")
 
 
 def springer_cell_data(f: GTFamily, b: int, gamma: RegularDiagonal):
     """(dimension, affine?) for the Springer slice of C_b of a generalized MV family."""
-    delta, w, h = _normalize_gmv(f)
+    delta, w, d = _normalize_gmv(f)
     bb = b
     if delta:
         bb = BORELS.index(perm_mul(BORELS[bb], W0))
     bb = BORELS.index(perm_mul(perm_inv(w), BORELS[bb]))
     cw = _transport_pattern(gamma.c, w)
-    n = datum121_of(h).n
+    n = d.n
     ls = criterion_l_values(n, bb, cw)
     return sum(ls), sum(ls) <= criterion_bound(n, bb, cw)
 

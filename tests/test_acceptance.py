@@ -2,10 +2,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from affgrass import acceptance
 
 SEED = 7
+
+# `affgrass check --suite all --seed 7 --out tests/data/check_seed7.json`:
+# every criterion must still report exactly these counts
+GOLDEN = {r["criterion"]: r for r in json.loads(
+    (Path(__file__).parent / "data" / "check_seed7.json").read_text())["results"]}
 
 
 def _run(fn):
@@ -14,6 +20,8 @@ def _run(fn):
     detail = {k: v for k, v in r.items()
               if k not in ("criterion", "name", "passed")}
     print(f"[{status}] criterion {r['criterion']}: {r['name']} {detail}")
+    assert json.loads(json.dumps({k: v for k, v in r.items() if k != "seconds"})) \
+        == GOLDEN[r["criterion"]]
     return r
 
 
@@ -82,7 +90,7 @@ def test_criterion_09_alone_in_fresh_interpreter():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     out = json.loads(r.stdout)
-    assert out["passed"] and out["failures"] == []
+    assert out["passed"] and out["failures"] == [] and out == GOLDEN[9]
     assert not hasattr(acceptance.check_truncated_pavings, "plans")
 
 

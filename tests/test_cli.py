@@ -86,6 +86,13 @@ def test_domain_error_exit_code():
     ("betti", "--polytope", {"word": "121", "n": 5}),
     ("springer", "--gamma", {"prime": 3}),
     ("springer", "--gamma", [2, 1, 1]),
+    ("points", "--polytope", {"word": "121", "n": [1, 0, 1], "base": [1, 2]}),
+    ("graph", "--polytope", {"weyl": [2, 1]}),
+    ("pave", "--polytope", {"nu": 0, "vertices": {
+        "123": [0, 0], "132": [0, 0, 0], "312": [0, 0, 0],
+        "321": [0, 0, 0], "231": [0, 0, 0], "213": [0, 0, 0]}}),
+    ("betti", "--polytope", {"word": "121", "n": [1, 0, 1, 7]}),
+    ("points", "--polytope", {"word": "121", "n": "1,0,1"}),
 ])
 def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     f = tmp_path / "in.json"
@@ -109,10 +116,12 @@ def test_graph_springer_c_wants_three_values(tmp_path, c):
     (("polytope", "--word", "121", "--n", "2,1,1", "--apply", "E7"), "--apply"),
     (("crystal", "--word", "121", "--n", "2,1,1", "--j", "3"), "--j"),
     (("polytope", "--word", "121", "--n", "2,1,1", "--base", "1,2"), "--base"),
+    (("braid", "--word", "121", "--n", "1,2"), "--n"),
+    (("crystal", "--word", "121", "--n", "1,0,1,7", "--j", "1"), "--n"),
 ])
 def test_crystal_input_is_checked(args, flag):
-    # a bad crystal operator, crystal word or base is a domain error, never a
-    # silently wrong answer or a traceback
+    # a bad crystal operator, crystal word, base or datum is a domain error,
+    # never a silently wrong answer or a traceback
     r = run(*args)
     assert r.returncode == 2
     assert flag in r.stderr and "Traceback" not in r.stderr

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from affgrass.errors import NormalPositionRequired, ShapeMismatch
+from affgrass.errors import (InconsistentFamily, NormalPositionRequired,
+                             ShapeMismatch)
 from affgrass.grass import (canonicalize_point, ec, enumerate_points, mat,
                             mat_diag_eps, mat_identity, mat_inv, mat_mul, member,
                             translate_point)
@@ -13,7 +14,8 @@ from affgrass.paving import (_cell_points, contracting_cell, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
-from affgrass.rootdata import contains, scale_cw, weyl_family
+from affgrass.rootdata import (BORELS, CHAMBERS, contains, family_from_support,
+                               pairing, scale_cw, weyl_family)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -201,5 +203,60 @@ def test_max_gmv_inside():
     assert subs
     for s in subs:
         assert contains(fam, s) and not s.contains_point(corner) and is_gmv(s)
-    # every sub-MV polytope avoiding the corner is below a maximal one
-    assert all(any(contains(m, s) for m in subs) for s in subs)
+    # an antichain: no returned piece contains another one
+    assert len({s.support for s in subs}) == len(subs)
+    assert not any(s.support != t.support and contains(s, t) for s in subs for t in subs)
+
+
+def _max_gmv_inside_by_unit_steps(f, avoid):
+    """Reference walk: lower one support number by 1 at a time, down to the
+    least pairing of a lattice point of f, over all support vectors, families
+    or not."""
+    pts = f.lattice_points()
+    floors = [min(pairing(v, S) for v in pts) for S in CHAMBERS]
+    seen = {f.support}
+    queue = [f.support]
+    found = {}
+    while queue:
+        m = queue.pop()
+        if any(all(m[i] <= r[i] for i in range(6)) for r in found):
+            continue
+        try:
+            fam = family_from_support(list(m), f.nu)
+        except InconsistentFamily:
+            fam = None
+        if fam is not None and (avoid is None or any(
+                pairing(avoid, S) > m[ci] for ci, S in enumerate(CHAMBERS))) and is_gmv(fam):
+            found[m] = fam
+            continue
+        for ci in range(6):
+            if m[ci] - 1 < floors[ci]:
+                continue
+            m2 = m[:ci] + (m[ci] - 1,) + m[ci + 1:]
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+    cands = list(found.values())
+    out = [P for P in cands if not any(Q is not P and contains(Q, P) for Q in cands)]
+    return sorted(out, key=lambda P: P.support)
+
+
+def test_max_gmv_inside_matches_unit_walk():
+    # MV polytopes with n_i <= 2, n1 + n2 + n3 <= 3 under all Weyl twists, and
+    # every family whose support lies within 1 below that of a Weyl polytope
+    fams = [MVPolytope.from_datum(LusztigDatum("121", n)).family.weyl(w)
+            for n in itertools.product(range(3), repeat=3) if sum(n) <= 3
+            for w in BORELS]
+    for lam in ((2, 1, 0), (3, 1, 0)):
+        top = weyl_family(lam).support
+        for drop in itertools.product((0, 1), repeat=6):
+            try:
+                fams.append(family_from_support(
+                    [m - k for m, k in zip(top, drop)], sum(lam)))
+            except InconsistentFamily:
+                pass
+    assert (len(fams), sum(not is_gmv(f) for f in fams)) == (176, 24)
+    for f in fams:
+        for avoid in (None, f.vertex(0), f.vertex(3)):
+            assert max_gmv_inside(f, avoid) == _max_gmv_inside_by_unit_steps(f, avoid), \
+                (f.vertices, avoid)
