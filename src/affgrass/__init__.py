@@ -2,7 +2,7 @@
 
 from .laurent import INF, LaurentSeries, PrimeField, random_with_val, val
 from .rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
-                       lattice_points, pairing, translate, weyl_act, weyl_family)
+                       pairing, weyl_family)
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      canonicalize, coweight, crystal_E, crystal_F, dimension,
                      vertices_of)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import random
 import sys
 
@@ -28,6 +27,9 @@ from .springer import (RegularDiagonal, fundamental_domain, synthesize_gamma,
 
 def _perm_key(w):
     return "".join(str(i) for i in w)
+
+
+_BOREL_INDEX = {_perm_key(w): b for b, w in enumerate(BORELS)}
 
 
 def family_to_json(f: GTFamily):
@@ -53,8 +55,10 @@ def family_from_json(data) -> GTFamily:
             return MVPolytope.from_datum(_datum(data), base=base).family
         verts = [None] * 6
         for key in data["vertices"]:
-            verts[BORELS.index(tuple(int(ch) for ch in key))] = \
-                _file_triple(data["vertices"], key)
+            if key not in _BOREL_INDEX:
+                raise AffgrassError(f"malformed polytope file: vertex key {key!r} "
+                                    f"is not a permutation of 123")
+            verts[_BOREL_INDEX[key]] = _file_triple(data["vertices"], key)
         return GTFamily(data["nu"], tuple(verts))
 
 
@@ -78,11 +82,6 @@ def _emit(args, payload):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _field(args) -> PrimeField:
-    p = args.prime if args.prime else int(os.environ.get("AFFGRASS_PRIME", "2"))
-    return PrimeField(p)
 
 
 def _load(path):
@@ -157,7 +156,7 @@ def cmd_crystal(args):
 
 def cmd_points(args):
     fam = family_from_json(_load(args.polytope))
-    field = _field(args)
+    field = PrimeField(args.prime)
     pts = enumerate_points(fam, field, budget=args.budget)
     _emit(args, {"prime": field.p, "count": len(pts),
                  "points": [point_to_json(x) for x in pts]})
@@ -195,9 +194,8 @@ def cmd_pave(args):
     data = _load(args.polytope)
     fam = family_from_json(data)
     qs = tuple(int(q) for q in args.verify_q.split(","))
-    rng = random.Random(args.seed)
     if args.method == "greedy":
-        plan = greedy_paving(fam, verify_qs=qs, rng=rng)
+        plan = greedy_paving(fam, verify_qs=qs)
     else:
         if "word" not in data:
             raise AffgrassError("iwahori paving needs a polytope given by a Lusztig datum")
@@ -209,7 +207,7 @@ def cmd_springer(args):
     data = _load(args.gamma)
     rng = random.Random(args.seed)
     with _malformed("gamma"):
-        field = PrimeField(int(data.get("prime", args.prime or 3)))
+        field = PrimeField(int(data.get("prime", args.prime)))
         if "series" in data:
             gam = RegularDiagonal.from_series([series_from_json(field, s)
                                                for s in data["series"]])
@@ -243,8 +241,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="affgrass",
                                  description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=None)
-    common.add_argument("--seed", type=int, default=7)
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=lambda **kw:
                             argparse.ArgumentParser(parents=[common], **kw))
@@ -269,6 +265,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("points", help="enumerate F_q points of a truncation")
     p.add_argument("--polytope", required=True)
+    p.add_argument("--prime", type=int, default=2)
     p.add_argument("--budget", type=int, default=5_000_000)
     p.set_defaults(fn=cmd_points)
 
@@ -293,10 +290,13 @@ def main(argv=None) -> int:
     p.add_argument("--gamma", required=True)
     p.add_argument("--truncate", default=None, help="crystal word, e.g. j=12")
     p.add_argument("--verify-q", default=None)
+    p.add_argument("--prime", type=int, default=3, help="unless the gamma file names one")
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_springer)
 
     p = sub.add_parser("check", help="run the acceptance suite")
     p.add_argument("--suite", choices=("all", "fast"), default="all")
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_check)
 
     args = ap.parse_args(argv)

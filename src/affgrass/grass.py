@@ -114,30 +114,35 @@ def wbar0(field: PrimeField) -> Matrix:
 # canonical forms
 # ---------------------------------------------------------------------------
 
+Entry = Tuple[int, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class GrassPoint:
+    """A coset by its canonical representative: diagonal eps^d and the lower
+    entries h21, h31, h32 as (lead, coeffs) normal forms, zero being (0, ())."""
+
     field: PrimeField
-    h: Matrix
     d: Coweight
-    nu: int
+    entries: Tuple[Entry, Entry, Entry]
 
-    def key(self):
-        return (self.d,
-                tuple((e.lead, e.coeffs) for row in self.h for e in row))
+    @property
+    def nu(self) -> int:
+        return sum(self.d)
 
-    def entries(self):
-        """The lower entries h21, h31, h32 as (lead, coeffs) pairs."""
-        return tuple((e.lead, e.coeffs) for e in (self.h[1][0], self.h[2][0], self.h[2][1]))
+    @property
+    def h(self) -> Matrix:
+        """The canonical representative as an exact LaurentSeries matrix over field."""
+        h = [list(r) for r in mat_diag_eps(self.field, self.d)]
+        for (r, c), (lead, cs) in zip(((1, 0), (2, 0), (2, 1)), self.entries):
+            h[r][c] = LaurentSeries(self.field, lead, cs)
+        return mat(h)
 
-    def __hash__(self):
-        return hash(self.key())
 
-    def __eq__(self, other):
-        return isinstance(other, GrassPoint) and self.field == other.field \
-            and self.key() == other.key()
-
-    def __repr__(self):
-        return f"GrassPoint(d={self.d}, h={self.h})"
+def _entry(lead: int, cs: Sequence[int]) -> Entry:
+    """The normal form of sum cs[i] eps^(lead + i), each cs[i] in [0, p)."""
+    nz = [i for i, c in enumerate(cs) if c]
+    return (lead + nz[0], tuple(cs[nz[0]:nz[-1] + 1])) if nz else (0, ())
 
 
 def _pick_pivot(entries: List[LaurentSeries]):
@@ -197,7 +202,8 @@ def _hnf_lower(g: Matrix, field: PrimeField):
 def canonicalize_point(g: Matrix, field: Optional[PrimeField] = None) -> GrassPoint:
     field = field or g[0][0].field
     h, d = _hnf_lower(g, field)
-    return GrassPoint(field, h, d, sum(d))
+    return GrassPoint(field, d,
+                      tuple((e.lead, e.coeffs) for e in (h[1][0], h[2][0], h[2][1])))
 
 
 _J = (2, 1, 0)
@@ -241,7 +247,7 @@ def dprofile_matrix(g: Matrix) -> Tuple[Union[int, float], ...]:
 
 def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     """Closed-form D-profile of a canonical representative."""
-    return _profile(x.d, *x.entries(), x.field.p)
+    return _profile(x.d, *x.entries, x.field.p)
 
 
 # The integer point kernel works on entries (lead, coeffs), the normal form
@@ -428,9 +434,7 @@ def _entry_windows(f: GTFamily, d: Coweight):
 
 def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
     """Per (lo, hi) window, every polynomial over F_q with exponents in [lo, hi)."""
-    field = PrimeField(q)
-    return [[(e.lead, e.coeffs) for e in (LaurentSeries(field, lo, cs) for cs in
-                                          itertools.product(range(q), repeat=max(0, hi - lo)))]
+    return [[_entry(lo, cs) for cs in itertools.product(range(q), repeat=max(0, hi - lo))]
             for lo, hi in windows]
 
 
@@ -454,21 +458,13 @@ def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
     Entries are exact polynomials, so the field's precision is never read.
     """
     for d, e21, e31, e32, _prof in _iter_entries(f, field.p, budget):
-        yield _point(field, d, e21, e31, e32)
+        yield GrassPoint(field, d, (e21, e31, e32))
 
 
 def enumerate_points(f: GTFamily, field: PrimeField,
                      budget: int = 5_000_000) -> List[GrassPoint]:
     """All F_q-points of the truncated affine Grassmannian of f, sorted."""
-    return sorted(iter_points(f, field, budget), key=GrassPoint.key)
-
-
-def _point(field: PrimeField, d: Coweight, *entries) -> GrassPoint:
-    """The point with diagonal eps^d and lower entries (lo, coeffs) h21, h31, h32."""
-    h = [list(r) for r in mat_diag_eps(field, d)]
-    for (r, c), (lo, cs) in zip(((1, 0), (2, 0), (2, 1)), entries):
-        h[r][c] = LaurentSeries(field, lo, cs)
-    return GrassPoint(field, mat(h), d, sum(d))
+    return sorted(iter_points(f, field, budget), key=lambda x: (x.d, x.entries))
 
 
 def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
@@ -477,8 +473,9 @@ def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
     verts = f.lattice_points()
     for _ in range(retries):
         d = rng.choice(verts)
-        x = _point(field, d, *[(lo, [rng.randrange(field.p) for _ in range(max(0, hi - lo))])
-                               for lo, hi in _entry_windows(f, d)])
+        x = GrassPoint(field, d, tuple(
+            _entry(lo, [rng.randrange(field.p) for _ in range(max(0, hi - lo))])
+            for lo, hi in _entry_windows(f, d)))
         if member(x, f):
             return x
     raise RetryExhausted("rejection sampling failed")

@@ -168,9 +168,6 @@ class LaurentSeries:
                 cs[k] = (cs[k] + a * b) % p
         return LaurentSeries(self.field, lead, cs, None if math.isinf(prec) else int(prec))
 
-    def scale(self, c: int) -> "LaurentSeries":
-        return LaurentSeries(self.field, self.lead, [c * x for x in self.coeffs], self.prec)
-
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by eps^k."""
         return LaurentSeries(self.field, self.lead + k, self.coeffs,

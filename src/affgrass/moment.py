@@ -75,9 +75,6 @@ class PoincarePoly:
             cs[d] += 1
         return cls(tuple(cs))
 
-    def evaluate(self, q: int) -> int:
-        return sum(c * q ** i for i, c in enumerate(self.coeffs))
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -123,8 +120,9 @@ def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
     """Exact minimum of formal_betti over all total orders, with a witness order.
 
     Scans subsets: placing vertices from the top, a vertex's out-degree is its
-    number of edges (with multiplicity) to vertices not yet placed.  The
-    compare order is translation invariant, so prefix minima extend.
+    number of neighbours not yet placed (a skeleton has at most one edge per
+    vertex pair).  The compare order is translation invariant, so prefix
+    minima extend.  Counts are kept highest degree first, so tuple < is compare.
     """
     verts = list(g.vertices)
     n = len(verts)
@@ -133,55 +131,35 @@ def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
     if (1 << n) > budget:
         raise BudgetExceeded(f"{n} vertices exceed the order-scan budget")
     idx = {v: i for i, v in enumerate(verts)}
-    mult = [[0] * n for _ in range(n)]
-    deg = [0] * n
+    nbr = [0] * n
     for (u, v, _a, _k) in g.edges:
-        iu, iv = idx[u], idx[v]
-        mult[iu][iv] += 1
-        mult[iv][iu] += 1
-        deg[iu] += 1
-        deg[iv] += 1
-    maxdeg = max(deg, default=0)
-
-    def better(a, b):
-        if b is None:
-            return True
-        for i in reversed(range(maxdeg + 1)):
-            if a[i] != b[i]:
-                return a[i] < b[i]
-        return False
-
+        nbr[idx[u]] |= 1 << idx[v]
+        nbr[idx[v]] |= 1 << idx[u]
+    top = max(m.bit_count() for m in nbr)
     size = 1 << n
     best: List[Optional[Tuple[int, ...]]] = [None] * size
-    parent: List[int] = [-1] * size
-    best[0] = tuple([0] * (maxdeg + 1))
-    for mask in range(size):
+    parent = [-1] * size
+    best[0] = (0,) * (top + 1)
+    for mask in range(size - 1):
         cur = best[mask]
-        if cur is None:
-            continue
         for v in range(n):
-            if mask & (1 << v):
+            bit = 1 << v
+            if mask & bit:
                 continue
-            above = sum(mult[v][u] for u in range(n) if mask & (1 << u))
-            out = deg[v] - above
-            cand = list(cur)
-            cand[out] += 1
-            cand = tuple(cand)
-            m2 = mask | (1 << v)
-            if better(cand, best[m2]):
+            k = top - (nbr[v] & ~mask).bit_count()
+            cand = cur[:k] + (cur[k] + 1,) + cur[k + 1:]
+            m2 = mask | bit
+            if best[m2] is None or cand < best[m2]:
                 best[m2] = cand
                 parent[m2] = v
-    full = size - 1
     order_idx = []
-    mask = full
+    mask = size - 1
     while mask:
         v = parent[mask]
         order_idx.append(v)
         mask ^= (1 << v)
     order_idx.reverse()
-    order = [verts[i] for i in order_idx]
-    coeffs = best[full]
-    return PoincarePoly(coeffs), order
+    return PoincarePoly(best[size - 1][::-1]), [verts[i] for i in order_idx]
 
 
 def to_dot(g: MomentGraph) -> str:

@@ -76,7 +76,7 @@ def _cell_points(field: PrimeField, diag: Coweight,
         # right multiplication by eps^diag shifts column c by diag[c]
         g = tuple(tuple(e.shift(k) for e, k in zip(row, diag)) for row in m)
         x = canonicalize_point(g, work)
-        pts.add(GrassPoint(field, x.h, x.d, x.nu))
+        pts.add(GrassPoint(field, x.d, x.entries))
     return pts
 
 

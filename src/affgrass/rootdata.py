@@ -170,9 +170,6 @@ class GTFamily:
             verts[BORELS.index(perm_mul(w, BORELS[b]))] = act(w, self.vertices[b])
         return GTFamily(self.nu, tuple(verts))
 
-    def __le__(self, other: "GTFamily") -> bool:
-        return contains(other, self)
-
 
 def _multiple_of(d: Coweight, unit: Coweight):
     """Return k with d = k*unit, or None."""
@@ -210,18 +207,6 @@ def contains(outer: GTFamily, inner: GTFamily) -> bool:
     if outer.nu != inner.nu:
         raise ValueError("families live on different nu fibers")
     return all(mi <= mo for mi, mo in zip(inner.support, outer.support))
-
-
-def lattice_points(f: GTFamily) -> List[Coweight]:
-    return f.lattice_points()
-
-
-def weyl_act(w: Perm, f: GTFamily) -> GTFamily:
-    return f.weyl(w)
-
-
-def translate(f: GTFamily, chi: Coweight) -> GTFamily:
-    return f.translate(chi)
 
 
 def weyl_family(lam: Coweight) -> GTFamily:

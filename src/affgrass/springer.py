@@ -127,7 +127,7 @@ def springer_dim(gamma: RegularDiagonal) -> int:
 
 def member_springer(x: GrassPoint, gamma: RegularDiagonal) -> bool:
     """Ad(g)^-1 gamma integral, tested on the canonical representative."""
-    return gamma.admits(x.d, *x.entries())
+    return gamma.admits(x.d, *x.entries)
 
 
 def member_springer_matrix(g, gamma: RegularDiagonal) -> bool:

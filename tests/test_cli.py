@@ -93,6 +93,7 @@ def test_domain_error_exit_code():
         "321": [0, 0, 0], "231": [0, 0, 0], "213": [0, 0, 0]}}),
     ("betti", "--polytope", {"word": "121", "n": [1, 0, 1, 7]}),
     ("points", "--polytope", {"word": "121", "n": "1,0,1"}),
+    ("points", "--polytope", {"nu": 0, "vertices": {"124": [0, 0, 0]}}),
 ])
 def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     f = tmp_path / "in.json"
@@ -100,6 +101,16 @@ def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     r = run(cmd, flag, str(f))
     assert r.returncode == 2
     assert "malformed" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [("pave", "--prime", "5"), ("pave", "--seed", "3"),
+                                  ("braid", "--word", "121", "--n", "2,1,0", "--prime", "5")])
+def test_options_only_where_read(tmp_path, args):
+    # --prime belongs to points and springer, --seed to springer and check
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
+    r = run(*args, *(("--polytope", str(poly)) if args[0] == "pave" else ()))
+    assert r.returncode == 2 and "unrecognized arguments" in r.stderr
 
 
 @pytest.mark.parametrize("c", ["1,1", "1,1,1,1"])

@@ -5,16 +5,18 @@ import pytest
 
 from affgrass.errors import (BudgetExceeded, GaussFailure, PreconditionViolated,
                              SingularMatrix)
-from affgrass.grass import (D, Delta, _entry_windows, _iter_entries, _point,
+from affgrass.grass import (D, Delta, GrassPoint, _entry_windows, _iter_entries,
                             _window_entries, canonicalize_point,
                             curve_point, decompose_u0, dprofile, dprofile_matrix,
                             ec, enumerate_points, eta_w0, eta_w0_inv, gauss_plus,
-                            mat, mat_det, mat_diag_eps, mat_identity, mat_inv,
+                            iter_points, mat, mat_det, mat_diag_eps, mat_identity, mat_inv,
                             mat_mul, mat_transpose, member, minor, point_from_y,
                             root_elem, sample_point, transition, translate_point,
                             upper_canonical, wbar0, x_mat, y_map)
 from affgrass.laurent import LaurentSeries, PrimeField, eps, one, random_with_val, val, zero
 from affgrass.mvcomb import LusztigDatum, MVPolytope
+from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
+                             schubert_anchored_family)
 from affgrass.rootdata import BORELS, contains, pairing, weyl_family
 
 F2 = PrimeField(2, 32)
@@ -146,7 +148,7 @@ def test_profile_kernel_matches_minors(n, q, every):
     kept = []
     for d in fam.lattice_points():
         for es in itertools.product(*_window_entries(q, _entry_windows(fam, d))):
-            x = _point(field, d, *es)
+            x = GrassPoint(field, d, es)
             prof = dprofile(x)
             passes = all(v >= m for v, m in zip(prof, floor))
             if passes or every:
@@ -344,3 +346,24 @@ def test_enumerate_ignores_precision():
                 MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1))).family):
         pts = enumerate_points(fam, PrimeField(2, 64))
         assert pts and enumerate_points(fam, PrimeField(2, 1)) == pts
+
+
+def test_every_point_is_its_canonical_form():
+    # every producer's points hold canonical data, and x.h is built over the
+    # point's own field, at its precision
+    rng = random.Random(24)
+    F = PrimeField(2, 40)
+    d = LusztigDatum("121", (2, 1, 1))
+    fam = MVPolytope.from_datum(d).family
+    lam1, shift, _lam2 = mv_as_intersection(d)
+    pts = [canonicalize_point(rand_invertible(F, rng)) for _ in range(10)]
+    pts += list(iter_points(fam, F))
+    pts += [sample_point(fam, F, rng) for _ in range(10)]
+    for b in range(6):
+        pts += contracting_cell(MVPolytope.from_datum(d), b).enumerate(F)
+    for v in schubert_anchored_family(d).lattice_points():
+        pts += iwahori_cell(shift, lam1, v).enumerate(F)
+    assert len(pts) > 100
+    for x in pts:
+        assert all(e.field.prec == x.field.prec for row in x.h for e in row)
+        assert canonicalize_point(x.h) == x

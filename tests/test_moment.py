@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from affgrass.acceptance import PURITY_DATA, PURITY_WEYL
 from affgrass.errors import BudgetExceeded
 from affgrass.grass import curve_point, member
 from affgrass.laurent import PrimeField
@@ -113,6 +114,76 @@ def test_min_formal_matches_brute_force():
         dp, order = min_formal_poincare(g)
         assert compare(dp, best) == 0
         assert compare(formal_betti(g, order), dp) == 0
+
+
+def _min_formal_poincare_by_lists(g):
+    """The order scan on adjacency-count lists that the bitmask scan replaced."""
+    verts = list(g.vertices)
+    n = len(verts)
+    if n == 0:
+        return PoincarePoly(()), []
+    idx = {v: i for i, v in enumerate(verts)}
+    mult = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for (u, v, _a, _k) in g.edges:
+        iu, iv = idx[u], idx[v]
+        mult[iu][iv] += 1
+        mult[iv][iu] += 1
+        deg[iu] += 1
+        deg[iv] += 1
+    maxdeg = max(deg, default=0)
+
+    def better(a, b):
+        if b is None:
+            return True
+        for i in reversed(range(maxdeg + 1)):
+            if a[i] != b[i]:
+                return a[i] < b[i]
+        return False
+
+    size = 1 << n
+    best = [None] * size
+    parent = [-1] * size
+    best[0] = tuple([0] * (maxdeg + 1))
+    for mask in range(size):
+        cur = best[mask]
+        if cur is None:
+            continue
+        for v in range(n):
+            if mask & (1 << v):
+                continue
+            above = sum(mult[v][u] for u in range(n) if mask & (1 << u))
+            cand = list(cur)
+            cand[deg[v] - above] += 1
+            cand = tuple(cand)
+            m2 = mask | (1 << v)
+            if better(cand, best[m2]):
+                best[m2] = cand
+                parent[m2] = v
+    order_idx = []
+    mask = size - 1
+    while mask:
+        v = parent[mask]
+        order_idx.append(v)
+        mask ^= (1 << v)
+    order_idx.reverse()
+    return PoincarePoly(best[size - 1]), [verts[i] for i in order_idx]
+
+
+def test_min_formal_matches_list_scan():
+    # the benchmark's mv_pave families with at most 16 lattice points, and the
+    # purity-bridge (criterion 6) families
+    data = [(1, 0, 1), (2, 1, 1), (3, 1, 2), (2, 2, 2), (1, 1, 1), (2, 0, 1), (2, 1, 2),
+            (1, 1, 0)] + PURITY_DATA
+    fams = [P(n) for n in data]
+    fams += [weyl_family(lam) for lam in [(2, 1, 0), (3, 1, 0), (4, 2, 0), (2, 0, 0),
+                                          (2, 2, 0), (3, 0, 0)] + PURITY_WEYL]
+    graphs = {skeleton(f) for f in fams if len(f.lattice_points()) <= 16}
+    assert len(graphs) == 16
+    for g in graphs:
+        poly, order = min_formal_poincare(g)
+        want_poly, want_order = _min_formal_poincare_by_lists(g)
+        assert poly.coeffs == want_poly.coeffs and order == want_order
 
 
 def test_betti_sum_is_vertex_count():

@@ -7,7 +7,7 @@ from affgrass.mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word,
                              braid, canonicalize, coweight, crystal_E, crystal_F,
                              dimension, vertices_of)
 from affgrass.rootdata import (CANON_ORDER, GTFamily, IDENT, perm_inv, sub_cw,
-                               weyl_act, weyl_family)
+                               weyl_family)
 
 
 def P(n):
@@ -48,9 +48,9 @@ def test_canonicalize_trivial_and_twisted():
     w, Q = canonicalize(fam)
     assert w == IDENT and Q.family == fam
     for u in CANON_ORDER:
-        tw = weyl_act(u, fam)
+        tw = fam.weyl(u)
         w2, Q2 = canonicalize(tw)
-        assert weyl_act(perm_inv(w2), tw) == Q2.family
+        assert tw.weyl(perm_inv(w2)) == Q2.family
         assert Q2.datum121 is not None
 
 

@@ -79,11 +79,11 @@ def test_mv_as_intersection_pointwise():
     fam = schubert_anchored_family(d)
     sch1 = weyl_family(lam1)
     sch2 = weyl_family(lam2)
-    left = {x.key() for x in enumerate_points(fam, F2)}
+    left = set(enumerate_points(fam, F2))
     right = set()
     for x in enumerate_points(sch1, F2):
         if member(translate_point(x, scale_cw(-1, shift)), sch2):
-            right.add(x.key())
+            right.add(x)
     assert left == right
 
 

@@ -5,8 +5,8 @@ import pytest
 from affgrass.errors import InconsistentFamily
 from affgrass.rootdata import (CHAMBERS, GTFamily, IDENT, S1, W0,
                                contains, eq_up_to_translation,
-                               family_from_support, iota_family, lattice_points,
-                               pairing, translate, weyl_act, weyl_family)
+                               family_from_support, iota_family, pairing,
+                               weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
 
@@ -81,7 +81,7 @@ def test_contains():
 def test_contains_partial_order():
     pool = [P((1, 0, 0)), P((1, 0, 1)), P((1, 1, 1)), P((2, 1, 1))]
     base = pool[0].vertex(3)
-    pool = [translate(f, tuple(b - a for a, b in zip(f.vertex(3), base)))
+    pool = [f.translate(tuple(b - a for a, b in zip(f.vertex(3), base)))
             for f in pool]
     for f in pool:
         assert contains(f, f)
@@ -95,10 +95,10 @@ def test_contains_partial_order():
 
 def test_lattice_points_examples():
     fam = P((1, 0, 0), base=(0, 1, 0))  # the two-triangle anchoring
-    assert lattice_points(fam) == [(0, 1, 0), (1, 0, 0)]
-    assert lattice_points(family_from_support([0] * 6, 0)) == [(0, 0, 0)]
+    assert fam.lattice_points() == [(0, 1, 0), (1, 0, 0)]
+    assert family_from_support([0] * 6, 0).lattice_points() == [(0, 0, 0)]
     W = weyl_family((1, 0, 0))
-    assert set(lattice_points(W)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(W.lattice_points()) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_lattice_points_against_plain_enumeration():
@@ -110,23 +110,23 @@ def test_lattice_points_against_plain_enumeration():
             continue
         if all(pairing(v, S) <= M[ci] for ci, S in enumerate(CHAMBERS)):
             brute.append(v)
-    assert sorted(brute) == lattice_points(fam)
+    assert sorted(brute) == fam.lattice_points()
     for b in range(6):
         assert fam.vertex(b) in brute
 
 
 def test_weyl_act_and_translate():
     fam = P((2, 1, 1), base=(-1, 1, 1))
-    assert weyl_act(IDENT, fam) == fam
-    flipped = weyl_act(W0, fam)
+    assert fam.weyl(IDENT) == fam
+    flipped = fam.weyl(W0)
     assert sorted(flipped.vertices) == sorted(tuple(reversed(v))
                                               for v in fam.vertices)
-    assert translate(translate(fam, (1, -2, 0)), (-1, 2, 0)) == fam
+    assert fam.translate((1, -2, 0)).translate((-1, 2, 0)) == fam
 
 
 def test_weyl_act_composes_on_supports():
     fam = P((2, 1, 0))
-    g = weyl_act(S1, fam)
+    g = fam.weyl(S1)
     assert sorted(g.vertices) == sorted(tuple((v[1], v[0], v[2]))
                                         for v in fam.vertices)
 

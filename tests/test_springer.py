@@ -287,10 +287,8 @@ def _verify_steps_series(steps, family, qs, springer_pattern=None, rng=None):
             windows = _entry_windows(family, d)
             for cs in itertools.product(*[itertools.product(range(q), repeat=max(0, hi - lo))
                                           for lo, hi in windows]):
-                h = [list(r) for r in mat_diag_eps(field, d)]
-                for (r, col), (lo, _hi), c in zip(((1, 0), (2, 0), (2, 1)), windows, cs):
-                    h[r][col] = LaurentSeries(field, lo, c)
-                x = GrassPoint(field, mat(h), d, sum(d))
+                es = [LaurentSeries(field, lo, c) for (lo, _hi), c in zip(windows, cs)]
+                x = GrassPoint(field, d, tuple((e.lead, e.coeffs) for e in es))
                 prof = _dprofile_series(x)
                 if not all(v >= -m for v, m in zip(prof, family.support)):
                     continue
