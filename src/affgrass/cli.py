@@ -29,7 +29,7 @@ def _perm_key(w):
     return "".join(str(i) for i in w)
 
 
-_BOREL_INDEX = {_perm_key(w): b for b, w in enumerate(BORELS)}
+_BOREL_KEYS = tuple(_perm_key(w) for w in BORELS)
 
 
 def family_to_json(f: GTFamily):
@@ -53,13 +53,17 @@ def family_from_json(data) -> GTFamily:
         if "word" in data:
             base = _file_triple(data, "base") if "base" in data else None
             return MVPolytope.from_datum(_datum(data), base=base).family
-        verts = [None] * 6
-        for key in data["vertices"]:
-            if key not in _BOREL_INDEX:
+        vertices, nu = data["vertices"], data["nu"]
+        for key in vertices:
+            if key not in _BOREL_KEYS:
                 raise AffgrassError(f"malformed polytope file: vertex key {key!r} "
                                     f"is not a permutation of 123")
-            verts[_BOREL_INDEX[key]] = _file_triple(data["vertices"], key)
-        return GTFamily(data["nu"], tuple(verts))
+        missing = [key for key in _BOREL_KEYS if key not in vertices]
+        if missing:
+            raise AffgrassError(f"malformed polytope file: no vertex for {', '.join(missing)}")
+        if type(nu) is not int:
+            raise AffgrassError(f'malformed polytope file: "nu" wants an integer, got {nu!r}')
+        return GTFamily.from_vertices(nu, tuple(_file_triple(vertices, k) for k in _BOREL_KEYS))
 
 
 def _datum(data) -> LusztigDatum:

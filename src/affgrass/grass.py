@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
@@ -165,8 +165,9 @@ def _high_part(e: LaurentSeries, cut: int) -> LaurentSeries:
     return LaurentSeries(e.field, e.lead, cs, e.prec).shift(-cut)
 
 
-def _hnf_lower(g: Matrix, field: PrimeField):
+def _hnf_lower(g: Matrix):
     """Column Hermite form over O: returns (matrix, diagonal exponents)."""
+    field = g[0][0].field
     cols = [[g[r][c] for r in range(3)] for c in range(3)]
     exact_zero = zero(field)
     for i in range(3):
@@ -199,21 +200,19 @@ def _hnf_lower(g: Matrix, field: PrimeField):
     return h, d
 
 
-def canonicalize_point(g: Matrix, field: Optional[PrimeField] = None) -> GrassPoint:
-    field = field or g[0][0].field
-    h, d = _hnf_lower(g, field)
-    return GrassPoint(field, d,
+def canonicalize_point(g: Matrix) -> GrassPoint:
+    h, d = _hnf_lower(g)
+    return GrassPoint(g[0][0].field, d,
                       tuple((e.lead, e.coeffs) for e in (h[1][0], h[2][0], h[2][1])))
 
 
 _J = (2, 1, 0)
 
 
-def upper_canonical(g: Matrix, field: Optional[PrimeField] = None):
+def upper_canonical(g: Matrix):
     """Upper-triangular column Hermite form: returns (matrix, diagonal exponents)."""
-    field = field or g[0][0].field
     flipped = tuple(tuple(g[_J[r]][_J[c]] for c in range(3)) for r in range(3))
-    h, d = _hnf_lower(flipped, field)
+    h, d = _hnf_lower(flipped)
     back = tuple(tuple(h[_J[r]][_J[c]] for c in range(3)) for r in range(3))
     return back, (d[2], d[1], d[0])
 
@@ -390,7 +389,7 @@ def decompose_u0(x: GrassPoint, word: str, rng: random.Random,
                  retries: int = 200) -> Tuple[LaurentSeries, ...]:
     """Write x in U0(F)K/K as [y_word(t)^-1], retrying over random integral
     unipotent correction factors until the chamber minors are all nonzero."""
-    R, e = upper_canonical(x.h, x.field)
+    R, e = upper_canonical(x.h)
     if e != (0, 0, 0):
         raise PreconditionViolated(f"point with upper diagonal {e} is not in U0(F)K/K")
     for _ in range(retries):
@@ -482,11 +481,11 @@ def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
 
 
 def translate_point(x: GrassPoint, chi: Coweight) -> GrassPoint:
-    return canonicalize_point(mat_mul(mat_diag_eps(x.field, chi), x.h), x.field)
+    return canonicalize_point(mat_mul(mat_diag_eps(x.field, chi), x.h))
 
 
 def curve_point(field: PrimeField, a: Root, k: int, v: Coweight) -> GrassPoint:
     """A nonfixed point of the 1-dimensional orbit joining v and v - k.coroot(a)."""
     n = pairing(v, (a[0],)) - pairing(v, (a[1],)) - k
     g = mat_mul(root_elem(field, a, eps(field, n)), mat_diag_eps(field, v))
-    return canonicalize_point(g, field)
+    return canonicalize_point(g)

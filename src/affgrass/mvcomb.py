@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import InconsistentFamily, NotMV, PreconditionViolated
-from .rootdata import (BORELS, CANON_ORDER, GTFamily, RHO, W0, Coweight, Perm,
+from .rootdata import (CANON_ORDER, GTFamily, RHO, W0, Coweight, Perm,
                        act, add_cw, coroot, perm_inv, perm_mul, scale_cw, sub_cw)
 
 WORDS = ("121", "212")
@@ -48,11 +48,8 @@ def vertices_of(d: LusztigDatum, base: Coweight) -> GTFamily:
     ls2 = add_cw(ls2s1, scale_cw(m[1], _ALPHA13))
     if add_cw(ls2, scale_cw(m[0], _ALPHA2)) != le:
         raise InconsistentFamily(f"the two edge paths of {d} do not close up")
-    verts = [None] * 6
-    for w, v in ((BORELS[0], le), (BORELS[5], ls1), (BORELS[4], ls1s2),
-                 (BORELS[3], lw0), (BORELS[1], ls2), (BORELS[2], ls2s1)):
-        verts[BORELS.index(w)] = v
-    return GTFamily(sum(base), tuple(verts))
+    # in BORELS order: e, s2, s2s1, w0, s1s2, s1
+    return GTFamily.from_vertices(sum(base), (le, ls2, ls2s1, lw0, ls1s2, ls1))
 
 
 def datum121_of(f: GTFamily) -> LusztigDatum:

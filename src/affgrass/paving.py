@@ -75,7 +75,7 @@ def _cell_points(field: PrimeField, diag: Coweight,
         m = mat_inv(mat(u)) if inverted else u
         # right multiplication by eps^diag shifts column c by diag[c]
         g = tuple(tuple(e.shift(k) for e, k in zip(row, diag)) for row in m)
-        x = canonicalize_point(g, work)
+        x = canonicalize_point(g)
         pts.add(GrassPoint(field, x.d, x.entries))
     return pts
 

@@ -9,6 +9,7 @@ column subsets of {1,2,3}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import InconsistentFamily
@@ -85,54 +86,70 @@ def chamber_of(w: Perm, level: int) -> FrozenSet[int]:
     return frozenset(w[:level])
 
 
-# separating coroot between clockwise-adjacent Borels b and b+1 (mod 6):
-# lambda_b - lambda_{b+1} must be a nonnegative multiple of it
-_SEP: Tuple[Coweight, ...] = (
-    (0, 1, -1), (1, 0, -1), (1, -1, 0), (0, -1, 1), (-1, 0, 1), (-1, 1, 0),
-)
-
-# one Borel whose vertex determines each chamber's support number
-_CHAMBER_VERTEX: Tuple[int, ...] = (0, 5, 3, 0, 1, 3)
+# per Borel w: the support indices of the chambers {w1} and {w1, w2}, and w
+_VERTEX_CHAMBERS = tuple((CHAMBER_INDEX[chamber_of(w, 1)], CHAMBER_INDEX[chamber_of(w, 2)], w)
+                         for w in BORELS)
+# per Weyl element w, the index of the chamber w^-1 T for each chamber T
+_WEYL_SOURCE: Dict[Perm, Tuple[int, ...]] = {
+    w: tuple(CHAMBER_INDEX[frozenset(perm_inv(w)[i - 1] for i in T)] for T in CHAMBERS)
+    for w in BORELS}
 
 
 @dataclass(frozen=True)
 class GTFamily:
-    """A positive (G,T)-orthogonal family: one coweight per Borel chamber."""
+    """A positive (G,T)-orthogonal family, stored as its six support numbers
+    M_S in CHAMBERS order: the polytope {v : sum(v) = nu, <v, S> <= M_S}.
+    The vertices are derived from the support."""
 
     nu: int
-    vertices: Tuple[Coweight, Coweight, Coweight, Coweight, Coweight, Coweight]
+    support: Tuple[int, int, int, int, int, int]
 
     def __post_init__(self):
-        for v in self.vertices:
-            if sum(v) != self.nu:
-                raise InconsistentFamily(f"vertex {v} is off the nu={self.nu} fiber")
-        for b in range(6):
-            d = sub_cw(self.vertices[b], self.vertices[(b + 1) % 6])
-            k = _multiple_of(d, _SEP[b])
-            if k is None or k < 0:
+        for b, k in enumerate(self.edge_lengths()):
+            if k < 0:
                 raise InconsistentFamily(
-                    f"vertices {self.vertices[b]}, {self.vertices[(b + 1) % 6]} at "
-                    f"chambers {b},{(b + 1) % 6} are not positively orthogonal")
+                    f"support {self.support} on the nu={self.nu} fiber gives the edge "
+                    f"between chambers {b},{(b + 1) % 6} the negative length {k}")
 
-    @property
-    def support(self) -> Tuple[int, ...]:
-        """M_S for the six chamber weights, in CHAMBERS order."""
-        return tuple(pairing(self.vertices[_CHAMBER_VERTEX[ci]], S)
-                     for ci, S in enumerate(CHAMBERS))
+    @classmethod
+    def from_vertices(cls, nu: int, vertices) -> "GTFamily":
+        """The family with these six vertices (BORELS order); raises unless they
+        are a positive orthogonal family on the nu fiber."""
+        # read each support number at one vertex that attains it: Borels 0, 5, 3, 0, 1, 3
+        v0, v1, _, v3, _, v5 = vertices
+        f = cls(nu, (v0[0], v5[1], v3[2], v0[0] + v0[1], v1[0] + v1[2], v3[1] + v3[2]))
+        for b in range(6):
+            if f._vertex(b) != vertices[b]:
+                raise InconsistentFamily(
+                    f"vertex {vertices[b]} at chamber {b} is not {f._vertex(b)}, where the "
+                    f"support puts it: not a positive orthogonal family on the nu={nu} fiber")
+        return f
+
+    def edge_lengths(self) -> Tuple[int, ...]:
+        """The six gaps k_b: lambda_b - lambda_{b+1} is k_b times the coroot separating b, b+1."""
+        m1, m2, m3, m12, m13, m23 = self.support
+        nu = self.nu
+        return (m12 + m13 - m1 - nu, m1 + m3 - m13, m13 + m23 - m3 - nu,
+                m2 + m3 - m23, m12 + m23 - m2 - nu, m1 + m2 - m12)
+
+    def _vertex(self, b: int) -> Coweight:
+        i1, i12, w = _VERTEX_CHAMBERS[b]
+        M = self.support
+        v = [0, 0, 0]
+        v[w[0] - 1] = M[i1]
+        v[w[1] - 1] = M[i12] - M[i1]
+        v[w[2] - 1] = self.nu - M[i12]
+        return tuple(v)  # type: ignore[return-value]
+
+    @cached_property
+    def vertices(self) -> Tuple[Coweight, ...]:
+        return tuple(self._vertex(b) for b in range(6))
 
     def vertex(self, b: int) -> Coweight:
         return self.vertices[b]
 
     def vertex_of(self, w: Perm) -> Coweight:
         return self.vertices[BORELS.index(w)]
-
-    def edge_lengths(self) -> Tuple[int, ...]:
-        """The six adjacent-vertex gaps k_b with lambda_b - lambda_{b+1} = k_b * coroot."""
-        out = []
-        for b in range(6):
-            d = sub_cw(self.vertices[b], self.vertices[(b + 1) % 6])
-            out.append(_multiple_of(d, _SEP[b]))
-        return tuple(out)
 
     def contains_point(self, v: Coweight) -> bool:
         if sum(v) != self.nu:
@@ -142,8 +159,8 @@ class GTFamily:
 
     def lattice_points(self) -> List[Coweight]:
         M = self.support
-        lo = min(c for vert in self.vertices for c in vert)
-        hi = max(c for vert in self.vertices for c in vert)
+        # coordinate i is at most M_{i} and at least nu - M_{jk}
+        lo, hi = self.nu - max(M[3:]), max(M[:3])
         out = []
         for v1 in range(lo, hi + 1):
             for v2 in range(lo, hi + 1):
@@ -156,51 +173,21 @@ class GTFamily:
         return out
 
     def span(self) -> int:
-        lo = min(c for vert in self.vertices for c in vert)
-        hi = max(c for vert in self.vertices for c in vert)
-        return hi - lo
+        """The largest coordinate minus the least, over the polytope."""
+        return max(self.support[:3]) + max(self.support[3:]) - self.nu
 
     def translate(self, chi: Coweight) -> "GTFamily":
         return GTFamily(self.nu + sum(chi),
-                        tuple(add_cw(v, chi) for v in self.vertices))
+                        tuple(m + pairing(chi, S) for m, S in zip(self.support, CHAMBERS)))
 
     def weyl(self, w: Perm) -> "GTFamily":
-        verts = [None] * 6
-        for b in range(6):
-            verts[BORELS.index(perm_mul(w, BORELS[b]))] = act(w, self.vertices[b])
-        return GTFamily(self.nu, tuple(verts))
-
-
-def _multiple_of(d: Coweight, unit: Coweight):
-    """Return k with d = k*unit, or None."""
-    k = None
-    for di, ui in zip(d, unit):
-        if ui == 0:
-            if di != 0:
-                return None
-        else:
-            q = di // ui
-            if q * ui != di:
-                return None
-            if k is None:
-                k = q
-            elif q != k:
-                return None
-    return 0 if k is None else k
+        """M'_{w S} = M_S."""
+        return GTFamily(self.nu, tuple(self.support[j] for j in _WEYL_SOURCE[w]))
 
 
 def family_from_support(M, nu: int) -> GTFamily:
-    """Reconstruct vertices from the six support numbers (CHAMBERS order)."""
-    verts = []
-    for w in BORELS:
-        m1 = M[CHAMBER_INDEX[chamber_of(w, 1)]]
-        m12 = M[CHAMBER_INDEX[chamber_of(w, 2)]]
-        v = [0, 0, 0]
-        v[w[0] - 1] = m1
-        v[w[1] - 1] = m12 - m1
-        v[w[2] - 1] = nu - m12
-        verts.append(tuple(v))
-    return GTFamily(nu, tuple(verts))
+    """The family with these six support numbers (CHAMBERS order)."""
+    return GTFamily(nu, tuple(M))
 
 
 def contains(outer: GTFamily, inner: GTFamily) -> bool:
@@ -213,16 +200,13 @@ def weyl_family(lam: Coweight) -> GTFamily:
     """The Weyl polytope of a dominant coweight (lam1 >= lam2 >= lam3)."""
     if not (lam[0] >= lam[1] >= lam[2]):
         raise ValueError(f"{lam} is not dominant")
-    return GTFamily(sum(lam), tuple(act(w, lam) for w in BORELS))
+    return GTFamily(sum(lam), (lam[0],) * 3 + (lam[0] + lam[1],) * 3)
 
 
 def iota_family(f: GTFamily) -> GTFamily:
-    """Effect of the transpose-inverse involution: vertices negate, Borels flip."""
-    verts = [None] * 6
-    for b in range(6):
-        bneg = BORELS.index(perm_mul(BORELS[b], W0))
-        verts[bneg] = scale_cw(-1, f.vertices[b])
-    return GTFamily(-f.nu, tuple(verts))
+    """Effect of the transpose-inverse involution: vertices negate, Borels flip,
+    so M'_S = M_{S^c} - nu (CHAMBERS lists complements in reverse order)."""
+    return GTFamily(-f.nu, tuple(m - f.nu for m in reversed(f.support)))
 
 
 def eq_up_to_translation(f: GTFamily, g: GTFamily) -> bool:

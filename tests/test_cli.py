@@ -81,6 +81,9 @@ def test_domain_error_exit_code():
     assert r.returncode == 2
 
 
+_BORELS = ("123", "132", "312", "321", "231", "213")
+
+
 @pytest.mark.parametrize("cmd, flag, data", [
     ("betti", "--polytope", {"word": "121"}),
     ("betti", "--polytope", {"word": "121", "n": 5}),
@@ -94,6 +97,9 @@ def test_domain_error_exit_code():
     ("betti", "--polytope", {"word": "121", "n": [1, 0, 1, 7]}),
     ("points", "--polytope", {"word": "121", "n": "1,0,1"}),
     ("points", "--polytope", {"nu": 0, "vertices": {"124": [0, 0, 0]}}),
+    ("pave", "--polytope", {"nu": True, "vertices": {k: [1, 0, 0] for k in _BORELS}}),
+    ("points", "--polytope", {"nu": "a", "vertices": {k: [0, 0, 0] for k in _BORELS}}),
+    ("points", "--polytope", {"nu": 0, "vertices": {"123": [0, 0, 0]}}),
 ])
 def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     f = tmp_path / "in.json"
@@ -101,6 +107,19 @@ def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     r = run(cmd, flag, str(f))
     assert r.returncode == 2
     assert "malformed" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"nu": True, "vertices": {k: [1, 0, 0] for k in _BORELS}}, '"nu"'),
+    ({"nu": "a", "vertices": {k: [0, 0, 0] for k in _BORELS}}, '"nu"'),
+    ({"nu": 0, "vertices": {"123": [0, 0, 0]}}, "132, 312, 321, 231, 213"),
+])
+def test_polytope_file_error_names_the_field(data, named):
+    from affgrass.cli import family_from_json
+    from affgrass.errors import AffgrassError
+    with pytest.raises(AffgrassError, match="malformed polytope file") as e:
+        family_from_json(data)
+    assert named in str(e.value)
 
 
 @pytest.mark.parametrize("args", [("pave", "--prime", "5"), ("pave", "--seed", "3"),

@@ -64,7 +64,7 @@ def test_weyl_polytope_is_mv():
 def test_canonicalize_rejects_non_mv():
     # a positive hexagon whose two path data are not braid-related
     verts = ((0, 0, 0), (0, -2, 2), (0, -2, 2), (-2, 0, 2), (-2, 1, 1), (-1, 1, 0))
-    fam = GTFamily(0, verts)
+    fam = GTFamily.from_vertices(0, verts)
     with pytest.raises(NotMV):
         canonicalize(fam)
 

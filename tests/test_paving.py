@@ -127,7 +127,7 @@ def _cell_points_by_matrices(field, diag, windows, inverted=False):
         for (r, c, lo, _hi), cs in zip(windows, coeff_sets):
             u[r - 1][c - 1] = LaurentSeries(field, lo, cs)
         m = mat_inv(mat(u)) if inverted else mat(u)
-        pts.add(canonicalize_point(mat_mul(m, mat_diag_eps(field, diag)), field))
+        pts.add(canonicalize_point(mat_mul(m, mat_diag_eps(field, diag))))
     return pts
 
 

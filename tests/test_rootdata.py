@@ -3,15 +3,113 @@ import itertools
 import pytest
 
 from affgrass.errors import InconsistentFamily
-from affgrass.rootdata import (CHAMBERS, GTFamily, IDENT, S1, W0,
-                               contains, eq_up_to_translation,
+from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, IDENT, S1, W0,
+                               act, add_cw, contains, eq_up_to_translation,
                                family_from_support, iota_family, pairing,
-                               weyl_family)
+                               perm_mul, scale_cw, sub_cw, weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
 
 def P(n, base=None):
     return MVPolytope.from_datum(LusztigDatum("121", n), base=base).family
+
+
+# ---------------------------------------------------------------------------
+# vertex forms: the family check and operations stated on the six vertices,
+# the reference for the support forms of GTFamily
+# ---------------------------------------------------------------------------
+
+# separating coroot between clockwise-adjacent Borels b and b+1 (mod 6):
+# lambda_b - lambda_{b+1} must be a nonnegative multiple of it
+_SEP = ((0, 1, -1), (1, 0, -1), (1, -1, 0), (0, -1, 1), (-1, 0, 1), (-1, 1, 0))
+
+# one Borel whose vertex determines each chamber's support number
+_CHAMBER_VERTEX = (0, 5, 3, 0, 1, 3)
+
+
+def _multiple_of(d, unit):
+    """Return k with d = k*unit, or None."""
+    k = None
+    for di, ui in zip(d, unit):
+        if ui == 0:
+            if di != 0:
+                return None
+        else:
+            q = di // ui
+            if q * ui != di:
+                return None
+            if k is None:
+                k = q
+            elif q != k:
+                return None
+    return 0 if k is None else k
+
+
+def _vertex_edge_lengths(verts):
+    return tuple(_multiple_of(sub_cw(verts[b], verts[(b + 1) % 6]), _SEP[b]) for b in range(6))
+
+
+def _vertex_check(nu, verts):
+    """Six coweights on the nu fiber, adjacent ones positively orthogonal."""
+    return (all(sum(v) == nu for v in verts)
+            and all(k is not None and k >= 0 for k in _vertex_edge_lengths(verts)))
+
+
+def _vertex_support(verts):
+    return tuple(pairing(verts[_CHAMBER_VERTEX[ci]], S) for ci, S in enumerate(CHAMBERS))
+
+
+def _vertex_translate(verts, chi):
+    return tuple(add_cw(v, chi) for v in verts)
+
+
+def _vertex_weyl(verts, w):
+    out = [None] * 6
+    for b in range(6):
+        out[BORELS.index(perm_mul(w, BORELS[b]))] = act(w, verts[b])
+    return tuple(out)
+
+
+def _vertex_iota(verts):
+    out = [None] * 6
+    for b in range(6):
+        out[BORELS.index(perm_mul(BORELS[b], W0))] = scale_cw(-1, verts[b])
+    return tuple(out)
+
+
+def test_from_vertices_accepts_exactly_the_vertex_check():
+    # every six-tuple of the seven sum-0 vectors in {-1,0,1}^3
+    box = [v for v in itertools.product((-1, 0, 1), repeat=3) if sum(v) == 0]
+    accepted = 0
+    for verts in itertools.product(box, repeat=6):
+        try:
+            fam = GTFamily.from_vertices(0, verts)
+        except InconsistentFamily:
+            assert not _vertex_check(0, verts), verts
+            continue
+        assert _vertex_check(0, verts), verts
+        assert fam.vertices == verts
+        assert fam.support == _vertex_support(verts)
+        assert fam.edge_lengths() == _vertex_edge_lengths(verts)
+        accepted += 1
+    assert accepted == 41
+
+
+def test_support_forms_match_vertex_forms():
+    # MV polytopes with n_i <= 3, under every Weyl twist, then translated or flipped
+    for n in itertools.product(range(4), repeat=3):
+        f = P(n)
+        for w in BORELS:
+            g = f.weyl(w)
+            forms = [(g, f.nu, _vertex_weyl(f.vertices, w))]
+            forms += [(g.translate(chi), g.nu + sum(chi), _vertex_translate(g.vertices, chi))
+                      for chi in ((1, 0, 0), (0, -2, 1), (3, 1, -1))]
+            forms.append((iota_family(g), -g.nu, _vertex_iota(g.vertices)))
+            for h, nu, verts in forms:
+                assert _vertex_check(nu, verts)
+                assert (h.nu, h.vertices) == (nu, verts)
+                assert h.support == _vertex_support(verts)
+                assert h.edge_lengths() == _vertex_edge_lengths(verts)
 
 
 def test_pairing():
@@ -45,7 +143,7 @@ def test_infeasible_support_rejected():
     found = False
     for verts in itertools.product(box, repeat=6):
         try:
-            fam = GTFamily(W.nu, verts)
+            fam = GTFamily.from_vertices(W.nu, verts)
         except InconsistentFamily:
             continue
         if list(fam.support) == M:
@@ -133,8 +231,8 @@ def test_weyl_act_composes_on_supports():
 
 def test_adjacent_gap_positivity_enforced():
     with pytest.raises(InconsistentFamily):
-        GTFamily(0, tuple([(1, -1, 0), (0, 0, 0), (0, 0, 0),
-                           (0, 0, 0), (0, 0, 0), (0, 0, 0)]))
+        GTFamily.from_vertices(0, tuple([(1, -1, 0), (0, 0, 0), (0, 0, 0),
+                                         (0, 0, 0), (0, 0, 0), (0, 0, 0)]))
 
 
 def test_iota_vs_datum_reversal():
