@@ -16,8 +16,7 @@ from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
 from .laurent import INF, LaurentSeries, PrimeField, eps, one, zero
-from .rootdata import (CHAMBERS, GTFamily, Coweight, Root, coroot,
-                       family_from_support, pairing)
+from .rootdata import CHAMBERS, GTFamily, Coweight, Root, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
 
@@ -221,29 +220,6 @@ def upper_canonical(g: Matrix):
 # D-profiles, Ec, membership
 # ---------------------------------------------------------------------------
 
-_SUBSETS = {1: ((1,), (2,), (3,)), 2: ((1, 2), (1, 3), (2, 3))}
-
-
-def dprofile_matrix(g: Matrix) -> Tuple[Union[int, float], ...]:
-    """D_S for all six chamber weights, computed from minors of g^-1."""
-    gi = mat_inv(g)
-    out = []
-    for S in CHAMBERS:
-        cols = sorted(S)
-        leads, bounds = [], []
-        for J in _SUBSETS[len(cols)]:
-            m = minor(gi, J, cols)
-            if m.nonzero:
-                leads.append(m.lead)
-            elif not m.is_exact_zero:
-                bounds.append(m.prec)
-        best = min(leads) if leads else INF
-        if any(b <= best for b in bounds):
-            raise PrecisionLoss(f"D for columns {cols} undetermined at working precision")
-        out.append(best)
-    return tuple(out)
-
-
 def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     """Closed-form D-profile of a canonical representative."""
     return _profile(x.d, *x.entries, x.field.p)
@@ -255,7 +231,7 @@ def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
 def _mul(x, y, p: int, top=INF):
     """Product of two nonzero entries, its coefficients below exponent top."""
     (lx, cx), (ly, cy) = x, y
-    n = min(len(cx) + len(cy) - 1, top - lx - ly)
+    n = max(0, min(len(cx) + len(cy) - 1, top - lx - ly))
     out = [0] * n
     for i, a in enumerate(cx[:n]):
         for j, b in enumerate(cy[:n - i]):
@@ -290,10 +266,9 @@ def _profile(d: Coweight, e21, e31, e32, p: int) -> Tuple[Union[int, float], ...
 
 
 def D(x: Union[GrassPoint, Matrix], S: Iterable[int]) -> Union[int, float]:
-    ci = CHAMBERS.index(frozenset(S))
-    if isinstance(x, GrassPoint):
-        return dprofile(x)[ci]
-    return dprofile_matrix(x)[ci]
+    if not isinstance(x, GrassPoint):
+        x = canonicalize_point(x)
+    return dprofile(x)[CHAMBERS.index(frozenset(S))]
 
 
 def ec(x: GrassPoint) -> GTFamily:
@@ -479,13 +454,3 @@ def sample_point(f: GTFamily, field: PrimeField, rng: random.Random,
             return x
     raise RetryExhausted("rejection sampling failed")
 
-
-def translate_point(x: GrassPoint, chi: Coweight) -> GrassPoint:
-    return canonicalize_point(mat_mul(mat_diag_eps(x.field, chi), x.h))
-
-
-def curve_point(field: PrimeField, a: Root, k: int, v: Coweight) -> GrassPoint:
-    """A nonfixed point of the 1-dimensional orbit joining v and v - k.coroot(a)."""
-    n = pairing(v, (a[0],)) - pairing(v, (a[1],)) - k
-    g = mat_mul(root_elem(field, a, eps(field, n)), mat_diag_eps(field, v))
-    return canonicalize_point(g)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, NormalPositionRequired, NotMV,
-                     PavingVerificationFailed, ShapeMismatch)
-from .grass import (GrassPoint, _iter_entries, _window_entries, canonicalize_point,
-                    enumerate_points, mat, mat_identity, mat_inv)
-from .laurent import LaurentSeries, PrimeField
+                     PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
+from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
+from .hermite import ONE_ENTRY, ZERO_ENTRY, hermite_entries, unipotent_inverse
+from .laurent import PrimeField
 from .moment import PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
@@ -60,23 +60,20 @@ def _cell_points(field: PrimeField, diag: Coweight,
                  inverted: bool = False) -> Set[GrassPoint]:
     """The points u . eps^diag, entry (row, col) of the unipotent u ranging
     over the exact polynomials with exponents in [lo, hi); ``inverted`` puts
-    u^-1 in place of u.  The field's precision is never read."""
-    # Hermite reduction inverts unit pivots to work.prec terms; one more than
-    # the exponent range of g's entries (windows shifted by diag) was enough
-    # on every contracting cell with n_i <= 3, dim <= 7 (most need 1 to 4).
-    exps = list(diag) + [e + diag[c - 1] for (_r, c, lo, hi) in windows for e in (lo, hi)]
-    work = PrimeField(field.p, max(exps) - min(exps) + 1)
+    u^-1 in place of u.  Each point is the integer Hermite form of the
+    polynomial matrix, so the field's precision is never read."""
+    p = field.p
     pts = set()
     for entries in itertools.product(
-            *_window_entries(field.p, [(lo, hi) for (_r, _c, lo, hi) in windows])):
-        u = [list(r) for r in mat_identity(work)]
-        for (r, c, _lo, _hi), (lead, cs) in zip(windows, entries):
-            u[r - 1][c - 1] = LaurentSeries(work, lead, cs)
-        m = mat_inv(mat(u)) if inverted else u
+            *_window_entries(p, [(lo, hi) for (_r, _c, lo, hi) in windows])):
+        u = [[ONE_ENTRY if r == c else ZERO_ENTRY for c in range(3)] for r in range(3)]
+        for (r, c, _lo, _hi), e in zip(windows, entries):
+            u[r - 1][c - 1] = e
+        m = unipotent_inverse(u, p) if inverted else u
         # right multiplication by eps^diag shifts column c by diag[c]
-        g = tuple(tuple(e.shift(k) for e, k in zip(row, diag)) for row in m)
-        x = canonicalize_point(g)
-        pts.add(GrassPoint(field, x.d, x.entries))
+        g = [[(e[0] + k, e[1]) if e[1] else e for e, k in zip(row, diag)] for row in m]
+        d, ents = hermite_entries(g, p)
+        pts.add(GrassPoint(field, d, ents))
     return pts
 
 
@@ -199,6 +196,14 @@ class PavingPlan:
         }
 
 
+def _fields(qs: Sequence[int]) -> List[PrimeField]:
+    """The verification fields; every modulus is checked before any count."""
+    try:
+        return [PrimeField(q) for q in qs]
+    except ValueError as e:
+        raise PreconditionViolated(f"cannot verify over F_q: {e}") from e
+
+
 def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan:
     """Paving of the MV truncation by Iwahori cells of its bounding Schubert
     variety, one cell per lattice point."""
@@ -208,8 +213,8 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
     cells.sort(key=lambda c: (-c.dim, c.vertex))
     steps = tuple(PavingStep(c.vertex, None, c.dim, family) for c in cells)
     record = {"per_q": [], "ok": True}
-    for q in verify_qs:
-        field = PrimeField(q)
+    for field in _fields(verify_qs):
+        q = field.p
         pts = set(enumerate_points(family, field))
         seen: Set[GrassPoint] = set()
         by_cell = []
@@ -357,9 +362,10 @@ def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
                   rng: Optional[random.Random] = None) -> dict:
     from .springer import synthesize_gamma  # springer imports this module
     record = {"per_q": [], "ok": True}
-    for q in qs:
+    for field in _fields(qs):
+        q = field.p
         gam = None if springer_pattern is None else synthesize_gamma(
-            springer_pattern, PrimeField(q), rng or random.Random(0))
+            springer_pattern, field, rng or random.Random(0))
         # Ec of a point is a function of its D-profile (nu is the family's),
         # so points are counted by profile and each profile matched to a step once
         by_profile = Counter(prof for d, e21, e31, e32, prof in _iter_entries(family, q)

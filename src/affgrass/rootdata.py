@@ -208,7 +208,3 @@ def iota_family(f: GTFamily) -> GTFamily:
     so M'_S = M_{S^c} - nu (CHAMBERS lists complements in reverse order)."""
     return GTFamily(-f.nu, tuple(m - f.nu for m in reversed(f.support)))
 
-
-def eq_up_to_translation(f: GTFamily, g: GTFamily) -> bool:
-    chi = sub_cw(g.vertices[0], f.vertices[0])
-    return f.translate(chi) == g

@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed)
-from .grass import GrassPoint, _mul, _val_diff, mat_inv, mat_mul
+from .grass import GrassPoint, _mul, _val_diff
 from .laurent import INF, LaurentSeries, PrimeField, random_with_val, val, zero
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      datum121_of, datum212_of, is_alternating, ZERO)
@@ -128,15 +128,6 @@ def springer_dim(gamma: RegularDiagonal) -> int:
 def member_springer(x: GrassPoint, gamma: RegularDiagonal) -> bool:
     """Ad(g)^-1 gamma integral, tested on the canonical representative."""
     return gamma.admits(x.d, *x.entries)
-
-
-def member_springer_matrix(g, gamma: RegularDiagonal) -> bool:
-    """Generic membership test for an arbitrary representative."""
-    field = gamma.field
-    z = zero(field)
-    gm = ((gamma.gamma[0], z, z), (z, gamma.gamma[1], z), (z, z, gamma.gamma[2]))
-    conj = mat_mul(mat_mul(mat_inv(g), gm), g)
-    return all(conj[i][j].effval() >= 0 for i in range(3) for j in range(3))
 
 
 @dataclass(frozen=True)

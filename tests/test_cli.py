@@ -59,6 +59,15 @@ def test_pave_command(tmp_path):
     assert json.loads(r.stdout)["poincare"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("q", ["4", "0", "1"])
+@pytest.mark.parametrize("method", ["greedy", "iwahori"])
+def test_pave_rejects_nonprime_verify_q(tmp_path, method, q):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "121", "n": [2, 1, 1]}))
+    r = run("pave", "--polytope", str(poly), "--method", method, "--verify-q", f"2,{q}")
+    assert r.returncode == 2 and f"modulus {q} is not prime" in r.stderr and not r.stdout
+
+
 def test_springer_command(tmp_path):
     gam = tmp_path / "g.json"
     gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))

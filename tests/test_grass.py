@@ -5,19 +5,21 @@ import pytest
 
 from affgrass.errors import (BudgetExceeded, GaussFailure, PreconditionViolated,
                              SingularMatrix)
-from affgrass.grass import (D, Delta, GrassPoint, _entry_windows, _iter_entries,
-                            _window_entries, canonicalize_point,
-                            curve_point, decompose_u0, dprofile, dprofile_matrix,
+from affgrass.grass import (D, Delta, GrassPoint, _entry, _entry_windows, _iter_entries,
+                            _window_entries, canonicalize_point, decompose_u0, dprofile,
                             ec, enumerate_points, eta_w0, eta_w0_inv, gauss_plus,
                             iter_points, mat, mat_det, mat_diag_eps, mat_identity, mat_inv,
                             mat_mul, mat_transpose, member, minor, point_from_y,
-                            root_elem, sample_point, transition, translate_point,
-                            upper_canonical, wbar0, x_mat, y_map)
+                            root_elem, sample_point, transition, upper_canonical, wbar0,
+                            x_mat, y_map)
+from affgrass.hermite import hermite_entries
 from affgrass.laurent import LaurentSeries, PrimeField, eps, one, random_with_val, val, zero
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)
 from affgrass.rootdata import BORELS, contains, pairing, weyl_family
+
+from reference import curve_point, dprofile_matrix, translate_point
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -322,6 +324,26 @@ def test_delta_bounds_D_with_equality_somewhere():
                     assert dd.lead >= prof[ci]
                     best = prof[ci] if dd.lead == prof[ci] else best
             assert best is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hermite_entries_match_series_form(p):
+    # the integer Hermite form against _hnf_lower on random nonsingular
+    # matrices of exact Laurent polynomials, units of O on the diagonal or not
+    rng = random.Random(40 + p)
+    field = PrimeField(p)
+    done = 0
+    while done < 200:
+        g = [[_entry(rng.randrange(-2, 3), [rng.randrange(p) for _ in range(rng.randrange(4))])
+              for _c in range(3)] for _r in range(3)]
+        m = mat([[LaurentSeries(field, lead, cs) for lead, cs in row] for row in g])
+        if not mat_det(m).nonzero:
+            with pytest.raises(SingularMatrix):
+                hermite_entries(g, p)
+            continue
+        x = canonicalize_point(m)
+        assert hermite_entries(g, p) == (x.d, x.entries)
+        done += 1
 
 
 def test_point_translation_and_equivariance():

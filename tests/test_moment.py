@@ -4,7 +4,7 @@ import pytest
 
 from affgrass.acceptance import PURITY_DATA, PURITY_WEYL
 from affgrass.errors import BudgetExceeded
-from affgrass.grass import curve_point, member
+from affgrass.grass import member
 from affgrass.laurent import PrimeField
 from affgrass.moment import (MomentGraph, PoincarePoly, compare, formal_betti,
                              graph_to_json, min_formal_poincare, skeleton, to_dot,
@@ -13,6 +13,8 @@ from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import max_gmv_inside
 from affgrass.rootdata import (BORELS, POSROOTS, coroot, family_from_support,
                                scale_cw, sub_cw, weyl_family)
+
+from reference import curve_point
 
 
 def P(n):

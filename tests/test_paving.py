@@ -3,19 +3,20 @@ import itertools
 import pytest
 
 from affgrass.errors import (InconsistentFamily, NormalPositionRequired,
-                             ShapeMismatch)
-from affgrass.grass import (canonicalize_point, ec, enumerate_points, mat,
-                            mat_diag_eps, mat_identity, mat_inv, mat_mul, member,
-                            translate_point)
-from affgrass.laurent import LaurentSeries, PrimeField
+                             PreconditionViolated, ShapeMismatch)
+from affgrass.acceptance import _normal_data
+from affgrass.grass import ec, enumerate_points, member
+from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope
-from affgrass.paving import (_cell_points, contracting_cell, greedy_paving,
+from affgrass.paving import (ContractingCell, _cell_points, contracting_cell, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
 from affgrass.rootdata import (BORELS, CHAMBERS, contains, family_from_support,
                                pairing, scale_cw, weyl_family)
+
+from reference import cell_points_by_matrices, curve_point, translate_point
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -51,7 +52,6 @@ def test_iwahori_closure_order_dimension_consequence():
         def cell_of(x):
             return next(lp for lp, pts in sets.items() if x in pts)
 
-        from affgrass.grass import curve_point
         for (u, v, a, k) in skeleton(fam).edges:
             mid = cell_of(curve_point(F2, a, k, u))
             assert cells[cell_of(translate_point(
@@ -116,41 +116,50 @@ def test_contracting_cell_windows():
         contracting_cell(MVPolytope.from_datum(LusztigDatum("121", (0, 1, 0))), 0)
 
 
-def _cell_points_by_matrices(field, diag, windows, inverted=False):
-    """Reference construction: canonical forms of u . eps^diag by matrix products."""
-    q = field.p
-    ranges = [max(0, hi - lo) for (_r, _c, lo, hi) in windows]
-    pts = set()
-    for coeff_sets in itertools.product(
-            *[itertools.product(range(q), repeat=k) for k in ranges]):
-        u = [list(r) for r in mat_identity(field)]
-        for (r, c, lo, _hi), cs in zip(windows, coeff_sets):
-            u[r - 1][c - 1] = LaurentSeries(field, lo, cs)
-        m = mat_inv(mat(u)) if inverted else mat(u)
-        pts.add(canonicalize_point(mat_mul(m, mat_diag_eps(field, diag))))
-    return pts
+def _kernel_test_cells():
+    """(cell, q) pairs of the kernel tests: the contracting cells of the
+    criterion-7 data (n_i <= 2) over F_2 and, up to dimension 4, over F_3, and
+    the Iwahori cells of P(2,1,1) and P(3,1,2) over F_2 and F_3."""
+    out = []
+    for n in _normal_data():
+        P = MVPolytope.from_datum(LusztigDatum("121", n))
+        for b in range(6):
+            c = contracting_cell(P, b)
+            out += [(c, q) for q in (2, 3) if q == 2 or c.dim <= 4]
+    for n in ((2, 1, 1), (3, 1, 2)):
+        d = LusztigDatum("121", n)
+        lam1, shift, _lam2 = mv_as_intersection(d)
+        out += [(iwahori_cell(shift, lam1, v), q)
+                for v in schubert_anchored_family(d).lattice_points() for q in (2, 3)]
+    return out
 
 
 def test_cell_points_match_matrix_products():
-    d = LusztigDatum("121", (2, 1, 1))
-    P = MVPolytope.from_datum(d)
-    cells = [contracting_cell(P, b) for b in range(6)]
-    assert {c.inverted for c in cells} == {True, False}
-    for c in cells:
-        want = _cell_points_by_matrices(F2, c.diag, c.windows, c.inverted)
-        assert len(want) == 2 ** c.dim
-        assert _cell_points(F2, c.diag, c.windows, c.inverted) == want
-        assert c.enumerate(F2) == want
-    lam1, shift, _lam2 = mv_as_intersection(d)
-    for lamp in schubert_anchored_family(d).lattice_points():
-        c = iwahori_cell(shift, lam1, lamp)
-        want = _cell_points_by_matrices(F2, c.vertex, c.windows)
-        assert len(want) == 2 ** c.dim and c.enumerate(F2) == want
+    # the integer Hermite kernel against LaurentSeries products and _hnf_lower;
+    # each cell has exactly q^dim points, so its parametrization is injective
+    cases = _kernel_test_cells()
+    assert sum(isinstance(c, ContractingCell) and q == 2 for c, q in cases) == 60
+    assert {c.inverted for c, _q in cases if isinstance(c, ContractingCell)} == {True, False}
+    for c, q in cases:
+        field = PrimeField(q)
+        if isinstance(c, ContractingCell):
+            want = cell_points_by_matrices(field, c.diag, c.windows, c.inverted)
+            assert _cell_points(field, c.diag, c.windows, c.inverted) == want
+        else:
+            want = cell_points_by_matrices(field, c.vertex, c.windows)
+        assert len(want) == q ** c.dim
+        assert c.enumerate(field) == want
+
+
+def test_inverted_cell_needs_determinant_one():
+    # an inverted cell inverts its unipotent by the adjugate
+    with pytest.raises(PreconditionViolated):
+        _cell_points(F2, (0, 0, 0), ((1, 2, 0, 1), (2, 1, 0, 1)), inverted=True)
 
 
 def test_cell_enumeration_ignores_precision():
     # the contracting cells of the normal data with n_i <= 2, and Iwahori
-    # cells: the enumerator picks its own working precision, so the field's
+    # cells: the integer Hermite kernel has no series, so the field's
     # precision (1 or 64) changes nothing
     cells = [contracting_cell(MVPolytope.from_datum(LusztigDatum("121", n)), b)
              for n in itertools.product(range(3), repeat=3) if n[0] >= n[2] >= n[1]
