@@ -7,8 +7,7 @@ from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      canonicalize, coweight, crystal_E, crystal_F, dimension,
                      vertices_of)
 from .grass import (Delta, D, GrassPoint, canonicalize_point, decompose_u0, ec,
-                    enumerate_points, eta_w0, eta_w0_inv, gauss_plus, member,
-                    minor, point_from_y, sample_point, y_map)
+                    enumerate_points, member, minor, point_from_y, sample_point)
 from .moment import (MomentGraph, PoincarePoly, compare, formal_betti,
                      min_formal_poincare, skeleton, wt)
 from .paving import (ContractingCell, IwahoriCell, PavingPlan, PavingStep,

@@ -15,8 +15,8 @@ from .grass import (ec, enumerate_points, member, point_from_y, sample_point,
                     transition)
 from .laurent import PrimeField, random_with_val, val
 from .moment import compare, min_formal_poincare, skeleton
-from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, coweight,
-                     dimension)
+from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid, canonicalize,
+                     coweight, dimension)
 from .paving import contracting_cell, greedy_paving, is_normal_position, paving_121
 from .rootdata import weyl_family
 from .springer import (criterion, criterion_bound, criterion_l_values,
@@ -262,7 +262,6 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
             if len(j) == 2 * n2:
                 # the Springer condition is vacuous on the deepest truncation:
                 # the plan must agree with the plain MV paving of E_j.P
-                from affgrass.mvcomb import apply_crystal_word
                 base_fam = apply_crystal_word(j, P0).family
                 base_greedy = greedy_paving(base_fam, verify_qs=qs, rng=rng)
                 if compare(plan.poincare(), base_greedy.poincare()) != 0:

@@ -211,12 +211,19 @@ def cmd_springer(args):
     data = _load(args.gamma)
     rng = random.Random(args.seed)
     with _malformed("gamma"):
-        field = PrimeField(int(data.get("prime", args.prime)))
+        prime = data.get("prime", args.prime)
+        if type(prime) is not int:
+            raise AffgrassError(f'malformed gamma file: "prime" wants an integer, got {prime!r}')
+        field = PrimeField(prime)
         if "series" in data:
-            gam = RegularDiagonal.from_series([series_from_json(field, s)
-                                               for s in data["series"]])
+            series = data["series"]
+            if not (isinstance(series, list) and len(series) == 3):
+                raise AffgrassError(f'malformed gamma file: "series" wants a list of three '
+                                    f'series, got {series!r}')
+            gam = RegularDiagonal.from_series([series_from_json(field, s) for s in series])
         else:
-            gam = synthesize_gamma(tuple(data["pattern"]), field, rng)
+            pattern = _three_ints(data["pattern"], 'malformed gamma file: "pattern"')
+            gam = synthesize_gamma(pattern, field, rng)
     if args.truncate is None:
         trunc = fundamental_domain(gam)
         _emit(args, {"c": list(gam.c), "polytope": family_to_json(trunc.polytope)})

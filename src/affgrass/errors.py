@@ -18,7 +18,8 @@ class SingularMatrix(AffgrassError):
 
 
 class GaussFailure(AffgrassError):
-    """A leading principal minor vanishes up to precision; no LTU decomposition."""
+    """A BFZ parameter t_i vanishes up to precision, so y_word(t) has no
+    Gauss decomposition (a leading principal minor vanishes)."""
 
 
 class InconsistentFamily(AffgrassError):

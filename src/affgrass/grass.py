@@ -16,7 +16,7 @@ from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
 from .laurent import INF, LaurentSeries, PrimeField, eps, one, zero
-from .rootdata import CHAMBERS, GTFamily, Coweight, Root, family_from_support
+from .rootdata import CHAMBERS, GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
 
@@ -46,10 +46,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         for i in range(3))
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
-
-
 def minor(g: Matrix, rows: Sequence[int], cols: Sequence[int]) -> LaurentSeries:
     """Determinant of the submatrix; rows/cols are 1-based index lists."""
     r = [i - 1 for i in rows]
@@ -71,42 +67,10 @@ def mat_det(g: Matrix) -> LaurentSeries:
     return s
 
 
-def mat_adjugate(g: Matrix) -> Matrix:
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        m = g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
-        return m if (i + j) % 2 == 0 else -m
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-
-
-def mat_inv(g: Matrix) -> Matrix:
-    det = mat_det(g)
-    if not det.nonzero:
-        if det.is_exact_zero:
-            raise SingularMatrix("matrix has exact zero determinant")
-        raise PrecisionLoss("determinant vanishes up to precision")
-    dinv = det.inv()
-    adj = mat_adjugate(g)
-    return tuple(tuple(e * dinv for e in row) for row in adj)
-
-
 def Delta(g: Matrix, S: Iterable[int]) -> LaurentSeries:
     """Chamber minor: first |S| rows against the column set S."""
     cols = sorted(S)
     return minor(g, list(range(1, len(cols) + 1)), cols)
-
-
-def root_elem(field: PrimeField, a: Root, t: LaurentSeries) -> Matrix:
-    m = [list(r) for r in mat_identity(field)]
-    m[a[0] - 1][a[1] - 1] = t
-    return mat(m)
-
-
-def wbar0(field: PrimeField) -> Matrix:
-    z, o = zero(field), one(field)
-    neg = LaurentSeries(field, 0, (-1,))
-    return ((z, z, o), (z, neg, z), (o, z, z))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +104,12 @@ class GrassPoint:
 
 def _entry(lead: int, cs: Sequence[int]) -> Entry:
     """The normal form of sum cs[i] eps^(lead + i), each cs[i] in [0, p)."""
-    nz = [i for i, c in enumerate(cs) if c]
-    return (lead + nz[0], tuple(cs[nz[0]:nz[-1] + 1])) if nz else (0, ())
+    i, j = 0, len(cs)
+    while i < j and not cs[i]:
+        i += 1
+    while j > i and not cs[j - 1]:
+        j -= 1
+    return (lead + i, tuple(cs[i:j])) if i < j else (0, ())
 
 
 def _pick_pivot(entries: List[LaurentSeries]):
@@ -185,7 +153,7 @@ def _hnf_lower(g: Matrix):
     # reduce below-diagonal entries modulo eps^{d_row}
     for (r, c) in ((1, 0), (2, 0), (2, 1)):
         q = _high_part(cols[c][r], d[r])
-        if q.nonzero:
+        if not q.is_exact_zero:
             cols[c] = [a - q * b for a, b in zip(cols[c], cols[r])]
     for c in range(3):
         for r in range(3):
@@ -285,56 +253,26 @@ def member(x: GrassPoint, f: GTFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# total positivity maps (Gaussian decomposition)
+# the BFZ parametrization in closed form
 # ---------------------------------------------------------------------------
 
-def gauss_plus(g: Matrix):
-    """LTU decomposition g = v t u; returns (v, t, u); u is [g]_+."""
-    field = g[0][0].field
-    work = [list(r) for r in g]
-    v = [list(r) for r in mat_identity(field)]
-    for k in range(3):
-        pivot = work[k][k]
-        if not pivot.nonzero:
-            raise GaussFailure(f"leading principal minor {k + 1} vanishes up to precision")
-        pinv = pivot.inv()
-        for r in range(k + 1, 3):
-            f = work[r][k] * pinv
-            v[r][k] = f
-            work[r] = [a - f * b for a, b in zip(work[r], work[k])]
-    t = [list(r) for r in mat_identity(field)]
-    u = [list(r) for r in mat_identity(field)]
-    for k in range(3):
-        t[k][k] = work[k][k]
-        pinv = work[k][k].inv()
-        for j in range(k + 1, 3):
-            u[k][j] = work[k][j] * pinv
-    return mat(v), mat(t), mat(u)
+def y_inverse(word: str, ts: Sequence[LaurentSeries]) -> Matrix:
+    """y_word(t)^-1, the upper unitriangular matrix of the BFZ map.
 
-
-def eta_w0(y: Matrix) -> Matrix:
-    """x = [wbar0 . y^t]_+."""
-    field = y[0][0].field
-    return gauss_plus(mat_mul(wbar0(field), mat_transpose(y)))[2]
-
-
-def eta_w0_inv(x: Matrix) -> Matrix:
-    """y = wbar0^-1 . [x . wbar0^-1]^t_+ . wbar0  (wbar0 is an involution)."""
-    field = x[0][0].field
-    w = wbar0(field)
-    u = gauss_plus(mat_mul(x, w))[2]
-    return mat_mul(mat_mul(w, mat_transpose(u)), w)
-
-
-def x_mat(word: str, ts: Sequence[LaurentSeries]) -> Matrix:
-    m = mat_identity(ts[0].field)
-    for i, t in zip(word, ts):
-        m = mat_mul(root_elem(t.field, (int(i), int(i) + 1), t), m)
-    return m
-
-
-def y_map(word: str, ts: Sequence[LaurentSeries]) -> Matrix:
-    return eta_w0_inv(x_mat(word, ts))
+    For 121 its entries above the diagonal are -1/t1, 1/(t1 t2) and
+    -(t1+t3)/(t2 t3); for 212 they are -(t1+t3)/(t2 t3), 1/(t2 t3) and -1/t1.
+    """
+    if word not in ("121", "212"):
+        raise PreconditionViolated(f"reduced word must be 121 or 212, got {word!r}")
+    if not all(t.nonzero for t in ts):
+        raise GaussFailure("a parameter vanishes up to precision; y_word(t) is undefined")
+    t1, t2, t3 = ts
+    u = (t2 * t3).inv()
+    a, c = -t1.inv(), -((t1 + t3) * u)
+    o, z = one(t1.field), zero(t1.field)
+    if word == "121":
+        return ((o, a, (t1 * t2).inv()), (z, o, c), (z, z, o))
+    return ((o, c, u), (z, o, a), (z, z, o))
 
 
 def transition(word: str, ts: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, ...]:
@@ -349,7 +287,7 @@ def transition(word: str, ts: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, .
 
 def point_from_y(word: str, ts: Sequence[LaurentSeries]) -> GrassPoint:
     """The coset [y_word(t)^-1]."""
-    return canonicalize_point(mat_inv(y_map(word, ts)))
+    return canonicalize_point(y_inverse(word, ts))
 
 
 def random_u0_integral(field: PrimeField, rng: random.Random, deg: int = 6) -> Matrix:
@@ -363,29 +301,23 @@ def random_u0_integral(field: PrimeField, rng: random.Random, deg: int = 6) -> M
 def decompose_u0(x: GrassPoint, word: str, rng: random.Random,
                  retries: int = 200) -> Tuple[LaurentSeries, ...]:
     """Write x in U0(F)K/K as [y_word(t)^-1], retrying over random integral
-    unipotent correction factors until the chamber minors are all nonzero."""
+    unipotent correction factors m = R a until y_inverse(word, t) = m has a
+    solution with every t nonzero."""
     R, e = upper_canonical(x.h)
     if e != (0, 0, 0):
         raise PreconditionViolated(f"point with upper diagonal {e} is not in U0(F)K/K")
     for _ in range(retries):
-        a = random_u0_integral(x.field, rng)
+        m = mat_mul(R, random_u0_integral(x.field, rng))
+        m12, m13, m23 = m[0][1], m[0][2], m[1][2]
         try:
-            m = mat_mul(R, a)
-            xm = eta_w0(mat_inv(m))
-            p, q, r = xm[0][1], xm[0][2], xm[1][2]
             if word == "121":
-                if not (r.nonzero and q.nonzero):
-                    continue
-                t3 = q * r.inv()
-                ts = (p - t3, r, t3)
+                t1, t2 = -m12.inv(), -(m12 * m13.inv())
+                ts = (t1, t2, -(t1 * (one(x.field) + m23 * t2).inv()))
             else:
-                if not (p.nonzero and q.nonzero):
-                    continue
-                t1 = q * p.inv()
-                ts = (t1, p, r - t1)
-            if not all(t.nonzero for t in ts):
-                continue
-            if point_from_y(word, ts) == x:
+                t1 = -m23.inv()
+                t3 = -(m12 * m13.inv()) - t1
+                ts = (t1, (m13 * t3).inv(), t3)
+            if all(t.nonzero for t in ts) and point_from_y(word, ts) == x:
                 return ts
         except (GaussFailure, PrecisionLoss, DivisionByZero, SingularMatrix):
             continue

@@ -2,15 +2,118 @@
 
 No library code calls these: each is the slow, direct form of something the
 library computes another way (series matrices in place of the integer
-kernels, vertices in place of supports).
+kernels, vertices in place of supports, a Gauss decomposition in place of
+the closed form of the BFZ map).
 """
 import itertools
 
-from affgrass.errors import PrecisionLoss
-from affgrass.grass import (GrassPoint, canonicalize_point, mat, mat_diag_eps, mat_identity,
-                            mat_inv, mat_mul, minor, root_elem)
-from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, zero
+from affgrass.errors import GaussFailure, PrecisionLoss, SingularMatrix
+from affgrass.grass import (GrassPoint, canonicalize_point, mat, mat_det, mat_diag_eps,
+                            mat_identity, mat_mul, minor)
+from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from affgrass.rootdata import CHAMBERS, pairing, sub_cw
+
+# ---------------------------------------------------------------------------
+# series matrix plumbing
+# ---------------------------------------------------------------------------
+
+def mat_transpose(a):
+    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
+
+
+def mat_adjugate(g):
+    def cof(i, j):
+        r = [k for k in range(3) if k != i]
+        c = [k for k in range(3) if k != j]
+        m = g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
+        return m if (i + j) % 2 == 0 else -m
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
+def mat_inv(g):
+    det = mat_det(g)
+    if not det.nonzero:
+        if det.is_exact_zero:
+            raise SingularMatrix("matrix has exact zero determinant")
+        raise PrecisionLoss("determinant vanishes up to precision")
+    dinv = det.inv()
+    adj = mat_adjugate(g)
+    return tuple(tuple(e * dinv for e in row) for row in adj)
+
+
+def root_elem(field, a, t):
+    m = [list(r) for r in mat_identity(field)]
+    m[a[0] - 1][a[1] - 1] = t
+    return mat(m)
+
+
+def wbar0(field):
+    z, o = zero(field), one(field)
+    neg = LaurentSeries(field, 0, (-1,))
+    return ((z, z, o), (z, neg, z), (o, z, z))
+
+
+# ---------------------------------------------------------------------------
+# the BFZ map through the Gauss decomposition
+# ---------------------------------------------------------------------------
+
+def gauss_plus(g):
+    """LTU decomposition g = v t u; returns (v, t, u); u is [g]_+."""
+    field = g[0][0].field
+    work = [list(r) for r in g]
+    v = [list(r) for r in mat_identity(field)]
+    for k in range(3):
+        pivot = work[k][k]
+        if not pivot.nonzero:
+            raise GaussFailure(f"leading principal minor {k + 1} vanishes up to precision")
+        pinv = pivot.inv()
+        for r in range(k + 1, 3):
+            f = work[r][k] * pinv
+            v[r][k] = f
+            work[r] = [a - f * b for a, b in zip(work[r], work[k])]
+    t = [list(r) for r in mat_identity(field)]
+    u = [list(r) for r in mat_identity(field)]
+    for k in range(3):
+        t[k][k] = work[k][k]
+        pinv = work[k][k].inv()
+        for j in range(k + 1, 3):
+            u[k][j] = work[k][j] * pinv
+    return mat(v), mat(t), mat(u)
+
+
+def eta_w0(y):
+    """x = [wbar0 . y^t]_+."""
+    field = y[0][0].field
+    return gauss_plus(mat_mul(wbar0(field), mat_transpose(y)))[2]
+
+
+def eta_w0_inv(x):
+    """y = wbar0^-1 . [x . wbar0^-1]^t_+ . wbar0  (wbar0 is an involution)."""
+    field = x[0][0].field
+    w = wbar0(field)
+    u = gauss_plus(mat_mul(x, w))[2]
+    return mat_mul(mat_mul(w, mat_transpose(u)), w)
+
+
+def x_mat(word, ts):
+    m = mat_identity(ts[0].field)
+    for i, t in zip(word, ts):
+        m = mat_mul(root_elem(t.field, (int(i), int(i) + 1), t), m)
+    return m
+
+
+def y_map(word, ts):
+    return eta_w0_inv(x_mat(word, ts))
+
+
+def point_from_y_by_gauss(word, ts):
+    """The coset [y_word(t)^-1] through eta_w0_inv and a series matrix inverse."""
+    return canonicalize_point(mat_inv(y_map(word, ts)))
+
+
+# ---------------------------------------------------------------------------
+# points, profiles and cells by series matrices
+# ---------------------------------------------------------------------------
 
 _SUBSETS = {1: ((1,), (2,), (3,)), 2: ((1, 2), (1, 3), (2, 3))}
 

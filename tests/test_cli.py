@@ -91,6 +91,7 @@ def test_domain_error_exit_code():
 
 
 _BORELS = ("123", "132", "312", "321", "231", "213")
+_SERIES = {"lead": 0, "coeffs": [1], "prec": "exact"}
 
 
 @pytest.mark.parametrize("cmd, flag, data", [
@@ -109,6 +110,12 @@ _BORELS = ("123", "132", "312", "321", "231", "213")
     ("pave", "--polytope", {"nu": True, "vertices": {k: [1, 0, 0] for k in _BORELS}}),
     ("points", "--polytope", {"nu": "a", "vertices": {k: [0, 0, 0] for k in _BORELS}}),
     ("points", "--polytope", {"nu": 0, "vertices": {"123": [0, 0, 0]}}),
+    ("springer", "--gamma", {"pattern": [True, 1, 1]}),
+    ("springer", "--gamma", {"pattern": [1, 1]}),
+    ("springer", "--gamma", {"pattern": [1, 1, 1, 9]}),
+    ("springer", "--gamma", {"series": [_SERIES, _SERIES]}),
+    ("springer", "--gamma", {"pattern": [2, 1, 1], "prime": "3"}),
+    ("springer", "--gamma", {"pattern": [2, 1, 1], "prime": True}),
 ])
 def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     f = tmp_path / "in.json"
@@ -129,6 +136,24 @@ def test_polytope_file_error_names_the_field(data, named):
     with pytest.raises(AffgrassError, match="malformed polytope file") as e:
         family_from_json(data)
     assert named in str(e.value)
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"pattern": [True, 1, 1]}, '"pattern"'),
+    ({"pattern": [1, 1]}, '"pattern"'),
+    ({"pattern": [1, 1, 1, 9]}, '"pattern"'),
+    ({"series": [_SERIES, _SERIES]}, '"series"'),
+    ({"series": _SERIES}, '"series"'),
+    ({"pattern": [2, 1, 1], "prime": "3"}, '"prime"'),
+    ({"pattern": [2, 1, 1], "prime": True}, '"prime"'),
+])
+def test_gamma_file_error_names_the_field(tmp_path, capsys, data, named):
+    from affgrass.cli import main
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    assert main(["springer", "--gamma", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed gamma file" in err and named in err
 
 
 @pytest.mark.parametrize("args", [("pave", "--prime", "5"), ("pave", "--seed", "3"),

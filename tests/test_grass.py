@@ -3,15 +3,13 @@ import random
 
 import pytest
 
-from affgrass.errors import (BudgetExceeded, GaussFailure, PreconditionViolated,
-                             SingularMatrix)
+from affgrass.errors import (AffgrassError, BudgetExceeded, GaussFailure,
+                             PreconditionViolated, PrecisionLoss, SingularMatrix)
 from affgrass.grass import (D, Delta, GrassPoint, _entry, _entry_windows, _iter_entries,
                             _window_entries, canonicalize_point, decompose_u0, dprofile,
-                            ec, enumerate_points, eta_w0, eta_w0_inv, gauss_plus,
-                            iter_points, mat, mat_det, mat_diag_eps, mat_identity, mat_inv,
-                            mat_mul, mat_transpose, member, minor, point_from_y,
-                            root_elem, sample_point, transition, upper_canonical, wbar0,
-                            x_mat, y_map)
+                            ec, enumerate_points, iter_points, mat, mat_det, mat_diag_eps,
+                            mat_identity, mat_mul, member, minor, point_from_y,
+                            sample_point, transition, y_inverse)
 from affgrass.hermite import hermite_entries
 from affgrass.laurent import LaurentSeries, PrimeField, eps, one, random_with_val, val, zero
 from affgrass.mvcomb import LusztigDatum, MVPolytope
@@ -19,7 +17,8 @@ from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)
 from affgrass.rootdata import BORELS, contains, pairing, weyl_family
 
-from reference import curve_point, dprofile_matrix, translate_point
+from reference import (dprofile_matrix, eta_w0, eta_w0_inv, gauss_plus, mat_inv,
+                       point_from_y_by_gauss, root_elem, translate_point, x_mat, y_map)
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -82,6 +81,28 @@ def test_canonical_form_shape():
                 assert e == eps(F3, x.d[r])
             elif e.nonzero:
                 assert e.lead + len(e.coeffs) - 1 < x.d[r]
+
+
+def test_canonical_form_tracks_precision_of_reduced_entries():
+    # the coset of ((1, eps^-1, eps^-3), (0, 1, c), (0, 0, 1)) depends on c
+    # modulo eps, through the reduction of h31 by the second column, so a c
+    # known only modulo O determines no point
+    o, z = one(F2), zero(F2)
+
+    def g(c):
+        return ((o, eps(F2, -1), eps(F2, -3)), (z, o, c), (z, z, o))
+    assert canonicalize_point(g(z)) != canonicalize_point(g(o))
+    with pytest.raises(PrecisionLoss):
+        canonicalize_point(g(LaurentSeries(F2, 0, (), 0)))
+
+
+def test_entry_normal_form():
+    # against a direct list of the nonzero indices, zeros at either end or not
+    for n in range(5):
+        for cs in itertools.product(range(3), repeat=n):
+            nz = [i for i, c in enumerate(cs) if c]
+            want = (5 + nz[0], cs[nz[0]:nz[-1] + 1]) if nz else (0, ())
+            assert _entry(5, cs) == _entry(5, list(cs)) == want
 
 
 def test_singular_matrix_rejected():
@@ -281,6 +302,77 @@ def test_decompose_u0_precondition():
     x = canonicalize_point(mat_diag_eps(FBIG, (1, 0, -1)))
     with pytest.raises(PreconditionViolated):
         decompose_u0(x, "121", rng)
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007])
+def test_decompose_u0_inverts_point_from_y(p):
+    rng = random.Random(p)
+    field = PrimeField(p, 32)
+    for word in ("121", "212"):
+        for n in itertools.product(range(3), repeat=3):
+            x = point_from_y(word, [random_with_val(field, k, rng) for k in n])
+            assert point_from_y(word, decompose_u0(x, word, rng)) == x
+
+
+def test_y_inverse_transition_law():
+    # y_word(t)^-1 in closed form: the 3-move relates the two words, and
+    # both agree with the inverse of the Gauss-decomposition map
+    rng = random.Random(26)
+    for _ in range(20):
+        ts = [random_with_val(FBIG, rng.randrange(3), rng) for _ in range(3)]
+        tp = transition("121", ts)
+        for a, b in ((y_inverse("121", ts), y_inverse("212", tp)),
+                     (y_inverse("121", ts), mat_inv(y_map("121", ts))),
+                     (y_inverse("212", tp), mat_inv(y_map("212", tp)))):
+            assert all(a[i][j].agrees(b[i][j]) for i in range(3) for j in range(3))
+
+
+def _bfz_outcome(word, ts, fn):
+    try:
+        return fn(word, ts)
+    except AffgrassError as e:
+        return type(e)
+
+
+def _random_t(field, rng):
+    """A BFZ parameter: exact or truncated, nonzero or zero."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return zero(field)
+    if kind == 1:
+        return LaurentSeries(field, 0, (), rng.randrange(1, field.prec))
+    return random_with_val(field, rng.randrange(4), rng, exact=kind == 2, tail=rng.randrange(4))
+
+
+def test_point_from_y_matches_gauss_reference():
+    # the closed form against the Gauss decomposition and a series inverse:
+    # the same point, or the same error
+    rng = random.Random(27)
+    for k in range(150):
+        word = ("121", "212")[k % 2]
+        ts = [random_with_val(FBIG, rng.randrange(5), rng) for _ in range(3)]
+        assert point_from_y(word, ts) == point_from_y_by_gauss(word, ts)
+    seen = set()
+    for p in (2, 3, 5):
+        field = PrimeField(p, 12)
+        for k in range(300):
+            word = ("121", "212")[k % 2]
+            ts = [_random_t(field, rng) for _ in range(3)]
+            if k % 3 == 0:
+                # t1 + t3 vanishes to a high order, exactly or up to precision
+                rest = (random_with_val(field, rng.randrange(2, 14), rng, exact=True, tail=1)
+                        if rng.randrange(2) else
+                        LaurentSeries(field, 0, (), rng.randrange(1, field.prec)))
+                ts[2] = rest - ts[0]
+            got = _bfz_outcome(word, ts, point_from_y)
+            assert got == _bfz_outcome(word, ts, point_from_y_by_gauss)
+            seen.add(got if isinstance(got, type) else GrassPoint)
+    assert seen == {GrassPoint, GaussFailure, PrecisionLoss}
+
+
+def test_point_from_y_word_checked():
+    with pytest.raises(PreconditionViolated):
+        point_from_y("123", [one(FBIG)] * 3)
 
 
 def test_enumerate_counts():

@@ -6,7 +6,7 @@ import pytest
 from affgrass.errors import PatternMismatch, PavingVerificationFailed
 from affgrass.grass import (GrassPoint, _entry_windows, canonicalize_point, ec,
                             enumerate_points, iter_points, mat, mat_diag_eps,
-                            mat_identity, mat_inv, mat_mul, member, sample_point)
+                            mat_identity, mat_mul, sample_point)
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
@@ -19,7 +19,7 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import member_springer_matrix, translate_point
+from reference import mat_inv, member_springer_matrix, translate_point
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
