@@ -22,8 +22,8 @@ from .laurent import PrimeField
 from .moment import PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
-from .rootdata import (CHAMBERS, Coweight, GTFamily, contains,
-                       family_from_support, pairing, sub_cw)
+from .rootdata import (Coweight, GTFamily, contains, family_from_support, sub_cw,
+                       tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -257,10 +257,9 @@ _WALK_BUDGET = 200_000  # states of one max_gmv_inside walk
 def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
     """Maximal generalized MV polytopes inside f, not containing ``avoid``.
 
-    Walk on tight supports: from the family of support m, drop its lattice
-    points on one facet and tighten the support to the points left (two
-    chamber lines meet in a lattice point, so every state is a family).  Keep
-    the generalized MV families that exclude ``avoid``; stop descending below them.
+    Walk on tight supports: lower one support number m_S by 1 and tighten the
+    rest, unless m_S + m_{S^c} = nu (the facet is the whole polytope).  Keep the
+    generalized MV families that exclude ``avoid``; stop descending below them.
     """
     seen = {f.support}
     queue = [f.support]
@@ -273,12 +272,10 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
         if (avoid is None or not fam.contains_point(avoid)) and is_gmv(fam):
             found[m] = fam
             continue
-        pts = fam.lattice_points()
-        for ci, S in enumerate(CHAMBERS):
-            rest = [v for v in pts if pairing(v, S) < m[ci]]
-            if not rest:
+        for ci in range(6):
+            if m[ci] + m[5 - ci] == f.nu:  # CHAMBERS lists complements in reverse
                 continue
-            m2 = tuple(max(pairing(v, T) for v in rest) for T in CHAMBERS)
+            m2 = tighten_support(m[:ci] + (m[ci] - 1,) + m[ci + 1:], f.nu)
             if m2 not in seen:
                 seen.add(m2)
                 if len(seen) > _WALK_BUDGET:
@@ -330,9 +327,10 @@ def _pave(family: GTFamily, cell_fn: CellFn,
                     f"(actives: {[P.vertices for P in actives]})")
         else:
             cands = [(P, b) for P in actives for b in range(6)]
+        dims = {P.support: gmv_dimension(P) for P in dict.fromkeys(P for P, _b in cands)}
         scored = sorted(
             cands,
-            key=lambda pb: (-gmv_dimension(pb[0]), cur_wt(pb[0].vertex(pb[1])),
+            key=lambda pb: (-dims[pb[0].support], cur_wt(pb[0].vertex(pb[1])),
                             pb[0].vertex(pb[1]), pb[1], pb[0].support))
         P, b = scored[0]
         v = P.vertex(b)

@@ -182,7 +182,25 @@ class GTFamily:
 
     def weyl(self, w: Perm) -> "GTFamily":
         """M'_{w S} = M_S."""
+        if w == IDENT:
+            return self
         return GTFamily(self.nu, tuple(self.support[j] for j in _WEYL_SOURCE[w]))
+
+
+def tighten_support(M, nu: int) -> Tuple[int, int, int, int, int, int]:
+    """The tight support of the polytope {v : sum(v) = nu, <v, S> <= M_S}: lower
+    each support number to the bound its two neighbours give (the edge lengths of
+    ``GTFamily.edge_lengths``) until none moves.  Two chamber lines meet in a
+    lattice point, so this is also the tight support of its lattice points."""
+    m1, m2, m3, m12, m13, m23 = M
+    while True:
+        if m1 + m23 < nu or m2 + m13 < nu or m3 + m12 < nu:
+            raise InconsistentFamily(f"support {tuple(M)} on the nu={nu} fiber bounds no point")
+        t1, t2, t3 = min(m1, m12 + m13 - nu), min(m2, m12 + m23 - nu), min(m3, m13 + m23 - nu)
+        t = (t1, t2, t3, min(m12, t1 + t2), min(m13, t1 + t3), min(m23, t2 + t3))
+        if t == (m1, m2, m3, m12, m13, m23):
+            return t
+        m1, m2, m3, m12, m13, m23 = t
 
 
 def family_from_support(M, nu: int) -> GTFamily:

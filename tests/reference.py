@@ -3,15 +3,17 @@
 No library code calls these: each is the slow, direct form of something the
 library computes another way (series matrices in place of the integer
 kernels, vertices in place of supports, a Gauss decomposition in place of
-the closed form of the BFZ map).
+the closed form of the BFZ map, lattice points in place of support
+tightening).
 """
 import itertools
 
-from affgrass.errors import GaussFailure, PrecisionLoss, SingularMatrix
+from affgrass.errors import BudgetExceeded, GaussFailure, PrecisionLoss, SingularMatrix
 from affgrass.grass import (GrassPoint, canonicalize_point, mat, mat_det, mat_diag_eps,
                             mat_identity, mat_mul, minor)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
-from affgrass.rootdata import CHAMBERS, pairing, sub_cw
+from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
+from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw
 
 # ---------------------------------------------------------------------------
 # series matrix plumbing
@@ -183,3 +185,36 @@ def cell_points_by_matrices(field, diag, windows, inverted=False):
         x = canonicalize_point(mat_mul(m, mat_diag_eps(work, diag)))
         pts.add(GrassPoint(field, x.d, x.entries))
     return pts
+
+
+# ---------------------------------------------------------------------------
+# maximal generalized MV subpolytopes on lattice points
+# ---------------------------------------------------------------------------
+
+def max_gmv_inside_by_lattice_points(f, avoid):
+    """``paving.max_gmv_inside`` with each step taken on lattice points: drop
+    the points of the state's family on one facet and take the six maximal
+    pairings of the points left as the next support."""
+    seen = {f.support}
+    queue = [f.support]
+    found = {}
+    while queue:
+        m = queue.pop()
+        if any(all(a <= b for a, b in zip(m, r)) for r in found):
+            continue
+        fam = family_from_support(m, f.nu)
+        if (avoid is None or not fam.contains_point(avoid)) and is_gmv(fam):
+            found[m] = fam
+            continue
+        pts = fam.lattice_points()
+        for ci, S in enumerate(CHAMBERS):
+            rest = [v for v in pts if pairing(v, S) < m[ci]]
+            if not rest:
+                continue
+            m2 = tuple(max(pairing(v, T) for v in rest) for T in CHAMBERS)
+            if m2 not in seen:
+                seen.add(m2)
+                if len(seen) > _WALK_BUDGET:
+                    raise BudgetExceeded("support tightening walk exceeded its budget")
+                queue.append(m2)
+    return _maximal(found.values())

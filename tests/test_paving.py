@@ -13,10 +13,11 @@ from affgrass.paving import (ContractingCell, _cell_points, contracting_cell, gr
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
-from affgrass.rootdata import (BORELS, CHAMBERS, contains, family_from_support,
+from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
                                pairing, scale_cw, weyl_family)
 
-from reference import cell_points_by_matrices, curve_point, translate_point
+from reference import (cell_points_by_matrices, curve_point, max_gmv_inside_by_lattice_points,
+                       translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -250,9 +251,10 @@ def _max_gmv_inside_by_unit_steps(f, avoid):
     return sorted(out, key=lambda P: P.support)
 
 
-def test_max_gmv_inside_matches_unit_walk():
-    # MV polytopes with n_i <= 2, n1 + n2 + n3 <= 3 under all Weyl twists, and
-    # every family whose support lies within 1 below that of a Weyl polytope
+def _walk_cases():
+    """(family, avoid) pairs: MV polytopes with n_i <= 2, n1 + n2 + n3 <= 3
+    under all Weyl twists, and every family whose support lies within 1 below
+    that of a Weyl polytope, each with avoid None, vertex 0 and vertex 3."""
     fams = [MVPolytope.from_datum(LusztigDatum("121", n)).family.weyl(w)
             for n in itertools.product(range(3), repeat=3) if sum(n) <= 3
             for w in BORELS]
@@ -265,7 +267,27 @@ def test_max_gmv_inside_matches_unit_walk():
             except InconsistentFamily:
                 pass
     assert (len(fams), sum(not is_gmv(f) for f in fams)) == (176, 24)
-    for f in fams:
-        for avoid in (None, f.vertex(0), f.vertex(3)):
-            assert max_gmv_inside(f, avoid) == _max_gmv_inside_by_unit_steps(f, avoid), \
-                (f.vertices, avoid)
+    return [(f, avoid) for f in fams for avoid in (None, f.vertex(0), f.vertex(3))]
+
+
+def test_max_gmv_inside_matches_unit_walk():
+    for f, avoid in _walk_cases():
+        assert max_gmv_inside(f, avoid) == _max_gmv_inside_by_unit_steps(f, avoid), \
+            (f.vertices, avoid)
+
+
+def test_max_gmv_inside_matches_lattice_point_walk():
+    for f, avoid in _walk_cases():
+        assert max_gmv_inside(f, avoid) == max_gmv_inside_by_lattice_points(f, avoid), \
+            (f.vertices, avoid)
+
+
+def test_max_gmv_inside_lists_no_lattice_points(monkeypatch):
+    cases = _walk_cases()
+
+    def refuse(self):
+        raise AssertionError("max_gmv_inside listed lattice points")
+
+    monkeypatch.setattr(GTFamily, "lattice_points", refuse)
+    for f, avoid in cases:
+        max_gmv_inside(f, avoid)

@@ -6,7 +6,7 @@ from affgrass.errors import InconsistentFamily
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, IDENT, S1, W0,
                                act, add_cw, contains,
                                family_from_support, iota_family, pairing,
-                               perm_mul, scale_cw, sub_cw, weyl_family)
+                               perm_mul, scale_cw, sub_cw, tighten_support, weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
 from reference import eq_up_to_translation
@@ -215,9 +215,39 @@ def test_lattice_points_against_plain_enumeration():
         assert fam.vertex(b) in brute
 
 
+def test_tighten_support_matches_lattice_points():
+    # every facet drop of MV polytopes with n_i <= 3 under all Weyl twists and
+    # of Weyl-polytope supports each lowered by 0 to 2: the tightened support is
+    # the largest pairings of the lattice points off the facet, and no point is
+    # left exactly when m_S + m_{S^c} = nu
+    fams = [P(n).weyl(w) for n in itertools.product(range(4), repeat=3) for w in BORELS]
+    for lam in ((2, 1, 0), (3, 1, 0), (4, 2, 0), (3, 0, 0), (4, 1, -1)):
+        top = weyl_family(lam).support
+        for drop in itertools.product(range(3), repeat=6):
+            try:
+                fams.append(family_from_support([m - k for m, k in zip(top, drop)], sum(lam)))
+            except InconsistentFamily:
+                pass
+    drops = 0
+    for f in fams:
+        pts, m = f.lattice_points(), f.support
+        for ci, S in enumerate(CHAMBERS):
+            rest = [v for v in pts if pairing(v, S) < m[ci]]
+            lowered = m[:ci] + (m[ci] - 1,) + m[ci + 1:]
+            assert (m[ci] + m[5 - ci] == f.nu) == (not rest), (m, ci)
+            if rest:
+                want = tuple(max(pairing(v, T) for v in rest) for T in CHAMBERS)
+                assert tighten_support(lowered, f.nu) == want, (m, ci)
+                drops += 1
+            else:
+                with pytest.raises(InconsistentFamily):
+                    tighten_support(lowered, f.nu)
+    assert (len(fams), drops) == (1309, 7518)
+
+
 def test_weyl_act_and_translate():
     fam = P((2, 1, 1), base=(-1, 1, 1))
-    assert fam.weyl(IDENT) == fam
+    assert fam.weyl(IDENT) is fam
     flipped = fam.weyl(W0)
     assert sorted(flipped.vertices) == sorted(tuple(reversed(v))
                                               for v in fam.vertices)
