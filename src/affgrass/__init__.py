@@ -6,15 +6,13 @@ from .rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      canonicalize, coweight, crystal_E, crystal_F, dimension,
                      vertices_of)
-from .grass import (Delta, D, GrassPoint, canonicalize_point, decompose_u0, ec,
-                    enumerate_points, member, minor, point_from_y, sample_point)
-from .moment import (MomentGraph, PoincarePoly, compare, formal_betti,
-                     min_formal_poincare, skeleton, wt)
+from .grass import (GrassPoint, canonicalize_point, ec, enumerate_points, member,
+                    point_from_y, sample_point)
+from .moment import MomentGraph, PoincarePoly, compare, min_formal_poincare, skeleton
 from .paving import (ContractingCell, IwahoriCell, PavingPlan, PavingStep,
                      contracting_cell, greedy_paving, iwahori_cell,
                      mv_as_intersection, paving_121)
-from .springer import (RegularDiagonal, SpringerTruncation, criterion,
-                       criterion_oracle, fundamental_domain, member_springer,
-                       springer_dim, synthesize_gamma, truncated_paving)
+from .springer import (RegularDiagonal, criterion, criterion_oracle, fundamental_domain,
+                       member_springer, springer_dim, synthesize_gamma, truncated_paving)
 
 __version__ = "0.1.0"

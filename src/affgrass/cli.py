@@ -18,7 +18,7 @@ from .grass import enumerate_points
 from .laurent import PrimeField, series_from_json
 from .moment import graph_to_json, min_formal_poincare, skeleton, to_dot
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
-                     coweight, crystal_E, crystal_F, dimension)
+                     coweight, crystal_E, crystal_F, dimension, is_alternating)
 from .paving import greedy_paving, paving_121
 from .rootdata import BORELS, GTFamily, weyl_family
 from .springer import (RegularDiagonal, fundamental_domain, synthesize_gamma,
@@ -194,10 +194,26 @@ def cmd_betti(args):
                  "witness_order": [list(v) for v in order]})
 
 
+def _verify_qs(text):
+    """The moduli of ``--verify-q``, comma-separated integers, else a domain error."""
+    with contextlib.suppress(ValueError):
+        return tuple(int(q) for q in text.split(","))
+    raise AffgrassError(f"--verify-q wants comma-separated primes, got {text!r}")
+
+
+def _truncation_word(text):
+    """The crystal word of ``--truncate``: alternating digits 1 and 2, after an optional j=."""
+    word = "".join(text.replace("j=", "").replace(",", "").split())
+    if set(word) <= {"1", "2"} and is_alternating(tuple(map(int, word))):
+        return tuple(map(int, word))
+    raise AffgrassError(f"--truncate wants an alternating word in the digits 1 and 2, "
+                        f"got {text!r}")
+
+
 def cmd_pave(args):
     data = _load(args.polytope)
     fam = family_from_json(data)
-    qs = tuple(int(q) for q in args.verify_q.split(","))
+    qs = _verify_qs(args.verify_q)
     if args.method == "greedy":
         plan = greedy_paving(fam, verify_qs=qs)
     else:
@@ -205,6 +221,20 @@ def cmd_pave(args):
             raise AffgrassError("iwahori paving needs a polytope given by a Lusztig datum")
         plan = paving_121(_datum(data), verify_qs=qs)
     _emit(args, plan.to_json())
+
+
+def _gamma_series(field, s):
+    """One diagonal series of a gamma file, each of its fields checked."""
+    lead, coeffs, prec = s["lead"], s["coeffs"], s["prec"]
+    if type(lead) is not int:
+        raise AffgrassError(f'malformed gamma file: "lead" wants an integer, got {lead!r}')
+    if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)):
+        raise AffgrassError(f'malformed gamma file: "coeffs" wants a list of integers, '
+                            f'got {coeffs!r}')
+    if prec != "exact" and type(prec) is not int:
+        raise AffgrassError(f'malformed gamma file: "prec" wants "exact" or an integer, '
+                            f'got {prec!r}')
+    return series_from_json(field, s)
 
 
 def cmd_springer(args):
@@ -220,16 +250,15 @@ def cmd_springer(args):
             if not (isinstance(series, list) and len(series) == 3):
                 raise AffgrassError(f'malformed gamma file: "series" wants a list of three '
                                     f'series, got {series!r}')
-            gam = RegularDiagonal.from_series([series_from_json(field, s) for s in series])
+            gam = RegularDiagonal.from_series([_gamma_series(field, s) for s in series])
         else:
             pattern = _three_ints(data["pattern"], 'malformed gamma file: "pattern"')
             gam = synthesize_gamma(pattern, field, rng)
     if args.truncate is None:
-        trunc = fundamental_domain(gam)
-        _emit(args, {"c": list(gam.c), "polytope": family_to_json(trunc.polytope)})
+        _emit(args, {"c": list(gam.c), "polytope": family_to_json(fundamental_domain(gam))})
         return
-    j = tuple(int(c) for c in args.truncate.replace("j=", "").replace(",", "") if c.strip())
-    qs = tuple(int(q) for q in args.verify_q.split(",")) if args.verify_q else None
+    j = _truncation_word(args.truncate)
+    qs = _verify_qs(args.verify_q) if args.verify_q else None
     plan = truncated_paving(gam, j, verify_qs=qs, rng=rng)
     _emit(args, plan.to_json())
 

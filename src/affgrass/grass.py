@@ -16,7 +16,7 @@ from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
 from .laurent import INF, LaurentSeries, PrimeField, eps, one, zero
-from .rootdata import CHAMBERS, GTFamily, Coweight, family_from_support
+from .rootdata import GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
 
@@ -29,48 +29,9 @@ def mat(rows: Sequence[Sequence[LaurentSeries]]) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def mat_identity(field: PrimeField) -> Matrix:
-    o, z = one(field), zero(field)
-    return ((o, z, z), (z, o, z), (z, z, o))
-
-
 def mat_diag_eps(field: PrimeField, d: Coweight) -> Matrix:
     z = zero(field)
     return tuple(tuple(eps(field, d[i]) if i == j else z for j in range(3)) for i in range(3))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(1, 3)), a[i][0] * b[0][j])
-              for j in range(3))
-        for i in range(3))
-
-
-def minor(g: Matrix, rows: Sequence[int], cols: Sequence[int]) -> LaurentSeries:
-    """Determinant of the submatrix; rows/cols are 1-based index lists."""
-    r = [i - 1 for i in rows]
-    c = [j - 1 for j in cols]
-    if len(r) != len(c):
-        raise ValueError("minor needs equally many rows and columns")
-    if len(r) == 1:
-        return g[r[0]][c[0]]
-    if len(r) == 2:
-        return g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
-    return mat_det(g)
-
-
-def mat_det(g: Matrix) -> LaurentSeries:
-    s = zero(g[0][0].field)
-    for j in range(3):
-        cof = g[1][(j + 1) % 3] * g[2][(j + 2) % 3] - g[1][(j + 2) % 3] * g[2][(j + 1) % 3]
-        s = s + g[0][j] * cof
-    return s
-
-
-def Delta(g: Matrix, S: Iterable[int]) -> LaurentSeries:
-    """Chamber minor: first |S| rows against the column set S."""
-    cols = sorted(S)
-    return minor(g, list(range(1, len(cols) + 1)), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +134,6 @@ def canonicalize_point(g: Matrix) -> GrassPoint:
                       tuple((e.lead, e.coeffs) for e in (h[1][0], h[2][0], h[2][1])))
 
 
-_J = (2, 1, 0)
-
-
-def upper_canonical(g: Matrix):
-    """Upper-triangular column Hermite form: returns (matrix, diagonal exponents)."""
-    flipped = tuple(tuple(g[_J[r]][_J[c]] for c in range(3)) for r in range(3))
-    h, d = _hnf_lower(flipped)
-    back = tuple(tuple(h[_J[r]][_J[c]] for c in range(3)) for r in range(3))
-    return back, (d[2], d[1], d[0])
-
-
 # ---------------------------------------------------------------------------
 # D-profiles, Ec, membership
 # ---------------------------------------------------------------------------
@@ -231,12 +181,6 @@ def _profile(d: Coweight, e21, e31, e32, p: int) -> Tuple[Union[int, float], ...
         min(-d1 - d3, va - d2 - d3),
         -d2 - d3,
     )
-
-
-def D(x: Union[GrassPoint, Matrix], S: Iterable[int]) -> Union[int, float]:
-    if not isinstance(x, GrassPoint):
-        x = canonicalize_point(x)
-    return dprofile(x)[CHAMBERS.index(frozenset(S))]
 
 
 def ec(x: GrassPoint) -> GTFamily:
@@ -288,40 +232,6 @@ def transition(word: str, ts: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, .
 def point_from_y(word: str, ts: Sequence[LaurentSeries]) -> GrassPoint:
     """The coset [y_word(t)^-1]."""
     return canonicalize_point(y_inverse(word, ts))
-
-
-def random_u0_integral(field: PrimeField, rng: random.Random, deg: int = 6) -> Matrix:
-    def poly():
-        return LaurentSeries(field, 0, [rng.randrange(field.p) for _ in range(deg)])
-    m = [list(r) for r in mat_identity(field)]
-    m[0][1], m[0][2], m[1][2] = poly(), poly(), poly()
-    return mat(m)
-
-
-def decompose_u0(x: GrassPoint, word: str, rng: random.Random,
-                 retries: int = 200) -> Tuple[LaurentSeries, ...]:
-    """Write x in U0(F)K/K as [y_word(t)^-1], retrying over random integral
-    unipotent correction factors m = R a until y_inverse(word, t) = m has a
-    solution with every t nonzero."""
-    R, e = upper_canonical(x.h)
-    if e != (0, 0, 0):
-        raise PreconditionViolated(f"point with upper diagonal {e} is not in U0(F)K/K")
-    for _ in range(retries):
-        m = mat_mul(R, random_u0_integral(x.field, rng))
-        m12, m13, m23 = m[0][1], m[0][2], m[1][2]
-        try:
-            if word == "121":
-                t1, t2 = -m12.inv(), -(m12 * m13.inv())
-                ts = (t1, t2, -(t1 * (one(x.field) + m23 * t2).inv()))
-            else:
-                t1 = -m23.inv()
-                t3 = -(m12 * m13.inv()) - t1
-                ts = (t1, (m13 * t3).inv(), t3)
-            if all(t.nonzero for t in ts) and point_from_y(word, ts) == x:
-                return ts
-        except (GaussFailure, PrecisionLoss, DivisionByZero, SingularMatrix):
-            continue
-    raise RetryExhausted(f"no y_{word} parameters found in {retries} attempts")
 
 
 # ---------------------------------------------------------------------------

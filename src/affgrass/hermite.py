@@ -1,8 +1,9 @@
 """Integer Hermite form of exact Laurent-polynomial matrices over F_p.
 
 Entries are (lead, coeffs) normal forms, as in ``grass.GrassPoint``.  The
-cell enumerators build each point here, with no ``LaurentSeries``; the series
-form ``grass._hnf_lower`` serves the series paths and is the test reference.
+cell enumerators build each point here, with no ``LaurentSeries``.  The series
+form ``grass._hnf_lower`` is the test reference; in the library it serves only
+``canonicalize_point`` (``point_from_y`` and user matrices).
 """
 from __future__ import annotations
 

@@ -91,10 +91,6 @@ class LaurentSeries:
 
     # -- basic structure ---------------------------------------------------
     @property
-    def exact(self) -> bool:
-        return self.prec is None
-
-    @property
     def is_exact_zero(self) -> bool:
         return self.prec is None and not self.coeffs
 
@@ -111,14 +107,6 @@ class LaurentSeries:
 
     def _prec_inf(self) -> Union[int, float]:
         return INF if self.prec is None else self.prec
-
-    def coeff(self, k: int) -> int:
-        if self.prec is not None and k >= self.prec:
-            raise PrecisionLoss(f"coefficient of eps^{k} beyond precision {self.prec}")
-        i = k - self.lead
-        if not self.coeffs or i < 0 or i >= len(self.coeffs):
-            return 0
-        return self.coeffs[i]
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -208,14 +196,6 @@ class LaurentSeries:
             raise PrecisionLoss(f"need precision {top}, have {self.prec}")
         cs = [c for i, c in enumerate(self.coeffs) if self.lead + i < top]
         return LaurentSeries(self.field, self.lead, cs, None)
-
-    def agrees(self, other: "LaurentSeries") -> bool:
-        """Equality up to the common precision."""
-        prec = min(self._prec_inf(), other._prec_inf())
-        diff = self - other
-        if not diff.coeffs:
-            return True
-        return diff.lead >= prec
 
     # -- dunder plumbing -----------------------------------------------------
     def __eq__(self, other):

@@ -9,7 +9,7 @@ polynomial; the minimum over all orders is computed exactly by a subset scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .rootdata import POSROOTS, GTFamily, Coweight, Root, coroot, scale_cw, sub_cw
@@ -21,9 +21,6 @@ Edge = Tuple[Coweight, Coweight, Root, int]
 class MomentGraph:
     vertices: Tuple[Coweight, ...]
     edges: Tuple[Edge, ...]
-
-    def incident(self, v: Coweight) -> List[Edge]:
-        return [e for e in self.edges if e[0] == v or e[1] == v]
 
 
 _LINE_INDEX = {(1, 2): 0, (2, 3): 1, (1, 3): 2}
@@ -50,10 +47,6 @@ def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
                     edges.append((v, u, a, k))
     edges.sort()
     return MomentGraph(tuple(verts), tuple(edges))
-
-
-def wt(g: MomentGraph, v: Coweight) -> int:
-    return len(g.incident(v))
 
 
 @dataclass(frozen=True)
@@ -97,27 +90,10 @@ def compare(p: PoincarePoly, q: PoincarePoly) -> int:
     return 0
 
 
-def orient(g: MomentGraph, order: Sequence[Coweight]) -> Tuple[Tuple[Coweight, Coweight], ...]:
-    """Direct every edge from its order-larger endpoint (an acyclic orientation).
-
-    ``order`` lists the vertices from largest to smallest.
-    """
-    rank = {v: i for i, v in enumerate(order)}
-    if len(rank) != len(g.vertices) or set(rank) != set(g.vertices):
-        raise ValueError("order must enumerate the graph vertices")
-    return tuple((u, v) if rank[u] < rank[v] else (v, u) for (u, v, _a, _k) in g.edges)
-
-
-def formal_betti(g: MomentGraph, order: Sequence[Coweight]) -> PoincarePoly:
-    """Out-degree statistics of the orientation induced by a total order."""
-    out: Dict[Coweight, int] = {v: 0 for v in g.vertices}
-    for (src, _tgt) in orient(g, order):
-        out[src] += 1
-    return PoincarePoly.from_dims(list(out.values()))
-
-
 def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
-    """Exact minimum of formal_betti over all total orders, with a witness order.
+    """Exact minimum of the formal Poincare polynomial over all total orders,
+    with a witness order; for one order it is ``formal_betti`` in
+    ``tests/reference.py``, the out-degrees of the induced orientation.
 
     Scans subsets: placing vertices from the top, a vertex's out-degree is its
     number of neighbours not yet placed (a skeleton has at most one edge per

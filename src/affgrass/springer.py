@@ -130,20 +130,13 @@ def member_springer(x: GrassPoint, gamma: RegularDiagonal) -> bool:
     return gamma.admits(x.d, *x.entries)
 
 
-@dataclass(frozen=True)
-class SpringerTruncation:
-    polytope: GTFamily
-    gamma: RegularDiagonal
-
-
-def fundamental_domain(gamma: RegularDiagonal) -> SpringerTruncation:
+def fundamental_domain(gamma: RegularDiagonal) -> GTFamily:
     """The truncation by P^(121)(n1, n2, n2) for the pattern c12=n1, c23=c13=n2."""
     c12, c23, c13 = gamma.c
     if c23 != c13 or c12 < c23:
         raise PatternMismatch(
             f"root valuations {gamma.c} are not of the shape (n1, n2, n2), n1 >= n2")
-    fam = MVPolytope.from_datum(LusztigDatum("121", (c12, c23, c23))).family
-    return SpringerTruncation(fam, gamma)
+    return MVPolytope.from_datum(LusztigDatum("121", (c12, c23, c23))).family
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +300,11 @@ def truncated_paving(gamma: RegularDiagonal, j: Sequence[int],
     j = tuple(j)
     if not is_alternating(j):
         raise ValueError(f"{j} is not an alternating 1/2 sequence")
-    trunc = fundamental_domain(gamma)
-    n1, n2 = gamma.c[0], gamma.c[1]
-    P0 = MVPolytope.from_family(trunc.polytope)
+    domain = fundamental_domain(gamma)
+    n2 = gamma.c[1]
+    P0 = MVPolytope.from_family(domain)
     if len(j) > 2 * n2:
-        return PavingPlan("springer", trunc.polytope, (), {"per_q": [], "ok": True,
-                                                           "empty": True})
+        return PavingPlan("springer", domain, (), {"per_q": [], "ok": True, "empty": True})
     chain = _chain_words(j, n2)
     polys = []
     for w in chain:

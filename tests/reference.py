@@ -1,23 +1,97 @@
 """Reference constructions the tests compare the library against.
 
 No library code calls these: each is the slow, direct form of something the
-library computes another way (series matrices in place of the integer
-kernels, vertices in place of supports, a Gauss decomposition in place of
-the closed form of the BFZ map, lattice points in place of support
-tightening).
+library computes another way (series matrices and chamber minors in place of
+the integer kernels, vertices in place of supports, a Gauss decomposition in
+place of the closed form of the BFZ map, the inverse of that map, lattice
+points in place of support tightening, one orientation at a time in place of
+the subset scan), or a plain definition no library path needs.
 """
 import itertools
 
-from affgrass.errors import BudgetExceeded, GaussFailure, PrecisionLoss, SingularMatrix
-from affgrass.grass import (GrassPoint, canonicalize_point, mat, mat_det, mat_diag_eps,
-                            mat_identity, mat_mul, minor)
+from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, PreconditionViolated,
+                             PrecisionLoss, RetryExhausted, SingularMatrix)
+from affgrass.grass import (GrassPoint, _hnf_lower, canonicalize_point, dprofile, mat,
+                            mat_diag_eps, point_from_y)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
+from affgrass.moment import PoincarePoly
 from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
 from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw
 
 # ---------------------------------------------------------------------------
-# series matrix plumbing
+# series values
 # ---------------------------------------------------------------------------
+
+def exact(x):
+    """Whether x is an exact Laurent polynomial (no truncation)."""
+    return x.prec is None
+
+
+def coeff(x, k):
+    """The coefficient of eps^k in x."""
+    if x.prec is not None and k >= x.prec:
+        raise PrecisionLoss(f"coefficient of eps^{k} beyond precision {x.prec}")
+    i = k - x.lead
+    if not x.coeffs or i < 0 or i >= len(x.coeffs):
+        return 0
+    return x.coeffs[i]
+
+
+def agrees(x, y):
+    """Equality up to the common precision."""
+    prec = min(INF if z.prec is None else z.prec for z in (x, y))
+    diff = x - y
+    return not diff.coeffs or diff.lead >= prec
+
+# ---------------------------------------------------------------------------
+# series matrix plumbing and chamber minors
+# ---------------------------------------------------------------------------
+
+def mat_identity(field):
+    o, z = one(field), zero(field)
+    return ((o, z, z), (z, o, z), (z, z, o))
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(1, 3)), a[i][0] * b[0][j])
+              for j in range(3))
+        for i in range(3))
+
+
+def minor(g, rows, cols):
+    """Determinant of the submatrix; rows/cols are 1-based index lists."""
+    r = [i - 1 for i in rows]
+    c = [j - 1 for j in cols]
+    if len(r) != len(c):
+        raise ValueError("minor needs equally many rows and columns")
+    if len(r) == 1:
+        return g[r[0]][c[0]]
+    if len(r) == 2:
+        return g[r[0]][c[0]] * g[r[1]][c[1]] - g[r[0]][c[1]] * g[r[1]][c[0]]
+    return mat_det(g)
+
+
+def mat_det(g):
+    s = zero(g[0][0].field)
+    for j in range(3):
+        cof = g[1][(j + 1) % 3] * g[2][(j + 2) % 3] - g[1][(j + 2) % 3] * g[2][(j + 1) % 3]
+        s = s + g[0][j] * cof
+    return s
+
+
+def Delta(g, S):
+    """Chamber minor: first |S| rows against the column set S."""
+    cols = sorted(S)
+    return minor(g, list(range(1, len(cols) + 1)), cols)
+
+
+def D(x, S):
+    """D_S of a point or of a matrix, read off the closed-form profile."""
+    if not isinstance(x, GrassPoint):
+        x = canonicalize_point(x)
+    return dprofile(x)[CHAMBERS.index(frozenset(S))]
+
 
 def mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
@@ -111,6 +185,54 @@ def y_map(word, ts):
 def point_from_y_by_gauss(word, ts):
     """The coset [y_word(t)^-1] through eta_w0_inv and a series matrix inverse."""
     return canonicalize_point(mat_inv(y_map(word, ts)))
+
+
+# ---------------------------------------------------------------------------
+# the inverse of the BFZ map
+# ---------------------------------------------------------------------------
+
+_J = (2, 1, 0)
+
+
+def upper_canonical(g):
+    """Upper-triangular column Hermite form: returns (matrix, diagonal exponents)."""
+    flipped = tuple(tuple(g[_J[r]][_J[c]] for c in range(3)) for r in range(3))
+    h, d = _hnf_lower(flipped)
+    back = tuple(tuple(h[_J[r]][_J[c]] for c in range(3)) for r in range(3))
+    return back, (d[2], d[1], d[0])
+
+
+def random_u0_integral(field, rng, deg=6):
+    def poly():
+        return LaurentSeries(field, 0, [rng.randrange(field.p) for _ in range(deg)])
+    m = [list(r) for r in mat_identity(field)]
+    m[0][1], m[0][2], m[1][2] = poly(), poly(), poly()
+    return mat(m)
+
+
+def decompose_u0(x, word, rng, retries=200):
+    """Write x in U0(F)K/K as [y_word(t)^-1], retrying over random integral
+    unipotent correction factors m = R a until y_inverse(word, t) = m has a
+    solution with every t nonzero."""
+    R, e = upper_canonical(x.h)
+    if e != (0, 0, 0):
+        raise PreconditionViolated(f"point with upper diagonal {e} is not in U0(F)K/K")
+    for _ in range(retries):
+        m = mat_mul(R, random_u0_integral(x.field, rng))
+        m12, m13, m23 = m[0][1], m[0][2], m[1][2]
+        try:
+            if word == "121":
+                t1, t2 = -m12.inv(), -(m12 * m13.inv())
+                ts = (t1, t2, -(t1 * (one(x.field) + m23 * t2).inv()))
+            else:
+                t1 = -m23.inv()
+                t3 = -(m12 * m13.inv()) - t1
+                ts = (t1, (m13 * t3).inv(), t3)
+            if all(t.nonzero for t in ts) and point_from_y(word, ts) == x:
+                return ts
+        except (GaussFailure, PrecisionLoss, DivisionByZero, SingularMatrix):
+            continue
+    raise RetryExhausted(f"no y_{word} parameters found in {retries} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +340,34 @@ def max_gmv_inside_by_lattice_points(f, avoid):
                     raise BudgetExceeded("support tightening walk exceeded its budget")
                 queue.append(m2)
     return _maximal(found.values())
+
+
+# ---------------------------------------------------------------------------
+# moment graph orders, one at a time
+# ---------------------------------------------------------------------------
+
+def incident(g, v):
+    return [e for e in g.edges if e[0] == v or e[1] == v]
+
+
+def wt(g, v):
+    return len(incident(g, v))
+
+
+def orient(g, order):
+    """Direct every edge from its order-larger endpoint (an acyclic orientation).
+
+    ``order`` lists the vertices from largest to smallest.
+    """
+    rank = {v: i for i, v in enumerate(order)}
+    if len(rank) != len(g.vertices) or set(rank) != set(g.vertices):
+        raise ValueError("order must enumerate the graph vertices")
+    return tuple((u, v) if rank[u] < rank[v] else (v, u) for (u, v, _a, _k) in g.edges)
+
+
+def formal_betti(g, order):
+    """Out-degree statistics of the orientation induced by a total order."""
+    out = {v: 0 for v in g.vertices}
+    for (src, _tgt) in orient(g, order):
+        out[src] += 1
+    return PoincarePoly.from_dims(list(out.values()))

@@ -116,6 +116,10 @@ _SERIES = {"lead": 0, "coeffs": [1], "prec": "exact"}
     ("springer", "--gamma", {"series": [_SERIES, _SERIES]}),
     ("springer", "--gamma", {"pattern": [2, 1, 1], "prime": "3"}),
     ("springer", "--gamma", {"pattern": [2, 1, 1], "prime": True}),
+    ("springer", "--gamma", {"series": [dict(_SERIES, lead=True), _SERIES, _SERIES]}),
+    ("springer", "--gamma", {"series": [dict(_SERIES, coeffs=[1.5]), _SERIES, _SERIES]}),
+    ("springer", "--gamma", {"series": [dict(_SERIES, coeffs="ab"), _SERIES, _SERIES]}),
+    ("springer", "--gamma", {"series": [dict(_SERIES, prec="x"), _SERIES, _SERIES]}),
 ])
 def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
     f = tmp_path / "in.json"
@@ -146,6 +150,11 @@ def test_polytope_file_error_names_the_field(data, named):
     ({"series": _SERIES}, '"series"'),
     ({"pattern": [2, 1, 1], "prime": "3"}, '"prime"'),
     ({"pattern": [2, 1, 1], "prime": True}, '"prime"'),
+    ({"series": [dict(_SERIES, lead=True), _SERIES, _SERIES]}, '"lead"'),
+    ({"series": [dict(_SERIES, coeffs=[1.5]), _SERIES, _SERIES]}, '"coeffs"'),
+    ({"series": [dict(_SERIES, coeffs="ab"), _SERIES, _SERIES]}, '"coeffs"'),
+    ({"series": [dict(_SERIES, prec="x"), _SERIES, _SERIES]}, '"prec"'),
+    ({"series": [dict(_SERIES, prec=True), _SERIES, _SERIES]}, '"prec"'),
 ])
 def test_gamma_file_error_names_the_field(tmp_path, capsys, data, named):
     from affgrass.cli import main
@@ -187,6 +196,23 @@ def test_crystal_input_is_checked(args, flag):
     # a bad crystal operator, crystal word, base or datum is a domain error,
     # never a silently wrong answer or a traceback
     r = run(*args)
+    assert r.returncode == 2
+    assert flag in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("springer", "--truncate", "j=abc"), "--truncate"),
+    (("springer", "--truncate", "j=3"), "--truncate"),
+    (("springer", "--truncate", "j=11"), "--truncate"),
+    (("springer", "--truncate", "j=12", "--verify-q", "2,x"), "--verify-q"),
+    (("pave", "--verify-q", "2,,3"), "--verify-q"),
+])
+def test_option_error_names_the_flag(tmp_path, args, flag):
+    poly, gam = tmp_path / "p.json", tmp_path / "g.json"
+    poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
+    gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))
+    inputs = ("--polytope", str(poly)) if args[0] == "pave" else ("--gamma", str(gam))
+    r = run(args[0], *inputs, *args[1:])
     assert r.returncode == 2
     assert flag in r.stderr and "Traceback" not in r.stderr
 

@@ -6,15 +6,14 @@ from affgrass.acceptance import PURITY_DATA, PURITY_WEYL
 from affgrass.errors import BudgetExceeded
 from affgrass.grass import member
 from affgrass.laurent import PrimeField
-from affgrass.moment import (MomentGraph, PoincarePoly, compare, formal_betti,
-                             graph_to_json, min_formal_poincare, skeleton, to_dot,
-                             wt)
+from affgrass.moment import (MomentGraph, PoincarePoly, compare, graph_to_json,
+                             min_formal_poincare, skeleton, to_dot)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import max_gmv_inside
 from affgrass.rootdata import (BORELS, POSROOTS, coroot, family_from_support,
                                scale_cw, sub_cw, weyl_family)
 
-from reference import curve_point
+from reference import curve_point, formal_betti, wt
 
 
 def P(n):
