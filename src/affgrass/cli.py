@@ -195,9 +195,9 @@ def cmd_betti(args):
 
 
 def _verify_qs(text):
-    """The moduli of ``--verify-q``, comma-separated integers, else a domain error."""
+    """The distinct moduli of ``--verify-q`` in first-seen order, else a domain error."""
     with contextlib.suppress(ValueError):
-        return tuple(int(q) for q in text.split(","))
+        return tuple(dict.fromkeys(int(q) for q in text.split(",")))
     raise AffgrassError(f"--verify-q wants comma-separated primes, got {text!r}")
 
 
@@ -234,6 +234,9 @@ def _gamma_series(field, s):
     if prec != "exact" and type(prec) is not int:
         raise AffgrassError(f'malformed gamma file: "prec" wants "exact" or an integer, '
                             f'got {prec!r}')
+    if prec != "exact" and prec <= lead:
+        raise AffgrassError(f'malformed gamma file: "prec" must exceed "lead" ({lead}) for '
+                            f'any coefficient to be known, got {prec!r}')
     return series_from_json(field, s)
 
 

@@ -4,11 +4,22 @@ A value represents an element of F_p((eps)).  Coefficients are stored densely
 from the lead exponent.  ``prec`` is the absolute precision: the series is
 known modulo eps^prec.  ``prec is None`` means the value is an exact Laurent
 polynomial (no truncation anywhere).
+
+Every product goes through ``_conv``, which returns the coefficients of the
+integer product; the ``LaurentSeries`` constructor takes each of them mod p
+once.  When the shorter operand has fewer than ``_SHORT`` (8) terms ``_conv``
+is a plain loop; longer operands use Kronecker substitution, packing each
+coefficient list into one integer whose byte-aligned slots are wide enough
+that no coefficient of the product carries into the next, so one big-integer
+multiply gives them all.  ``inv`` is Newton iteration on ``_conv``:
+g <- g (2 - f g) mod eps^k, with k doubling up to the relative precision.
 """
 from __future__ import annotations
 
 import math
+import operator
 import random
+from itertools import repeat
 from typing import Iterable, Optional, Union
 
 from .errors import DivisionByZero, PrecisionLoss
@@ -29,6 +40,33 @@ def _is_prime(n: int) -> bool:
             return False
         k += 2
     return True
+
+
+_SHORT = 8  # below this many terms in the shorter operand the plain loop is faster
+
+
+def _conv(x, y, n: int, p: int) -> list:
+    """The first n coefficients of the product of coefficient lists x and y,
+    not reduced mod p.  Both lists hold residues in [0, p), which bounds the
+    slot width below."""
+    x, y = x[:n], y[:n]
+    if len(x) > len(y):
+        x, y = y, x
+    if len(x) < _SHORT:
+        cs = [0] * n
+        for i, a in enumerate(x):
+            if a:
+                for k, b in enumerate(y[:n - i], i):
+                    cs[k] += a * b
+        return cs
+    # a product coefficient is a sum of at most len(x) terms below p^2
+    w = (2 * (p - 1).bit_length() + len(x).bit_length() + 7) // 8
+
+    def pack(cs):
+        return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(w), repeat("little"))),
+                              "little")
+    z = (pack(x) * pack(y)).to_bytes(w * (len(x) + len(y)), "little")
+    return [int.from_bytes(z[i:i + w], "little") for i in range(0, w * n, w)]
 
 
 class PrimeField:
@@ -121,10 +159,10 @@ class LaurentSeries:
             hi = min(hi, int(prec))
         cs = [0] * max(hi - lo, 0)
         for x in (self, other):
-            for i, c in enumerate(x.coeffs):
-                k = x.lead + i - lo
-                if 0 <= k < len(cs):
-                    cs[k] += c
+            if x.coeffs:
+                i = x.lead - lo
+                j = min(i + len(x.coeffs), len(cs))
+                cs[i:j] = map(operator.add, cs[i:j], x.coeffs)
         return LaurentSeries(self.field, lo, cs, None if math.isinf(prec) else int(prec))
 
     def __neg__(self) -> "LaurentSeries":
@@ -144,16 +182,7 @@ class LaurentSeries:
         n = len(self.coeffs) + len(other.coeffs) - 1
         if not math.isinf(prec):
             n = min(n, int(prec) - lead)
-        p = self.field.p
-        cs = [0] * max(n, 0)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                cs[k] = (cs[k] + a * b) % p
+        cs = _conv(self.coeffs, other.coeffs, n, self.field.p)
         return LaurentSeries(self.field, lead, cs, None if math.isinf(prec) else int(prec))
 
     def shift(self, k: int) -> "LaurentSeries":
@@ -173,17 +202,15 @@ class LaurentSeries:
         rel = absprec - v
         if rel < 1:
             raise PrecisionLoss("no known coefficients to invert")
-        p = self.field.p
-        c0inv = self.field.inv(self.coeffs[0])
-        out = [0] * rel
-        out[0] = c0inv
-        for k in range(1, rel):
-            s = 0
-            top = min(k, len(self.coeffs) - 1)
-            for j in range(1, top + 1):
-                s += self.coeffs[j] * out[k - j]
-            out[k] = (-c0inv * s) % p
-        return LaurentSeries(self.field, -v, out, absprec - 2 * v)
+        p, f = self.field.p, self.coeffs
+        g, k = [self.field.inv(f[0])], 1
+        while k < rel:
+            # f g = 1 + eps^k h mod eps^k2, so g (2 - f g) = g - eps^k g h
+            k2 = min(2 * k, rel)
+            h = [c % p for c in _conv(f, g, k2, p)[k:]]
+            g += [-c % p for c in _conv(g, h, k2 - k, p)]
+            k = k2
+        return LaurentSeries(self.field, -v, g, absprec - 2 * v)
 
     # -- precision helpers ---------------------------------------------------
     def as_exact_below(self, top: int) -> "LaurentSeries":

@@ -2,12 +2,15 @@
 
 No library code calls these: each is the slow, direct form of something the
 library computes another way (series matrices and chamber minors in place of
-the integer kernels, vertices in place of supports, a Gauss decomposition in
-place of the closed form of the BFZ map, the inverse of that map, lattice
-points in place of support tightening, one orientation at a time in place of
-the subset scan), or a plain definition no library path needs.
+the integer kernels, term-by-term series products and inverses in place of
+the packed product and the Newton inverse, vertices in place of supports, a
+Gauss decomposition in place of the closed form of the BFZ map, the inverse
+of that map, lattice points in place of support tightening, one orientation
+at a time in place of the subset scan), or a plain definition no library path
+needs.
 """
 import itertools
+import math
 
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, PreconditionViolated,
                              PrecisionLoss, RetryExhausted, SingularMatrix)
@@ -42,6 +45,57 @@ def agrees(x, y):
     prec = min(INF if z.prec is None else z.prec for z in (x, y))
     diff = x - y
     return not diff.coeffs or diff.lead >= prec
+
+
+def mul_schoolbook(a, b):
+    """a * b by the term-by-term product, with the precision rules of ``__mul__``."""
+    if a.field != b.field:
+        raise ValueError("mixed prime fields")
+    prec = min(a.effval() + (INF if b.prec is None else b.prec),
+               b.effval() + (INF if a.prec is None else a.prec))
+    if not a.coeffs or not b.coeffs:
+        return LaurentSeries(a.field, 0, (), None if math.isinf(prec) else int(prec))
+    lead = a.lead + b.lead
+    n = len(a.coeffs) + len(b.coeffs) - 1
+    if not math.isinf(prec):
+        n = min(n, int(prec) - lead)
+    p = a.field.p
+    cs = [0] * max(n, 0)
+    for i, x in enumerate(a.coeffs):
+        if x == 0 or i >= n:
+            continue
+        for j, y in enumerate(b.coeffs):
+            k = i + j
+            if k >= n:
+                break
+            cs[k] = (cs[k] + x * y) % p
+    return LaurentSeries(a.field, lead, cs, None if math.isinf(prec) else int(prec))
+
+
+def inv_schoolbook(a):
+    """1 / a coefficient by coefficient, with the precision rules of ``inv``."""
+    if not a.coeffs:
+        if a.is_exact_zero:
+            raise DivisionByZero("inverse of exact zero series")
+        raise PrecisionLoss("inverse of a value that is zero up to precision")
+    v = a.lead
+    if a.prec is None and len(a.coeffs) == 1:
+        return LaurentSeries(a.field, -v, (a.field.inv(a.coeffs[0]),), None)
+    absprec = a.prec if a.prec is not None else v + a.field.prec
+    rel = absprec - v
+    if rel < 1:
+        raise PrecisionLoss("no known coefficients to invert")
+    p = a.field.p
+    c0inv = a.field.inv(a.coeffs[0])
+    out = [0] * rel
+    out[0] = c0inv
+    for k in range(1, rel):
+        s = 0
+        top = min(k, len(a.coeffs) - 1)
+        for j in range(1, top + 1):
+            s += a.coeffs[j] * out[k - j]
+        out[k] = (-c0inv * s) % p
+    return LaurentSeries(a.field, -v, out, absprec - 2 * v)
 
 # ---------------------------------------------------------------------------
 # series matrix plumbing and chamber minors

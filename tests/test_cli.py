@@ -59,6 +59,14 @@ def test_pave_command(tmp_path):
     assert json.loads(r.stdout)["poincare"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("qs, want", [("2,2", [2]), ("3,2,3", [3, 2])])
+def test_pave_verifies_each_modulus_once(tmp_path, qs, want):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
+    r = run("pave", "--polytope", str(poly), "--verify-q", qs)
+    assert [rec["q"] for rec in json.loads(r.stdout)["verified"]["per_q"]] == want
+
+
 @pytest.mark.parametrize("q", ["4", "0", "1"])
 @pytest.mark.parametrize("method", ["greedy", "iwahori"])
 def test_pave_rejects_nonprime_verify_q(tmp_path, method, q):
@@ -155,6 +163,8 @@ def test_polytope_file_error_names_the_field(data, named):
     ({"series": [dict(_SERIES, coeffs="ab"), _SERIES, _SERIES]}, '"coeffs"'),
     ({"series": [dict(_SERIES, prec="x"), _SERIES, _SERIES]}, '"prec"'),
     ({"series": [dict(_SERIES, prec=True), _SERIES, _SERIES]}, '"prec"'),
+    ({"series": [dict(_SERIES, lead=3, coeffs=[1, 2], prec=2), _SERIES, _SERIES]}, '"prec"'),
+    ({"series": [_SERIES, _SERIES, dict(_SERIES, lead=0, prec=0)]}, '"prec"'),
 ])
 def test_gamma_file_error_names_the_field(tmp_path, capsys, data, named):
     from affgrass.cli import main

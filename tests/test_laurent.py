@@ -6,7 +6,7 @@ from affgrass.errors import DivisionByZero, PrecisionLoss
 from affgrass.laurent import (INF, LaurentSeries, PrimeField, eps, one,
                               random_with_val, series_from_json, val, zero)
 
-from reference import agrees, coeff, exact
+from reference import agrees, coeff, exact, inv_schoolbook, mul_schoolbook
 
 F2 = PrimeField(2, 16)
 F5 = PrimeField(5, 32)
@@ -120,3 +120,63 @@ def test_json_round_trip():
     y = eps(F5, 4)
     assert series_from_json(F5, y.to_json()) == y
     assert y.to_json()["prec"] == "exact"
+
+
+def _fields(x):
+    return x.lead, x.coeffs, x.prec
+
+
+def _series(field, rng, length, truncated, top=None):
+    """Nonzero series with ``length`` stored coefficients, exact or truncated
+    at most two places past its last one; ``top`` fixes every coefficient."""
+    lead = rng.randrange(-3, 4)
+    cs = [top or rng.randrange(field.p) for _ in range(length)]
+    cs[0] = top or rng.randrange(1, field.p)
+    cs[-1] = top or rng.randrange(1, field.p)
+    prec = lead + length + rng.randrange(3) if truncated else None
+    return LaurentSeries(field, lead, cs, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_mul_and_inv_match_schoolbook(p):
+    # operand lengths 1..70 against short, equal and random partners cross the
+    # plain-loop threshold from both sides, exact and truncated
+    field = PrimeField(p, 72)
+    rng = random.Random(f"conv:{p}")
+    for la in range(1, 71):
+        for lb in (1, 7, 8, la, rng.randrange(1, 71)):
+            for ta, tb in ((False, False), (True, False), (False, True), (True, True)):
+                a, b = _series(field, rng, la, ta), _series(field, rng, lb, tb)
+                assert _fields(a * b) == _fields(mul_schoolbook(a, b))
+        for truncated in (False, True):
+            a = _series(field, rng, la, truncated)
+            assert _fields(a.inv()) == _fields(inv_schoolbook(a))
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_truncated_zero_products_and_inverses_match_schoolbook(p):
+    field = PrimeField(p, 64)
+    rng = random.Random(f"zero:{p}")
+    for k in (-2, 0, 5):
+        z = LaurentSeries(field, 0, (), prec=k)
+        for length in (1, 8, 40):
+            a = _series(field, rng, length, length % 2 == 0)
+            assert _fields(z * a) == _fields(mul_schoolbook(z, a))
+            assert _fields(a * z) == _fields(mul_schoolbook(a, z))
+        with pytest.raises(PrecisionLoss):
+            z.inv()
+        with pytest.raises(PrecisionLoss):
+            inv_schoolbook(z)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_widest_slots_match_schoolbook(p):
+    # every coefficient p - 1 at length 64: each product coefficient reaches
+    # its largest value, so a slot too narrow would carry into the next
+    field = PrimeField(p, 64)
+    rng = random.Random(f"carry:{p}")
+    for ta, tb in ((False, False), (True, False), (True, True)):
+        a = _series(field, rng, 64, ta, top=p - 1)
+        b = _series(field, rng, 64, tb, top=p - 1)
+        assert _fields(a * b) == _fields(mul_schoolbook(a, b))
+        assert _fields(a.inv()) == _fields(inv_schoolbook(a))

@@ -21,7 +21,9 @@ def polys(draw, n):
     out = []
     for _ in range(n):
         lead = draw(st.integers(-6, 6))
-        coeffs = draw(st.lists(st.integers(0, field.p - 1), max_size=7))
+        # lengths up to 40 reach both sides of the plain-loop threshold of products
+        size = draw(st.integers(0, 40))
+        coeffs = draw(st.lists(st.integers(0, field.p - 1), min_size=size, max_size=40))
         out.append(LaurentSeries(field, lead, coeffs))
     return out
 
