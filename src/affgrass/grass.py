@@ -15,7 +15,8 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
-from .laurent import INF, LaurentSeries, PrimeField, eps, one, zero
+from .laurent import (INF, Entry, LaurentSeries, PrimeField, _entry, _mul, _val_diff, eps,
+                      one, zero)
 from .rootdata import GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
@@ -38,9 +39,6 @@ def mat_diag_eps(field: PrimeField, d: Coweight) -> Matrix:
 # canonical forms
 # ---------------------------------------------------------------------------
 
-Entry = Tuple[int, Tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class GrassPoint:
     """A coset by its canonical representative: diagonal eps^d and the lower
@@ -61,16 +59,6 @@ class GrassPoint:
         for (r, c), (lead, cs) in zip(((1, 0), (2, 0), (2, 1)), self.entries):
             h[r][c] = LaurentSeries(self.field, lead, cs)
         return mat(h)
-
-
-def _entry(lead: int, cs: Sequence[int]) -> Entry:
-    """The normal form of sum cs[i] eps^(lead + i), each cs[i] in [0, p)."""
-    i, j = 0, len(cs)
-    while i < j and not cs[i]:
-        i += 1
-    while j > i and not cs[j - 1]:
-        j -= 1
-    return (lead + i, tuple(cs[i:j])) if i < j else (0, ())
 
 
 def _pick_pivot(entries: List[LaurentSeries]):
@@ -141,26 +129,6 @@ def canonicalize_point(g: Matrix) -> GrassPoint:
 def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     """Closed-form D-profile of a canonical representative."""
     return _profile(x.d, *x.entries, x.field.p)
-
-
-# The integer point kernel works on entries (lead, coeffs), the normal form
-# of an exact LaurentSeries: coeffs in [0, p), first and last nonzero.
-
-def _mul(x, y, p: int, top=INF):
-    """Product of two nonzero entries, its coefficients below exponent top."""
-    (lx, cx), (ly, cy) = x, y
-    n = max(0, min(len(cx) + len(cy) - 1, top - lx - ly))
-    out = [0] * n
-    for i, a in enumerate(cx[:n]):
-        for j, b in enumerate(cy[:n - i]):
-            out[i + j] += a * b
-    return lx + ly, tuple(c % p for c in out)
-
-
-def _val_diff(x, y) -> Union[int, float]:
-    """val(x - y) for two nonzero entries with the same lead."""
-    pairs = itertools.zip_longest(x[1], y[1], fillvalue=0)
-    return next((x[0] + k for k, (a, b) in enumerate(pairs) if a != b), INF)
 
 
 def _profile(d: Coweight, e21, e31, e32, p: int) -> Tuple[Union[int, float], ...]:

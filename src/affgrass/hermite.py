@@ -1,34 +1,18 @@
 """Integer Hermite form of exact Laurent-polynomial matrices over F_p.
 
-Entries are (lead, coeffs) normal forms, as in ``grass.GrassPoint``.  The
-cell enumerators build each point here, with no ``LaurentSeries``.  The series
-form ``grass._hnf_lower`` is the test reference; in the library it serves only
-``canonicalize_point`` (``point_from_y`` and user matrices).
+Entries are the (lead, coeffs) normal forms of ``laurent``, as in
+``grass.GrassPoint``, and every sum, product and unit inverse is a ``laurent``
+kernel.  The cell enumerators build each point here, with no
+``LaurentSeries``.  The series form ``grass._hnf_lower`` is the test
+reference; in the library it serves only ``canonicalize_point``
+(``point_from_y`` and user matrices).
 """
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
 from .errors import PreconditionViolated, SingularMatrix
-from .grass import Entry, _entry, _mul
-from .laurent import INF
-
-ZERO_ENTRY: Entry = (0, ())
-ONE_ENTRY: Entry = (0, (1,))
-
-
-def _add(x: Entry, y: Entry, p: int, sign: int = 1) -> Entry:
-    """x + sign * y in normal form."""
-    if not y[1]:
-        return x
-    if not x[1]:
-        return y if sign == 1 else (y[0], tuple(-c % p for c in y[1]))
-    lead = min(x[0], y[0])
-    out = [0] * (max(x[0] + len(x[1]), y[0] + len(y[1])) - lead)
-    out[x[0] - lead:x[0] - lead + len(x[1])] = x[1]
-    for i, c in enumerate(y[1], y[0] - lead):
-        out[i] = (out[i] + sign * c) % p
-    return _entry(lead, out)
+from .laurent import INF, ONE_ENTRY, ZERO_ENTRY, Entry, _add, _entry, _inv, _mul
 
 
 def _times(x: Entry, y: Entry, p: int, top=INF) -> Entry:
@@ -45,12 +29,10 @@ def _times(x: Entry, y: Entry, p: int, top=INF) -> Entry:
 
 def _over_unit(x: Entry, u: Tuple[int, ...], top: int, p: int) -> Entry:
     """x / u below exponent top, u the coefficients of a unit of O."""
-    if not x[1]:
+    if not x[1] or x[0] >= top:
         return ZERO_ENTRY
-    inv = [pow(u[0], p - 2, p)]
-    for k in range(1, top - x[0] if len(u) > 1 else 1):
-        inv.append(-inv[0] * sum(u[j] * inv[k - j] for j in range(1, min(k + 1, len(u)))) % p)
-    return _times(x, _entry(0, inv), p, top)
+    # a one-term unit has a one-term inverse
+    return _times(x, _entry(0, _inv(u, top - x[0] if len(u) > 1 else 1, p)), p, top)
 
 
 def hermite_entries(g: Sequence[Sequence[Entry]], p: int):

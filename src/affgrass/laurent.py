@@ -1,30 +1,33 @@
-"""Exact truncated Laurent series over a prime field.
+"""Exact Laurent polynomials and truncated Laurent series over a prime field.
 
-A value represents an element of F_p((eps)).  Coefficients are stored densely
-from the lead exponent.  ``prec`` is the absolute precision: the series is
-known modulo eps^prec.  ``prec is None`` means the value is an exact Laurent
-polynomial (no truncation anywhere).
-
-Every product goes through ``_conv``, which returns the coefficients of the
-integer product; the ``LaurentSeries`` constructor takes each of them mod p
-once.  When the shorter operand has fewer than ``_SHORT`` (8) terms ``_conv``
-is a plain loop; longer operands use Kronecker substitution, packing each
-coefficient list into one integer whose byte-aligned slots are wide enough
-that no coefficient of the product carries into the next, so one big-integer
-multiply gives them all.  ``inv`` is Newton iteration on ``_conv``:
-g <- g (2 - f g) mod eps^k, with k doubling up to the relative precision.
+A ``LaurentSeries`` is an element of F_p((eps)) known modulo eps^prec, its
+coefficients stored densely from the lead exponent; ``prec is None`` means an
+exact Laurent polynomial.  An entry ``(lead, coeffs)`` is the normal form of
+an exact Laurent polynomial (coeffs in [0, p), first and last nonzero, zero is
+``(0, ())``); points and cells work on entries.  Series and entries share one
+kernel per operation: ``_entry`` (normal form), ``_add`` (aligned sum),
+``_conv`` (products, not reduced mod p) and ``_inv`` (unit inverses).  Below
+``_SHORT`` terms ``_conv`` is a plain loop and ``_inv`` solves f g = 1 term by
+term.  Longer products use Kronecker substitution: each coefficient list is
+packed into one integer whose byte-aligned slots are wide enough that no
+product coefficient carries into the next, so one big-integer multiply gives
+them all.  Longer inverses are Newton iteration on ``_conv``,
+g <- g (2 - f g) mod eps^k, with k doubling up to the wanted length.
 """
 from __future__ import annotations
 
 import math
-import operator
 import random
-from itertools import repeat
-from typing import Iterable, Optional, Union
+from itertools import repeat, zip_longest
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import DivisionByZero, PrecisionLoss
 
 INF = math.inf
+
+Entry = Tuple[int, Tuple[int, ...]]
+ZERO_ENTRY: Entry = (0, ())
+ONE_ENTRY: Entry = (0, (1,))
 
 
 def _is_prime(n: int) -> bool:
@@ -42,16 +45,54 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_SHORT = 8  # below this many terms in the shorter operand the plain loop is faster
+_SHORT = 8  # below this many terms the plain loops are faster
+
+
+def _entry(lead: int, cs: Sequence[int]) -> Entry:
+    """The normal form of sum cs[i] eps^(lead + i), each cs[i] in [0, p)."""
+    i, j = 0, len(cs)
+    while i < j and not cs[i]:
+        i += 1
+    while j > i and not cs[j - 1]:
+        j -= 1
+    return (lead + i, tuple(cs[i:j])) if i < j else ZERO_ENTRY
+
+
+def _add(x: Entry, y: Entry, p: int, sign: int = 1) -> Entry:
+    """x + sign * y in normal form."""
+    if not y[1]:
+        return x
+    if not x[1]:
+        return y if sign == 1 else (y[0], tuple(-c % p for c in y[1]))
+    lead = min(x[0], y[0])
+    out = [0] * (max(x[0] + len(x[1]), y[0] + len(y[1])) - lead)
+    out[x[0] - lead:x[0] - lead + len(x[1])] = x[1]
+    for i, c in enumerate(y[1], y[0] - lead):
+        out[i] = (out[i] + sign * c) % p
+    return _entry(lead, out)
+
+
+def _mul(x: Entry, y: Entry, p: int, top=INF) -> Entry:
+    """Product of two nonzero entries, its coefficients below exponent top;
+    trailing zeros are not stripped."""
+    (lx, cx), (ly, cy) = x, y
+    n = max(0, min(len(cx) + len(cy) - 1, top - lx - ly))
+    return lx + ly, tuple([c % p for c in _conv(cx, cy, n, p)])
+
+
+def _val_diff(x: Entry, y: Entry) -> Union[int, float]:
+    """val(x - y) for two nonzero entries with the same lead."""
+    pairs = zip_longest(x[1], y[1], fillvalue=0)
+    return next((x[0] + k for k, (a, b) in enumerate(pairs) if a != b), INF)
 
 
 def _conv(x, y, n: int, p: int) -> list:
     """The first n coefficients of the product of coefficient lists x and y,
     not reduced mod p.  Both lists hold residues in [0, p), which bounds the
     slot width below."""
-    x, y = x[:n], y[:n]
     if len(x) > len(y):
         x, y = y, x
+    x = x[:n]
     if len(x) < _SHORT:
         cs = [0] * n
         for i, a in enumerate(x):
@@ -59,6 +100,7 @@ def _conv(x, y, n: int, p: int) -> list:
                 for k, b in enumerate(y[:n - i], i):
                     cs[k] += a * b
         return cs
+    y = y[:n]
     # a product coefficient is a sum of at most len(x) terms below p^2
     w = (2 * (p - 1).bit_length() + len(x).bit_length() + 7) // 8
 
@@ -67,6 +109,24 @@ def _conv(x, y, n: int, p: int) -> list:
                               "little")
     z = (pack(x) * pack(y)).to_bytes(w * (len(x) + len(y)), "little")
     return [int.from_bytes(z[i:i + w], "little") for i in range(0, w * n, w)]
+
+
+def _inv(f: Sequence[int], n: int, p: int) -> list:
+    """The first n coefficients of 1/f, f a coefficient list with f[0] a unit,
+    as residues mod p."""
+    g = [pow(f[0], p - 2, p)]
+    if len(f) < _SHORT or n < _SHORT:
+        for k in range(1, n):
+            g.append(-g[0] * sum(f[j] * g[k - j] for j in range(1, min(k + 1, len(f)))) % p)
+        return g[:n]
+    k = 1
+    while k < n:
+        # f g = 1 + eps^k h mod eps^k2, so g (2 - f g) = g - eps^k g h
+        k2 = min(2 * k, n)
+        h = [c % p for c in _conv(f, g, k2, p)[k:]]
+        g += [-c % p for c in _conv(g, h, k2 - k, p)]
+        k = k2
+    return g
 
 
 class PrimeField:
@@ -107,21 +167,13 @@ class LaurentSeries:
                  prec: Optional[int] = None):
         p = field.p
         cs = [c % p for c in coeffs]
-        if prec is not None and cs:
+        if prec is not None:
             # keep only coefficients below the absolute precision
-            keep = prec - lead
-            if keep <= 0:
-                cs = []
-            elif keep < len(cs):
-                cs = cs[:keep]
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lead += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
+            cs = cs[:max(0, prec - lead)]
+        lead, cs = _entry(lead, cs)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lead", lead if cs else 0)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, *a):
@@ -147,32 +199,25 @@ class LaurentSeries:
         return INF if self.prec is None else self.prec
 
     # -- ring operations ---------------------------------------------------
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.field != other.field:
+    def _plus(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+        """self + sign * other."""
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed prime fields")
         prec = min(self._prec_inf(), other._prec_inf())
-        if not self.coeffs and not other.coeffs:
-            return LaurentSeries(self.field, 0, (), None if math.isinf(prec) else int(prec))
-        lo = min([x.lead for x in (self, other) if x.coeffs])
-        hi = max([x.lead + len(x.coeffs) for x in (self, other) if x.coeffs])
-        if not math.isinf(prec):
-            hi = min(hi, int(prec))
-        cs = [0] * max(hi - lo, 0)
-        for x in (self, other):
-            if x.coeffs:
-                i = x.lead - lo
-                j = min(i + len(x.coeffs), len(cs))
-                cs[i:j] = map(operator.add, cs[i:j], x.coeffs)
-        return LaurentSeries(self.field, lo, cs, None if math.isinf(prec) else int(prec))
+        lead, cs = _add((self.lead, self.coeffs), (other.lead, other.coeffs), self.field.p, sign)
+        return LaurentSeries(self.field, lead, cs, None if math.isinf(prec) else int(prec))
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.field, self.lead, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed prime fields")
         prec = min(self.effval() + other._prec_inf(),
                    other.effval() + self._prec_inf())
@@ -202,15 +247,8 @@ class LaurentSeries:
         rel = absprec - v
         if rel < 1:
             raise PrecisionLoss("no known coefficients to invert")
-        p, f = self.field.p, self.coeffs
-        g, k = [self.field.inv(f[0])], 1
-        while k < rel:
-            # f g = 1 + eps^k h mod eps^k2, so g (2 - f g) = g - eps^k g h
-            k2 = min(2 * k, rel)
-            h = [c % p for c in _conv(f, g, k2, p)[k:]]
-            g += [-c % p for c in _conv(g, h, k2 - k, p)]
-            k = k2
-        return LaurentSeries(self.field, -v, g, absprec - 2 * v)
+        return LaurentSeries(self.field, -v, _inv(self.coeffs, rel, self.field.p),
+                             absprec - 2 * v)
 
     # -- precision helpers ---------------------------------------------------
     def as_exact_below(self, top: int) -> "LaurentSeries":

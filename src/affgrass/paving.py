@@ -17,8 +17,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from .errors import (BudgetExceeded, NormalPositionRequired, NotMV,
                      PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
 from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
-from .hermite import ONE_ENTRY, ZERO_ENTRY, hermite_entries, unipotent_inverse
-from .laurent import PrimeField
+from .hermite import hermite_entries, unipotent_inverse
+from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
@@ -337,8 +337,8 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         for Q in actives:
             if Q.support != P.support and Q.contains_point(v):
                 raise PavingVerificationFailed(
-                    f"vertex {v} of the chosen polytope lies in another active piece "
-                    f"{Q.vertices}; the subdivision claim fails here")
+                    f"step {len(steps)}: vertex {v}, chamber {b}, of support {P.support} lies "
+                    f"in another active piece, support {Q.support}; the subdivision fails here")
         dim, ok = cell_fn(P, b)
         if not ok:
             raise PavingVerificationFailed(

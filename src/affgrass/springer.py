@@ -13,9 +13,10 @@ from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
-                     PavingVerificationFailed)
-from .grass import GrassPoint, _mul, _val_diff
-from .laurent import INF, LaurentSeries, PrimeField, random_with_val, val, zero
+                     PavingVerificationFailed, PrecisionLoss)
+from .grass import GrassPoint
+from .laurent import (INF, LaurentSeries, PrimeField, _mul, _val_diff, random_with_val,
+                      val, zero)
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      datum121_of, datum212_of, is_alternating, ZERO)
 from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
@@ -50,8 +51,14 @@ class RegularDiagonal:
 
     @classmethod
     def from_series(cls, gamma: Sequence[LaurentSeries]) -> "RegularDiagonal":
-        g1, g2, g3 = gamma
-        c = (val(g1 - g2), val(g2 - g3), val(g1 - g3))
+        c = []
+        for i, j in ((1, 2), (2, 3), (1, 3)):
+            r = gamma[i - 1] - gamma[j - 1]
+            if not (r.nonzero or r.is_exact_zero):
+                raise PrecisionLoss(f"root valuation c{i}{j} = val(g{i} - g{j}) is unknown: "
+                                    f"g{i} - g{j} vanishes modulo eps^{r.prec}")
+            c.append(val(r))
+        c = tuple(c)
         if any(isinstance(x, float) for x in c):
             raise PatternMismatch("gamma is not regular: two eigenvalues coincide")
         if any(x < 0 for x in c):
@@ -102,10 +109,8 @@ def synthesize_gamma(c: Pattern, field: PrimeField, rng: random.Random) -> Regul
     c12, c23, c13 = c
     a = random_with_val(field, c12, rng, exact=True)
     if c12 != c23:
+        # val(a+b) = min(c12, c23), which is c13 for a realizable pattern
         b = random_with_val(field, c23, rng, exact=True)
-        # val(a+b) = min automatically; it must equal c13
-        if min(c12, c23) != c13:
-            raise PatternMismatch(f"valuation pattern {c} breaks the ultrametric inequality")
     elif c13 > c12:
         b = (-a) + random_with_val(field, c13, rng, exact=True)
     else:

@@ -175,6 +175,18 @@ def test_gamma_file_error_names_the_field(tmp_path, capsys, data, named):
     assert "malformed gamma file" in err and named in err
 
 
+def test_unknown_root_valuation_names_the_root(tmp_path, capsys):
+    # g1 = g2 to precision 3: c12 cannot be read, and the error says which root
+    from affgrass.cli import main
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"prime": 5, "series": [
+        {"lead": 0, "coeffs": [1], "prec": 3}, {"lead": 0, "coeffs": [1], "prec": 3},
+        {"lead": 0, "coeffs": [2], "prec": 3}]}))
+    assert main(["springer", "--gamma", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "c12 = val(g1 - g2)" in err and "eps^3" in err
+
+
 @pytest.mark.parametrize("args", [("pave", "--prime", "5"), ("pave", "--seed", "3"),
                                   ("braid", "--word", "121", "--n", "2,1,0", "--prime", "5")])
 def test_options_only_where_read(tmp_path, args):

@@ -5,12 +5,13 @@ import pytest
 
 from affgrass.errors import (AffgrassError, BudgetExceeded, GaussFailure,
                              PreconditionViolated, PrecisionLoss, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry, _entry_windows, _iter_entries,
-                            _window_entries, canonicalize_point, dprofile, ec,
-                            enumerate_points, iter_points, mat, mat_diag_eps, member,
-                            point_from_y, sample_point, transition, y_inverse)
+from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, _window_entries,
+                            canonicalize_point, dprofile, ec, enumerate_points, iter_points,
+                            mat, mat_diag_eps, member, point_from_y, sample_point, transition,
+                            y_inverse)
 from affgrass.hermite import hermite_entries
-from affgrass.laurent import LaurentSeries, PrimeField, eps, one, random_with_val, val, zero
+from affgrass.laurent import (LaurentSeries, PrimeField, _entry, eps, one, random_with_val, val,
+                              zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)

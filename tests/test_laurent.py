@@ -3,8 +3,8 @@ import random
 import pytest
 
 from affgrass.errors import DivisionByZero, PrecisionLoss
-from affgrass.laurent import (INF, LaurentSeries, PrimeField, eps, one,
-                              random_with_val, series_from_json, val, zero)
+from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _SHORT, _add, _entry,
+                              _inv, _mul, eps, one, random_with_val, series_from_json, val, zero)
 
 from reference import agrees, coeff, exact, inv_schoolbook, mul_schoolbook
 
@@ -180,3 +180,80 @@ def test_widest_slots_match_schoolbook(p):
         b = _series(field, rng, 64, tb, top=p - 1)
         assert _fields(a * b) == _fields(mul_schoolbook(a, b))
         assert _fields(a.inv()) == _fields(inv_schoolbook(a))
+
+
+# The entry kernels against term-by-term references on exponent -> coefficient
+# maps.  Entries are exact Laurent polynomials (lead, coeffs), coeffs in [0, p).
+
+def _entry_of(terms, p, top=INF):
+    """The normal form of the polynomial sum c eps^k over terms {k: c}, below top."""
+    ks = [k for k, c in terms.items() if c % p and k < top]
+    if not ks:
+        return ZERO_ENTRY
+    return min(ks), tuple(terms.get(k, 0) % p for k in range(min(ks), max(ks) + 1))
+
+
+def _terms(x):
+    return {x[0] + i: c for i, c in enumerate(x[1])}
+
+
+def _random_entry(rng, p, length):
+    if not length:
+        return ZERO_ENTRY
+    cs = [rng.randrange(p) for _ in range(length)]
+    cs[0], cs[-1] = rng.randrange(1, p), rng.randrange(1, p)
+    return rng.randrange(-4, 5), tuple(cs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_entry_inv_matches_schoolbook(p):
+    # units of 1..12 terms to n = 0..20 terms cross _SHORT in both arguments;
+    # n <= 1 is what hermite._over_unit asks of a one-term unit
+    field = PrimeField(p)
+    rng = random.Random(f"inv:{p}")
+    assert 12 > _SHORT and 20 > _SHORT
+    for length in range(1, 13):
+        for n in range(21):
+            f = _random_entry(rng, p, length)[1]
+            g = _inv(f, n, p)
+            assert len(g) == n and all(0 <= c < p for c in g)
+            if n:
+                want = inv_schoolbook(LaurentSeries(field, 0, f, prec=n))
+                assert _entry(0, g) == (want.lead, want.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_entry_add_matches_schoolbook(p):
+    rng = random.Random(f"add:{p}")
+    for _ in range(400):
+        x = _random_entry(rng, p, rng.randrange(6))
+        y = _random_entry(rng, p, rng.randrange(6))
+        for sign in (1, -1):
+            terms = _terms(x)
+            for k, c in _terms(y).items():
+                terms[k] = terms.get(k, 0) + sign * c
+            assert _add(x, y, p, sign) == _entry_of(terms, p)
+        # full cancellation, either way round
+        assert _add(x, x, p, -1) == ZERO_ENTRY
+        neg = (x[0], tuple(-c % p for c in x[1])) if x[1] else x
+        assert _add(x, neg, p) == _add(neg, x, p) == ZERO_ENTRY
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_entry_mul_matches_schoolbook(p):
+    # top above, at and below the product's lead; below it nothing is kept
+    rng = random.Random(f"mul:{p}")
+    for _ in range(300):
+        x = _random_entry(rng, p, rng.randrange(1, 12))
+        y = _random_entry(rng, p, rng.randrange(1, 12))
+        lead = x[0] + y[0]
+        terms = {}
+        for i, a in _terms(x).items():
+            for j, b in _terms(y).items():
+                terms[i + j] = terms.get(i + j, 0) + a * b
+        for top in (INF, lead + len(x[1]) + len(y[1]) + 1, lead + rng.randrange(1, 6),
+                    lead + 1, lead, lead - 3):
+            m = _mul(x, y, p, top)
+            assert m[0] == lead and all(0 <= c < p for c in m[1])
+            assert len(m[1]) == max(0, min(len(x[1]) + len(y[1]) - 1, top - lead))
+            assert _entry(*m) == _entry_of(terms, p, top)

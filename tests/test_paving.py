@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from affgrass.errors import (InconsistentFamily, NormalPositionRequired,
-                             PreconditionViolated, ShapeMismatch)
+                             PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
 from affgrass.acceptance import _normal_data
 from affgrass.grass import ec, enumerate_points, member
 from affgrass.laurent import PrimeField
@@ -203,6 +203,18 @@ def test_greedy_plan_fields():
     assert all(s.borel in range(6) for s in plan.steps)
     js = plan.to_json()
     assert js["method"] == "greedy" and js["verified"]["per_q"]
+
+
+def test_greedy_failure_names_both_pieces():
+    # a known gap of the greedy engine: on P(3,3,3) the vertex chosen at step
+    # 5 lies in a second active piece.  The error names both supports; once
+    # the engine is fixed this should build and verify a plan instead.
+    fam = MVPolytope.from_datum(LusztigDatum("121", (3, 3, 3))).family
+    with pytest.raises(PavingVerificationFailed) as e:
+        greedy_paving(fam)
+    msg = str(e.value)
+    assert "step 5" in msg and "vertex (-5, 0, 5), chamber 3" in msg
+    assert "support (0, 2, 5, 0, 3, 5)" in msg and "support (0, 3, 5, 0, 2, 5)" in msg
 
 
 def test_max_gmv_inside():
