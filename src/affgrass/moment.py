@@ -4,12 +4,16 @@ The 1-skeleton has the polytope's lattice points as vertices and one edge for
 each 1-dimensional orbit of the extended torus; an edge joining v and
 v - k*coroot(a) is labeled (a, k).  A total order on the vertices orients the
 graph (source = larger) and its out-degree statistics give a formal Poincare
-polynomial; the minimum over all orders is computed exactly by a subset scan.
+polynomial.  The minimum over all orders is exact: a scan over sets of placed
+vertices, one size at a time, that drops every set whose counts already exceed
+those of one greedy order.  Counts only grow as an order extends, so no
+dropped set leads to the minimum, and the witness order is the one the full
+scan of all 2^n sets gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import BudgetExceeded
 from .rootdata import POSROOTS, GTFamily, Coweight, Root, coroot, scale_cw, sub_cw
@@ -95,10 +99,22 @@ def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
     with a witness order; for one order it is ``formal_betti`` in
     ``tests/reference.py``, the out-degrees of the induced orientation.
 
-    Scans subsets: placing vertices from the top, a vertex's out-degree is its
-    number of neighbours not yet placed (a skeleton has at most one edge per
-    vertex pair).  The compare order is translation invariant, so prefix
-    minima extend.  Counts are kept highest degree first, so tuple < is compare.
+    Placing vertices from the top, a vertex's out-degree is its number of
+    neighbours not yet placed (a skeleton has at most one edge per vertex
+    pair), so the best counts of a set of placed vertices extend: the compare
+    order is translation invariant.  The counts of degree d sit in the bit slot
+    [d*W, (d+1)*W) of one integer, W = n.bit_length() + 1 so that no slot
+    overflows, and integer < is compare.
+
+    Branch and bound: one greedy order (place a vertex with the fewest
+    unplaced neighbours) bounds the minimum by U.  Sets are scanned one size at
+    a time, in ascending mask order, and a candidate above U is dropped.  That
+    is exact, because adding counts never lowers a value, so a set above U
+    cannot end below it.  It keeps the witness of the full 2^n scan
+    (``min_formal_poincare_full_scan`` in ``tests/reference.py``): a set's
+    predecessors all have one size less and are visited in the full scan's
+    order, a dropped one is never the strict argmin, so every kept set gets the
+    full scan's value and parent.  ``budget`` bounds 2^n, as for the full scan.
     """
     verts = list(g.vertices)
     n = len(verts)
@@ -111,31 +127,44 @@ def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
     for (u, v, _a, _k) in g.edges:
         nbr[idx[u]] |= 1 << idx[v]
         nbr[idx[v]] |= 1 << idx[u]
-    top = max(m.bit_count() for m in nbr)
-    size = 1 << n
-    best: List[Optional[Tuple[int, ...]]] = [None] * size
-    parent = [-1] * size
-    best[0] = (0,) * (top + 1)
-    for mask in range(size - 1):
-        cur = best[mask]
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            k = top - (nbr[v] & ~mask).bit_count()
-            cand = cur[:k] + (cur[k] + 1,) + cur[k + 1:]
-            m2 = mask | bit
-            if best[m2] is None or cand < best[m2]:
-                best[m2] = cand
-                parent[m2] = v
+    width = n.bit_length() + 1
+    unit = [1 << (k * width) for k in range(n)]
+    full = (1 << n) - 1
+    bound = placed = 0
+    for _ in range(n):
+        k, v = min(((nbr[v] & ~placed).bit_count(), v) for v in range(n) if not placed >> v & 1)
+        bound += unit[k]
+        placed |= 1 << v
+    layer = {0: 0}
+    parent = {}
+    for _ in range(n):
+        nxt: Dict[int, int] = {}
+        for mask, cur in sorted(layer.items()):
+            rest, free = ~mask, full & ~mask
+            while free:
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length() - 1
+                cand = cur + unit[(nbr[v] & rest).bit_count()]
+                if cand > bound:
+                    continue
+                m2 = mask | bit
+                old = nxt.get(m2)
+                if old is None or cand < old:
+                    nxt[m2] = cand
+                    parent[m2] = v
+        layer = nxt
+    best = layer[full]
     order_idx = []
-    mask = size - 1
+    mask = full
     while mask:
         v = parent[mask]
         order_idx.append(v)
         mask ^= (1 << v)
     order_idx.reverse()
-    return PoincarePoly(best[size - 1][::-1]), [verts[i] for i in order_idx]
+    slot = (1 << width) - 1
+    return (PoincarePoly(tuple(best >> (d * width) & slot for d in range(n))),
+            [verts[i] for i in order_idx])
 
 
 def to_dot(g: MomentGraph) -> str:

@@ -19,7 +19,7 @@ from .errors import (BudgetExceeded, NormalPositionRequired, NotMV,
 from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
-from .moment import PoincarePoly, skeleton
+from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
 from .rootdata import (Coweight, GTFamily, contains, family_from_support, sub_cw,
@@ -309,13 +309,16 @@ def _pave(family: GTFamily, cell_fn: CellFn,
     forced = list(forced) if forced else []
     fi = 0
     steps: List[PavingStep] = []
+    # every piece lies on family's nu fiber and springer_c is fixed, so a
+    # piece's skeleton is a function of its support
+    edges_of: Dict[Tuple[int, ...], Tuple[Edge, ...]] = {}
     while actives:
         edge_union = set()
         for P in actives:
-            edge_union.update(skeleton(P, springer_c=springer_c).edges)
-
-        def cur_wt(v):
-            return sum(1 for e in edge_union if e[0] == v or e[1] == v)
+            if P.support not in edges_of:
+                edges_of[P.support] = skeleton(P, springer_c=springer_c).edges
+            edge_union.update(edges_of[P.support])
+        cur_wt = Counter(v for e in edge_union for v in e[:2])
 
         if fi < len(forced):
             v = forced[fi]
@@ -330,7 +333,7 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         dims = {P.support: gmv_dimension(P) for P in dict.fromkeys(P for P, _b in cands)}
         scored = sorted(
             cands,
-            key=lambda pb: (-dims[pb[0].support], cur_wt(pb[0].vertex(pb[1])),
+            key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
                             pb[0].vertex(pb[1]), pb[1], pb[0].support))
         P, b = scored[0]
         v = P.vertex(b)

@@ -82,17 +82,19 @@ def pairing(v: Coweight, S: Iterable[int]) -> int:
     return sum(v[i - 1] for i in S)
 
 
-def chamber_of(w: Perm, level: int) -> FrozenSet[int]:
-    return frozenset(w[:level])
-
-
-# per Borel w: the support indices of the chambers {w1} and {w1, w2}, and w
-_VERTEX_CHAMBERS = tuple((CHAMBER_INDEX[chamber_of(w, 1)], CHAMBER_INDEX[chamber_of(w, 2)], w)
-                         for w in BORELS)
 # per Weyl element w, the index of the chamber w^-1 T for each chamber T
 _WEYL_SOURCE: Dict[Perm, Tuple[int, ...]] = {
     w: tuple(CHAMBER_INDEX[frozenset(perm_inv(w)[i - 1] for i in T)] for T in CHAMBERS)
     for w in BORELS}
+
+
+def _support_vertices(nu: int, M) -> Tuple[Coweight, ...]:
+    """The six vertices (BORELS order) of the family with support M on the nu
+    fiber: the vertex of Borel w is M_{w1}, M_{w1w2} - M_{w1}, nu - M_{w1w2}
+    in the coordinates w1, w2, w3."""
+    m1, m2, m3, m12, m13, m23 = M
+    return ((m1, m12 - m1, nu - m12), (m1, nu - m13, m13 - m1), (m13 - m3, nu - m13, m3),
+            (nu - m23, m23 - m3, m3), (nu - m23, m2, m23 - m2), (m12 - m2, m2, nu - m12))
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,13 @@ class GTFamily:
         are a positive orthogonal family on the nu fiber."""
         # read each support number at one vertex that attains it: Borels 0, 5, 3, 0, 1, 3
         v0, v1, _, v3, _, v5 = vertices
-        f = cls(nu, (v0[0], v5[1], v3[2], v0[0] + v0[1], v1[0] + v1[2], v3[1] + v3[2]))
-        for b in range(6):
-            if f._vertex(b) != vertices[b]:
+        M = (v0[0], v5[1], v3[2], v0[0] + v0[1], v1[0] + v1[2], v3[1] + v3[2])
+        for b, v in enumerate(_support_vertices(nu, M)):
+            if v != vertices[b]:
                 raise InconsistentFamily(
-                    f"vertex {vertices[b]} at chamber {b} is not {f._vertex(b)}, where the "
+                    f"vertex {vertices[b]} at chamber {b} is not {v}, where the "
                     f"support puts it: not a positive orthogonal family on the nu={nu} fiber")
-        return f
+        return cls(nu, M)
 
     def edge_lengths(self) -> Tuple[int, ...]:
         """The six gaps k_b: lambda_b - lambda_{b+1} is k_b times the coroot separating b, b+1."""
@@ -132,18 +134,9 @@ class GTFamily:
         return (m12 + m13 - m1 - nu, m1 + m3 - m13, m13 + m23 - m3 - nu,
                 m2 + m3 - m23, m12 + m23 - m2 - nu, m1 + m2 - m12)
 
-    def _vertex(self, b: int) -> Coweight:
-        i1, i12, w = _VERTEX_CHAMBERS[b]
-        M = self.support
-        v = [0, 0, 0]
-        v[w[0] - 1] = M[i1]
-        v[w[1] - 1] = M[i12] - M[i1]
-        v[w[2] - 1] = self.nu - M[i12]
-        return tuple(v)  # type: ignore[return-value]
-
     @cached_property
     def vertices(self) -> Tuple[Coweight, ...]:
-        return tuple(self._vertex(b) for b in range(6))
+        return _support_vertices(self.nu, self.support)
 
     def vertex(self, b: int) -> Coweight:
         return self.vertices[b]

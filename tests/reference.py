@@ -6,8 +6,8 @@ the integer kernels, term-by-term series products and inverses in place of
 the packed product and the Newton inverse, vertices in place of supports, a
 Gauss decomposition in place of the closed form of the BFZ map, the inverse
 of that map, lattice points in place of support tightening, one orientation
-at a time in place of the subset scan), or a plain definition no library path
-needs.
+at a time and the full scan of all vertex sets in place of the bounded subset
+scan), or a plain definition no library path needs.
 """
 import itertools
 import math
@@ -425,3 +425,45 @@ def formal_betti(g, order):
     for (src, _tgt) in orient(g, order):
         out[src] += 1
     return PoincarePoly.from_dims(list(out.values()))
+
+
+def min_formal_poincare_full_scan(g, budget=1 << 18):
+    """The formal minimum by the dynamic program over all 2^n sets of placed
+    vertices, in ascending mask order, with the counts as tuples highest
+    degree first (so tuple < is compare)."""
+    verts = list(g.vertices)
+    n = len(verts)
+    if n == 0:
+        return PoincarePoly(()), []
+    if (1 << n) > budget:
+        raise BudgetExceeded(f"{n} vertices exceed the order-scan budget")
+    idx = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * n
+    for (u, v, _a, _k) in g.edges:
+        nbr[idx[u]] |= 1 << idx[v]
+        nbr[idx[v]] |= 1 << idx[u]
+    top = max(m.bit_count() for m in nbr)
+    size = 1 << n
+    best = [None] * size
+    parent = [-1] * size
+    best[0] = (0,) * (top + 1)
+    for mask in range(size - 1):
+        cur = best[mask]
+        for v in range(n):
+            bit = 1 << v
+            if mask & bit:
+                continue
+            k = top - (nbr[v] & ~mask).bit_count()
+            cand = cur[:k] + (cur[k] + 1,) + cur[k + 1:]
+            m2 = mask | bit
+            if best[m2] is None or cand < best[m2]:
+                best[m2] = cand
+                parent[m2] = v
+    order_idx = []
+    mask = size - 1
+    while mask:
+        v = parent[mask]
+        order_idx.append(v)
+        mask ^= (1 << v)
+    order_idx.reverse()
+    return PoincarePoly(best[size - 1][::-1]), [verts[i] for i in order_idx]

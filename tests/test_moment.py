@@ -13,7 +13,7 @@ from affgrass.paving import max_gmv_inside
 from affgrass.rootdata import (BORELS, POSROOTS, coroot, family_from_support,
                                scale_cw, sub_cw, weyl_family)
 
-from reference import curve_point, formal_betti, wt
+from reference import curve_point, formal_betti, min_formal_poincare_full_scan, wt
 
 
 def P(n):
@@ -187,6 +187,36 @@ def test_min_formal_matches_list_scan():
         assert poly.coeffs == want_poly.coeffs and order == want_order
 
 
+def test_min_formal_matches_full_scan():
+    # every skeleton with at most 16 lattice points among the MV data in
+    # {0..3}^3 and the Weyl polytopes (a, b, 0), 0 <= b <= a <= 4
+    fams = [P(n) for n in itertools.product(range(4), repeat=3)]
+    fams += [weyl_family((a, b, 0)) for a in range(5) for b in range(a + 1)]
+    graphs = dict.fromkeys(skeleton(f) for f in fams if len(f.lattice_points()) <= 16)
+    assert len(graphs) == 55
+    assert max(len(g.vertices) for g in graphs) == 16
+    for g in graphs:
+        poly, order = min_formal_poincare(g)
+        want_poly, want_order = min_formal_poincare_full_scan(g)
+        assert poly.coeffs == want_poly.coeffs and order == want_order
+
+
+def test_min_formal_matches_full_scan_on_random_graphs():
+    # simple graphs on up to 10 vertices, where ties between pruned and kept
+    # predecessors are common: the witness must still be the full scan's
+    import random
+    rng = random.Random(1)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        verts = tuple((i, 0, -i) for i in range(n))
+        p = rng.choice((0.2, 0.4, 0.6))
+        g = MomentGraph(verts, tuple((verts[i], verts[j], (1, 3), 1) for i in range(n)
+                                     for j in range(i + 1, n) if rng.random() < p))
+        poly, order = min_formal_poincare(g)
+        want_poly, want_order = min_formal_poincare_full_scan(g)
+        assert poly.coeffs == want_poly.coeffs and order == want_order
+
+
 def test_betti_sum_is_vertex_count():
     import random
     rng = random.Random(5)
@@ -201,6 +231,15 @@ def test_budget():
     g = skeleton(P((2, 1, 1)))
     with pytest.raises(BudgetExceeded):
         min_formal_poincare(g, budget=4)
+
+
+@pytest.mark.parametrize("scan", [min_formal_poincare, min_formal_poincare_full_scan])
+def test_budget_boundary(scan):
+    g = skeleton(P((2, 1, 1)))
+    n = len(g.vertices)
+    assert scan(g, budget=1 << n)[0].coeffs
+    with pytest.raises(BudgetExceeded):
+        scan(g, budget=(1 << n) - 1)
 
 
 def test_exports():
