@@ -15,8 +15,8 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
-from .laurent import (INF, Entry, LaurentSeries, PrimeField, _entry, _mul, _val_diff, eps,
-                      one, zero)
+from .laurent import (INF, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _entry, _mul,
+                      _val_diff, eps, one, zero)
 from .rootdata import GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
@@ -222,18 +222,67 @@ def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
             for lo, hi in windows]
 
 
-def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000):
+def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
     """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
-    of f: the candidates of the entry windows whose D-profile passes."""
+    of f; with a ``springer.RegularDiagonal`` gamma, for those that
+    ``gamma.admits``.
+
+    The windows give every part of the profile floor but the val(ab - c)
+    term of D0, which for fixed (d, e21, e32) is a ball of e31:
+    val(e31 - e21 e32 eps^-d2) >= d1 + d3 - M0.
+    With gamma, the t21 and t32 tests of ``admits`` raise the low ends of the
+    e21 and e32 windows, and its t31 test is a second ball
+    (``gamma.t31_ball``).  Two balls are nested or disjoint, so the e31 that
+    pass are one ball cut by the e31 window.  The budget counts the
+    candidates of the whole windows.
+    """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
         raise BudgetExceeded(f"enumeration needs > {budget} candidates")
-    floor = [-m for m in f.support]
-    for d, ws in windows:
-        for e21, e31, e32 in itertools.product(*_window_entries(q, ws)):
-            prof = _profile(d, e21, e31, e32, q)
-            if all(v >= m for v, m in zip(prof, floor)):
-                yield d, e21, e31, e32, prof
+    tails = {}  # free e31 coefficients by their number
+    for d, (w21, (lo, hi), w32) in windows:
+        d1, d2, d3 = d
+        if gamma is not None:
+            c12, c23, _c13 = gamma.c
+            w21, w32 = (max(w21[0], d2 - c12), d2), (max(w32[0], d3 - c23), d3)
+        for e21, e32 in itertools.product(*_window_entries(q, (w21, w32))):
+            ab = ZERO_ENTRY
+            if e21[1] and e32[1]:
+                lead, cs = _mul(e21, e32, q)
+                ab = (lead - d2, cs)
+            ball = (ab, d1 + d3 - f.support[0])
+            if gamma is not None:
+                ball = _meet(ball, gamma.t31_ball(d, e21, e32))
+                if ball is None:
+                    continue
+            centre, rad = _below(*ball), ball[1]
+            if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
+                continue
+            start = min(max(rad, lo), hi)  # e31 is free from this exponent up
+            head = [0] * (start - lo)
+            head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
+            n = hi - start
+            if n not in tails:
+                tails[n] = list(itertools.product(range(q), repeat=n))
+            for tail in tails[n]:
+                e31 = _entry(lo, (*head, *tail))
+                yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+
+
+def _below(e: Entry, r) -> Entry:
+    """The terms of e with exponent below r."""
+    return _entry(e[0], e[1][:max(0, r - e[0])])
+
+
+def _meet(x, y):
+    """The intersection of two balls (centre, radius) of Laurent polynomials,
+    or None: the smaller ball if its centre lies in the larger one."""
+    if y is None:
+        return None
+    r = min(x[1], y[1])
+    if _below(x[0], r) != _below(y[0], r):
+        return None
+    return x if x[1] >= y[1] else y
 
 
 def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):

@@ -14,16 +14,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import (BudgetExceeded, NormalPositionRequired, NotMV,
-                     PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
+from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
+                     PreconditionViolated, ShapeMismatch)
 from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
                      vertices_of)
-from .rootdata import (Coweight, GTFamily, contains, family_from_support, sub_cw,
-                       tighten_support)
+from .rootdata import (_WEYL_SOURCE, BORELS, Coweight, GTFamily, contains, edge_lengths,
+                       family_from_support, perm_inv, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -239,11 +239,23 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
 # ---------------------------------------------------------------------------
 
 def is_gmv(f: GTFamily) -> bool:
-    try:
-        canonicalize(f)
-        return True
-    except NotMV:
-        return False
+    """Whether ``canonicalize`` finds an MV twist of f, on the support alone.
+
+    The twist score <w.rho, lambda_w - lambda_{w w0}> is sum(M) - 2 nu - M_j
+    - M_{j^c} with j = w(2), so the minimizing twists are those whose w(2)
+    maximizes M_j + M_{j^c}.  Each is tested by the braid move on its edge
+    lengths: (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2), a = min(k5, k3).
+    """
+    M = f.support
+    width = [M[j] + M[5 - j] for j in range(3)]  # CHAMBERS lists complements in reverse
+    best = max(width)
+    for w in BORELS:
+        if width[w[1] - 1] == best:
+            k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
+            a = min(k[5], k[3])
+            if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3]:
+                return True
+    return False
 
 
 def gmv_dimension(f: GTFamily) -> int:
@@ -369,8 +381,7 @@ def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
             springer_pattern, field, rng or random.Random(0))
         # Ec of a point is a function of its D-profile (nu is the family's),
         # so points are counted by profile and each profile matched to a step once
-        by_profile = Counter(prof for d, e21, e31, e32, prof in _iter_entries(family, q)
-                             if gam is None or gam.admits(d, e21, e31, e32))
+        by_profile = Counter(prof for *_pt, prof in _iter_entries(family, q, gamma=gam))
         counts = [0] * len(steps)
         for prof, n in by_profile.items():
             fx = family_from_support([-v for v in prof], family.nu)

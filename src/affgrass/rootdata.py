@@ -97,6 +97,13 @@ def _support_vertices(nu: int, M) -> Tuple[Coweight, ...]:
             (nu - m23, m23 - m3, m3), (nu - m23, m2, m23 - m2), (m12 - m2, m2, nu - m12))
 
 
+def edge_lengths(nu: int, M) -> Tuple[int, ...]:
+    """``GTFamily.edge_lengths`` of the support M on the nu fiber."""
+    m1, m2, m3, m12, m13, m23 = M
+    return (m12 + m13 - m1 - nu, m1 + m3 - m13, m13 + m23 - m3 - nu,
+            m2 + m3 - m23, m12 + m23 - m2 - nu, m1 + m2 - m12)
+
+
 @dataclass(frozen=True)
 class GTFamily:
     """A positive (G,T)-orthogonal family, stored as its six support numbers
@@ -129,10 +136,7 @@ class GTFamily:
 
     def edge_lengths(self) -> Tuple[int, ...]:
         """The six gaps k_b: lambda_b - lambda_{b+1} is k_b times the coroot separating b, b+1."""
-        m1, m2, m3, m12, m13, m23 = self.support
-        nu = self.nu
-        return (m12 + m13 - m1 - nu, m1 + m3 - m13, m13 + m23 - m3 - nu,
-                m2 + m3 - m23, m12 + m23 - m2 - nu, m1 + m2 - m12)
+        return edge_lengths(self.nu, self.support)
 
     @cached_property
     def vertices(self) -> Tuple[Coweight, ...]:

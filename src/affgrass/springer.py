@@ -15,8 +15,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed, PrecisionLoss)
 from .grass import GrassPoint
-from .laurent import (INF, LaurentSeries, PrimeField, _mul, _val_diff, random_with_val,
-                      val, zero)
+from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, _val_diff,
+                      random_with_val, val, zero)
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      datum121_of, datum212_of, is_alternating, ZERO)
 from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
@@ -100,6 +100,27 @@ class RegularDiagonal:
         p = self.field.p
         return _val_diff(_mul(_mul(e21, e32, p), r12, p, top),
                          _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
+
+    def t31_ball(self, d: Coweight, e21, e32):
+        """The e31 whose t31 test in ``admits`` passes with e21 and e32, as a
+        ball (centre, radius), or None when there are none.  With r13 =
+        eps^c13 u13 it is val(e31 - e21 e32 r12 u13^-1 eps^-(d2+c13)) >=
+        d3 - c13, the centre known below the radius.  Below top a passing e31
+        has the lead of the centre, so the precision rule of ``admits`` is a
+        test on e21 and e32 alone."""
+        _d1, d2, d3 = d
+        c12, _c23, c13 = self.c
+        top = d2 + d3
+        x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
+        if x >= top:
+            return ZERO_ENTRY, d3 - c13
+        (r12, s12), (r13, s13) = self._roots
+        if min(s12 - c12, s13 - c13) < top - x:
+            return None
+        p = self.field.p
+        u = (0, tuple(_inv(r13[1], top - x, p)))
+        lead, cs = _mul(_mul(_mul(e21, e32, p), r12, p, top), u, p, top)
+        return (lead - d2 - c13, cs), d3 - c13
 
 
 def synthesize_gamma(c: Pattern, field: PrimeField, rng: random.Random) -> RegularDiagonal:

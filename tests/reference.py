@@ -7,17 +7,20 @@ the packed product and the Newton inverse, vertices in place of supports, a
 Gauss decomposition in place of the closed form of the BFZ map, the inverse
 of that map, lattice points in place of support tightening, one orientation
 at a time and the full scan of all vertex sets in place of the bounded subset
-scan), or a plain definition no library path needs.
+scan, every candidate of the entry windows in place of the D0 and Springer
+balls, ``canonicalize`` in place of the GMV test on the support), or a plain
+definition no library path needs.
 """
 import itertools
 import math
 
-from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, PreconditionViolated,
-                             PrecisionLoss, RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _hnf_lower, canonicalize_point, dprofile, mat,
-                            mat_diag_eps, point_from_y)
+from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV,
+                             PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
+from affgrass.grass import (GrassPoint, _entry_windows, _hnf_lower, _profile, _window_entries,
+                            canonicalize_point, dprofile, mat, mat_diag_eps, point_from_y)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from affgrass.moment import PoincarePoly
+from affgrass.mvcomb import canonicalize
 from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
 from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw
 
@@ -364,8 +367,36 @@ def cell_points_by_matrices(field, diag, windows, inverted=False):
 
 
 # ---------------------------------------------------------------------------
+# truncation points on the whole entry windows
+# ---------------------------------------------------------------------------
+
+def iter_entries_windows(f, q, budget=5_000_000):
+    """``grass._iter_entries`` without gamma as every candidate of the entry
+    windows whose D-profile passes the floor."""
+    windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
+    if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
+        raise BudgetExceeded(f"enumeration needs > {budget} candidates")
+    floor = [-m for m in f.support]
+    for d, ws in windows:
+        for e21, e31, e32 in itertools.product(*_window_entries(q, ws)):
+            prof = _profile(d, e21, e31, e32, q)
+            if all(v >= m for v, m in zip(prof, floor)):
+                yield d, e21, e31, e32, prof
+
+
+# ---------------------------------------------------------------------------
 # maximal generalized MV subpolytopes on lattice points
 # ---------------------------------------------------------------------------
+
+def is_gmv_canonical(f):
+    """``paving.is_gmv`` by ``canonicalize``: some minimizing Weyl twist of f
+    is an MV polytope."""
+    try:
+        canonicalize(f)
+        return True
+    except NotMV:
+        return False
+
 
 def max_gmv_inside_by_lattice_points(f, avoid):
     """``paving.max_gmv_inside`` with each step taken on lattice points: drop

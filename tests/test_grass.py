@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,9 @@ from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
 from affgrass.rootdata import BORELS, contains, pairing, weyl_family
 
 from reference import (D, Delta, agrees, decompose_u0, dprofile_matrix, eta_w0, eta_w0_inv,
-                       exact, gauss_plus, mat_det, mat_identity, mat_inv, mat_mul, minor,
-                       point_from_y_by_gauss, root_elem, translate_point, x_mat, y_map)
+                       exact, gauss_plus, iter_entries_windows, mat_det, mat_identity, mat_inv,
+                       mat_mul, minor, point_from_y_by_gauss, root_elem, translate_point, x_mat,
+                       y_map)
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -179,7 +181,14 @@ def test_profile_kernel_matches_minors(n, q, every):
                 assert dprofile_matrix(x.h) == prof
             if passes:
                 kept.append((d, *es, prof))
-    assert list(_iter_entries(fam, q)) == kept
+    assert Counter(_iter_entries(fam, q)) == Counter(kept)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_d0_ball_matches_window_loop(q):
+    for n in itertools.product(range(3), repeat=3):
+        fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        assert Counter(_iter_entries(fam, q)) == Counter(iter_entries_windows(fam, q)), n
 
 
 def test_ec_examples():
@@ -400,6 +409,16 @@ def test_enumerate_budget():
     W = weyl_family((3, -1, -1))
     with pytest.raises(BudgetExceeded):
         enumerate_points(W, F3, budget=10)
+
+
+def test_enumerate_budget_boundary():
+    # the guard counts every candidate of the whole entry windows
+    W = weyl_family((2, 0, -1))
+    count = sum(3 ** sum(max(0, hi - lo) for lo, hi in _entry_windows(W, d))
+                for d in W.lattice_points())
+    assert count > len(enumerate_points(W, F3, budget=count))
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(W, F3, budget=count - 1)
 
 
 def test_delta_bounds_D_with_equality_somewhere():

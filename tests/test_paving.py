@@ -16,8 +16,8 @@ from affgrass.paving import (ContractingCell, _cell_points, contracting_cell, gr
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
                                pairing, scale_cw, weyl_family)
 
-from reference import (cell_points_by_matrices, curve_point, max_gmv_inside_by_lattice_points,
-                       translate_point)
+from reference import (cell_points_by_matrices, curve_point, is_gmv_canonical,
+                       max_gmv_inside_by_lattice_points, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -303,3 +303,15 @@ def test_max_gmv_inside_lists_no_lattice_points(monkeypatch):
     monkeypatch.setattr(GTFamily, "lattice_points", refuse)
     for f, avoid in cases:
         max_gmv_inside(f, avoid)
+
+
+def test_is_gmv_matches_canonicalize():
+    fams = []
+    for nu in range(-1, 3):
+        for M in itertools.product(range(-1, 4), repeat=6):
+            try:
+                fams.append(GTFamily(nu, M))
+            except InconsistentFamily:
+                pass
+    assert len(fams) == 6928
+    assert [is_gmv(f) for f in fams] == [is_gmv_canonical(f) for f in fams]

@@ -1,14 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from affgrass.errors import PatternMismatch, PavingVerificationFailed
-from affgrass.grass import (GrassPoint, _entry_windows, canonicalize_point, ec,
+from affgrass.acceptance import SPRINGER_FAMILIES, _alternating_words
+from affgrass.errors import BudgetExceeded, PatternMismatch, PavingVerificationFailed
+from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, canonicalize_point, ec,
                             enumerate_points, iter_points, mat, mat_diag_eps, sample_point)
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
-from affgrass.mvcomb import LusztigDatum, MVPolytope
+from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word
 from affgrass.paving import contracting_cell, greedy_paving
 from affgrass.rootdata import contains, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
@@ -18,8 +20,8 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import (exact, mat_identity, mat_inv, mat_mul, member_springer_matrix,
-                       translate_point)
+from reference import (exact, iter_entries_windows, mat_identity, mat_inv, mat_mul,
+                       member_springer_matrix, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -318,3 +320,47 @@ def test_greedy_verification_matches_series_loop():
     fam = MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1))).family
     plan = greedy_paving(fam, verify_qs=(2, 3))
     assert plan.verified == _verify_steps_series(plan.steps, fam, (2, 3))
+
+
+def _admitted_by_windows(fam, q, gam):
+    """The Springer points by the window loop, each candidate tested by admits."""
+    return Counter(x for x in iter_entries_windows(fam, q) if gam.admits(*x[:4]))
+
+
+@pytest.mark.parametrize("n1, n2", SPRINGER_FAMILIES)
+def test_springer_balls_match_window_loop(n1, n2):
+    # every crystal truncation of the fundamental domain, as criterion 8 runs them
+    for seed in (40, 41):
+        gam = synthesize_gamma((n1, n2, n2), F3, random.Random(seed))
+        P0 = MVPolytope.from_family(fundamental_domain(gam))
+        for j in _alternating_words(2 * n2):
+            fam = apply_crystal_word(j, P0).family
+            assert Counter(_iter_entries(fam, 3, gamma=gam)) == \
+                _admitted_by_windows(fam, 3, gam), (seed, j)
+
+
+@pytest.mark.parametrize("rel12, rel13, total", [(1, None, 2101), (None, 1, 2101),
+                                                 (1, 1, 2101), (2, 2, 2425),
+                                                 (None, None, 2425)])
+def test_truncated_gamma_must_reach_top(rel12, rel13, total):
+    # pattern (2, 2, 2): when the leads of t31 meet below top, top - x is at
+    # most c23 = 2, so roots known to relative precision 2 always reach top
+    # and precision 1 falls short on some (e21, e32)
+    r12 = LaurentSeries(F3, 2, [1, 2, 1, 1], None if rel12 is None else 2 + rel12)
+    r13 = LaurentSeries(F3, 2, [2, 1, 0, 1], None if rel13 is None else 2 + rel13)
+    gam = RegularDiagonal.from_series((zero(F3), -r12, -r13))
+    assert gam.c == (2, 2, 2)
+    fam = fundamental_domain(gam)
+    got = Counter(_iter_entries(fam, 3, gamma=gam))
+    assert got == _admitted_by_windows(fam, 3, gam)
+    assert sum(got.values()) == total
+
+
+def test_springer_budget_counts_whole_windows():
+    gam = synthesize_gamma((1, 1, 1), F3, random.Random(3))
+    fam = fundamental_domain(gam)
+    count = sum(3 ** sum(max(0, hi - lo) for lo, hi in _entry_windows(fam, d))
+                for d in fam.lattice_points())
+    assert list(_iter_entries(fam, 3, budget=count, gamma=gam))
+    with pytest.raises(BudgetExceeded):
+        next(_iter_entries(fam, 3, budget=count - 1, gamma=gam))
