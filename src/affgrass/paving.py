@@ -20,10 +20,9 @@ from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import Edge, PoincarePoly, skeleton
-from .mvcomb import (LusztigDatum, MVPolytope, braid, canonicalize, dimension,
-                     vertices_of)
-from .rootdata import (_WEYL_SOURCE, BORELS, Coweight, GTFamily, contains, edge_lengths,
-                       family_from_support, perm_inv, sub_cw, tighten_support)
+from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
+from .rootdata import (_WEYL_SOURCE, BORELS, CHAMBERS, Coweight, GTFamily, contains, edge_lengths,
+                       family_from_support, pairing, perm_inv, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -259,8 +258,8 @@ def is_gmv(f: GTFamily) -> bool:
 
 
 def gmv_dimension(f: GTFamily) -> int:
-    _w, P = canonicalize(f)
-    return dimension(P)
+    """n1 + 2 n2 + n3 of a GMV family's MV twist: sum(M) - 2 nu - max_j (M_j + M_{j^c})."""
+    return sum(f.support) - 2 * f.nu - max(f.support[j] + f.support[5 - j] for j in range(3))
 
 
 _WALK_BUDGET = 200_000  # states of one max_gmv_inside walk
@@ -269,25 +268,29 @@ _WALK_BUDGET = 200_000  # states of one max_gmv_inside walk
 def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
     """Maximal generalized MV polytopes inside f, not containing ``avoid``.
 
-    Walk on tight supports: lower one support number m_S by 1 and tighten the
-    rest, unless m_S + m_{S^c} = nu (the facet is the whole polytope).  Keep the
-    generalized MV families that exclude ``avoid``; stop descending below them.
+    For ``avoid`` in f, a family inside f misses it exactly when some M_S < <avoid, S>: the walk
+    starts at each facet cut M_S = <avoid, S> - 1 that leaves a point, tightened (else at f).
+    A step lowers m_S by 1 and tightens the rest, unless m_S + m_{S^c} = nu; GMV families end it.
     """
-    seen = {f.support}
-    queue = [f.support]
+    M, nu = f.support, f.nu
+    queue = [M]
+    if avoid is not None and f.contains_point(avoid):
+        queue = [tighten_support(M[:ci] + (cut,) + M[ci + 1:], nu) for ci, cut in
+                 enumerate(pairing(avoid, S) - 1 for S in CHAMBERS) if cut + M[5 - ci] >= nu]
+    seen = set(queue)
     found: Dict[Tuple[int, ...], GTFamily] = {}
     while queue:
         m = queue.pop()
         if any(all(a <= b for a, b in zip(m, r)) for r in found):
             continue
-        fam = family_from_support(m, f.nu)
-        if (avoid is None or not fam.contains_point(avoid)) and is_gmv(fam):
+        fam = family_from_support(m, nu)
+        if is_gmv(fam):
             found[m] = fam
             continue
         for ci in range(6):
-            if m[ci] + m[5 - ci] == f.nu:  # CHAMBERS lists complements in reverse
+            if m[ci] + m[5 - ci] == nu:  # S^c = 5 - ci; the facet is the whole polytope
                 continue
-            m2 = tighten_support(m[:ci] + (m[ci] - 1,) + m[ci + 1:], f.nu)
+            m2 = tighten_support(m[:ci] + (m[ci] - 1,) + m[ci + 1:], nu)
             if m2 not in seen:
                 seen.add(m2)
                 if len(seen) > _WALK_BUDGET:
@@ -343,11 +346,8 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         else:
             cands = [(P, b) for P in actives for b in range(6)]
         dims = {P.support: gmv_dimension(P) for P in dict.fromkeys(P for P, _b in cands)}
-        scored = sorted(
-            cands,
-            key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
-                            pb[0].vertex(pb[1]), pb[1], pb[0].support))
-        P, b = scored[0]
+        P, b = min(cands, key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
+                                         pb[0].vertex(pb[1]), pb[1], pb[0].support))
         v = P.vertex(b)
         for Q in actives:
             if Q.support != P.support and Q.contains_point(v):

@@ -8,8 +8,9 @@ Gauss decomposition in place of the closed form of the BFZ map, the inverse
 of that map, lattice points in place of support tightening, one orientation
 at a time and the full scan of all vertex sets in place of the bounded subset
 scan, every candidate of the entry windows in place of the D0 and Springer
-balls, ``canonicalize`` in place of the GMV test on the support), or a plain
-definition no library path needs.
+balls, ``canonicalize`` in place of the GMV test and the cell dimension on
+the support, one walk that tests every state against the avoided point in
+place of the facet cuts), or a plain definition no library path needs.
 """
 import itertools
 import math
@@ -20,9 +21,9 @@ from affgrass.grass import (GrassPoint, _entry_windows, _hnf_lower, _profile, _w
                             canonicalize_point, dprofile, mat, mat_diag_eps, point_from_y)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from affgrass.moment import PoincarePoly
-from affgrass.mvcomb import canonicalize
+from affgrass.mvcomb import canonicalize, dimension
 from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
-from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw
+from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw, tighten_support
 
 # ---------------------------------------------------------------------------
 # series values
@@ -396,6 +397,38 @@ def is_gmv_canonical(f):
         return True
     except NotMV:
         return False
+
+
+def gmv_dimension_canonical(f):
+    """``paving.gmv_dimension`` by ``canonicalize``: n1 + 2 n2 + n3 of the MV twist."""
+    _w, P = canonicalize(f)
+    return dimension(P)
+
+
+def max_gmv_inside_walk(f, avoid):
+    """``paving.max_gmv_inside`` as one walk from f that tests every state
+    against ``avoid``, in place of the walks from the facet cuts."""
+    seen = {f.support}
+    queue = [f.support]
+    found = {}
+    while queue:
+        m = queue.pop()
+        if any(all(a <= b for a, b in zip(m, r)) for r in found):
+            continue
+        fam = family_from_support(m, f.nu)
+        if (avoid is None or not fam.contains_point(avoid)) and is_gmv(fam):
+            found[m] = fam
+            continue
+        for ci in range(6):
+            if m[ci] + m[5 - ci] == f.nu:  # CHAMBERS lists complements in reverse
+                continue
+            m2 = tighten_support(m[:ci] + (m[ci] - 1,) + m[ci + 1:], f.nu)
+            if m2 not in seen:
+                seen.add(m2)
+                if len(seen) > _WALK_BUDGET:
+                    raise BudgetExceeded("support tightening walk exceeded its budget")
+                queue.append(m2)
+    return _maximal(found.values())
 
 
 def max_gmv_inside_by_lattice_points(f, avoid):

@@ -1,23 +1,29 @@
 import itertools
+import random
 
 import pytest
 
 from affgrass.errors import (InconsistentFamily, NormalPositionRequired,
                              PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
-from affgrass.acceptance import _normal_data
+from affgrass import paving
+from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _alternating_words,
+                                 _normal_data)
 from affgrass.grass import ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope
-from affgrass.paving import (ContractingCell, _cell_points, contracting_cell, greedy_paving,
+from affgrass.paving import (ContractingCell, _cell_points, _maximal, _mv_cell_fn, _pave,
+                             contracting_cell, gmv_dimension, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
-                               pairing, scale_cw, weyl_family)
+                               pairing, scale_cw, tighten_support, weyl_family)
+from affgrass.springer import synthesize_gamma, truncated_paving
 
-from reference import (cell_points_by_matrices, curve_point, is_gmv_canonical,
-                       max_gmv_inside_by_lattice_points, translate_point)
+from reference import (cell_points_by_matrices, curve_point, gmv_dimension_canonical,
+                       is_gmv_canonical, max_gmv_inside_by_lattice_points, max_gmv_inside_walk,
+                       translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -305,7 +311,8 @@ def test_max_gmv_inside_lists_no_lattice_points(monkeypatch):
         max_gmv_inside(f, avoid)
 
 
-def test_is_gmv_matches_canonicalize():
+def _grid_families():
+    """Every family with nu in {-1..2} and support in {-1..3}^6."""
     fams = []
     for nu in range(-1, 3):
         for M in itertools.product(range(-1, 4), repeat=6):
@@ -313,5 +320,100 @@ def test_is_gmv_matches_canonicalize():
                 fams.append(GTFamily(nu, M))
             except InconsistentFamily:
                 pass
+    return fams
+
+
+def test_is_gmv_matches_canonicalize():
+    fams = _grid_families()
     assert len(fams) == 6928
     assert [is_gmv(f) for f in fams] == [is_gmv_canonical(f) for f in fams]
+
+
+def test_gmv_dimension_matches_canonicalize():
+    fams = [f for f in _grid_families() if is_gmv(f)]
+    assert len(fams) == 3196
+    assert [gmv_dimension(f) for f in fams] == [gmv_dimension_canonical(f) for f in fams]
+
+
+# the families of the mv_pave benchmark workload
+MV_PAVE_FAMILIES = (
+    [MVPolytope.from_datum(LusztigDatum("121", n)).family
+     for n in ((1, 0, 1), (2, 1, 1), (3, 1, 2), (2, 2, 2), (1, 1, 1), (2, 0, 1), (2, 1, 2),
+               (1, 1, 0))]
+    + [weyl_family(lam)
+       for lam in ((2, 1, 0), (3, 1, 0), (4, 2, 0), (2, 0, 0), (2, 2, 0), (3, 0, 0))])
+
+
+def test_max_gmv_inside_matches_walk_on_pave_calls(monkeypatch):
+    calls = []
+    real = paving.max_gmv_inside
+
+    def record(f, avoid):
+        calls.append((f, avoid))
+        return real(f, avoid)
+
+    monkeypatch.setattr(paving, "max_gmv_inside", record)
+    # the mv_pave families, then those of criterion 6, then the Springer
+    # chains of criterion 8: plans built but not counted
+    for fam in MV_PAVE_FAMILIES:
+        _pave(fam, _mv_cell_fn)
+    n_mv = len(calls)
+    for fam in ([MVPolytope.from_datum(LusztigDatum("121", n)).family for n in PURITY_DATA]
+                + [weyl_family(lam) for lam in PURITY_WEYL]):
+        _pave(fam, _mv_cell_fn)
+    n_purity = len(calls) - n_mv
+    for n1, n2 in SPRINGER_FAMILIES:
+        gam = synthesize_gamma((n1, n2, n2), PrimeField(3), random.Random(8))
+        for j in _alternating_words(2 * n2):
+            truncated_paving(gam, j, verify_qs=())
+    assert (n_mv, n_purity, len(calls) - n_mv - n_purity) == (151, 41, 181)
+    for f, avoid in calls:
+        assert [P.support for P in real(f, avoid)] == \
+            [P.support for P in max_gmv_inside_walk(f, avoid)], (f.support, avoid)
+
+
+def test_max_gmv_inside_avoid_outside_is_plain_walk():
+    for f in [f for f, avoid in _walk_cases() if avoid is None]:
+        v = f.vertex(0)
+        # beyond facet {1}; off the nu fiber, beyond it and below every facet
+        for out in ((v[0] + 1, v[1] - 1, v[2]), (v[0] + 1, v[1], v[2]), (v[0] - 1, v[1], v[2])):
+            assert not f.contains_point(out)
+            assert max_gmv_inside(f, out) == max_gmv_inside(f, None) == \
+                max_gmv_inside_walk(f, out)
+
+
+def test_empty_facet_cut_never_tightened(monkeypatch):
+    def tighten_with_points(M, nu):
+        assert all(M[ci] + M[5 - ci] >= nu for ci in range(6)), (M, nu)
+        return tighten_support(M, nu)
+
+    monkeypatch.setattr(paving, "tighten_support", tighten_with_points)
+    skipped = 0
+    for f in [f for f, avoid in _walk_cases() if avoid is None]:
+        M = f.support
+        for v in f.vertices:
+            skipped += sum(pairing(v, S) - 1 + M[5 - ci] < f.nu for ci, S in enumerate(CHAMBERS))
+            assert max_gmv_inside(f, v) == max_gmv_inside_walk(f, v)
+    assert skipped > 0
+
+
+def test_gmv_facet_cut_ends_walk_at_first_state(monkeypatch):
+    tested = []
+
+    def is_gmv_logged(fam):
+        tested.append(fam.support)
+        return is_gmv(fam)
+
+    monkeypatch.setattr(paving, "is_gmv", is_gmv_logged)
+    for n in ((1, 0, 1), (1, 1, 1)):
+        f = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        for v in f.vertices:
+            del tested[:]
+            cuts = [tighten_support(f.support[:ci] + (pairing(v, S) - 1,) + f.support[ci + 1:],
+                                    f.nu) for ci, S in enumerate(CHAMBERS)
+                    if pairing(v, S) - 1 + f.support[5 - ci] >= f.nu]
+            assert all(is_gmv(family_from_support(m, f.nu)) for m in cuts)
+            got = max_gmv_inside(f, v)
+            # each cut is tested at most once (not at all below another GMV cut)
+            assert len(tested) == len(set(tested)) and set(tested) <= set(cuts)
+            assert got == _maximal(family_from_support(m, f.nu) for m in cuts)
