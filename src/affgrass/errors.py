@@ -23,7 +23,14 @@ class GaussFailure(AffgrassError):
 
 
 class InconsistentFamily(AffgrassError):
-    """Support numbers do not define a positive orthogonal vertex family."""
+    """Support numbers do not define a positive orthogonal vertex family.
+
+    ``rootdata`` rejects many candidate families whose message nobody reads,
+    so it raises a ``str.format`` template followed by its fields, and the
+    message is formatted only when ``str`` reads it."""
+
+    def __str__(self):
+        return self.args[0].format(*self.args[1:]) if len(self.args) > 1 else self.args[0]
 
 
 class NotMV(AffgrassError):

@@ -15,8 +15,9 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
-from .laurent import (INF, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _entry, _mul,
-                      _val_diff, eps, one, zero)
+from .hermite import hermite_entries
+from .laurent import (INF, ONE_ENTRY, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _entry,
+                      _mul, _val_diff, eps, one, zero)
 from .rootdata import GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
@@ -198,8 +199,30 @@ def transition(word: str, ts: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, .
 
 
 def point_from_y(word: str, ts: Sequence[LaurentSeries]) -> GrassPoint:
-    """The coset [y_word(t)^-1]."""
-    return canonicalize_point(y_inverse(word, ts))
+    """The coset [g], g = y_word(t)^-1, by the integer Hermite kernel.
+
+    g is upper unitriangular and its inverse y = y_word(t) explicit, so a
+    strictly upper error delta leaves gK unchanged once y delta, also strictly
+    upper, is integral: row k of g is read only below
+    B_k = -min_{i<=k} val(y_ik), that is B_0 = 0 and B_1 = max(0, -val g01)
+    (y01 = -g01, its valuation bounded below by effval).  Each row is cut
+    there, and a truncated entry that stops short raises ``PrecisionLoss``.
+    Parameters cut to relative precision sum |val t_i| + 2 still give every
+    entry to its B_k wherever the whole parameters do, so they are cut first:
+    no long series is formed, and exact parameters are cut too, so the
+    field's working precision is never read.
+    """
+    rel = sum(abs(t.lead) for t in ts if t.nonzero) + 2
+    ts = [LaurentSeries(t.field, t.lead, t.coeffs, min(t._prec_inf(), t.lead + rel))
+          if t.nonzero else t for t in ts]
+    g = y_inverse(word, ts)
+    tops = (0, max(0, -g[0][1].effval()))
+    rows = [[ONE_ENTRY if r == c else ZERO_ENTRY for c in range(3)] for r in range(3)]
+    for r, c in ((0, 1), (0, 2), (1, 2)):
+        e = g[r][c].as_exact_below(tops[r])
+        rows[r][c] = (e.lead, e.coeffs)
+    d, entries = hermite_entries(rows, ts[0].field.p)
+    return GrassPoint(ts[0].field, d, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Entries are the (lead, coeffs) normal forms of ``laurent``, as in
 ``grass.GrassPoint``, and every sum, product and unit inverse is a ``laurent``
 kernel.  The cell enumerators build each point here, with no
-``LaurentSeries``.  The series form ``grass._hnf_lower`` is the test
-reference; in the library it serves only ``canonicalize_point``
-(``point_from_y`` and user matrices).
+``LaurentSeries``.  ``grass.point_from_y`` builds its point here too, from
+y_word(t)^-1 cut to exact entries below the exponents that its precision rule
+says the coset reads.
+The series form ``grass._hnf_lower`` is the test reference; in the library it
+serves only ``canonicalize_point`` on user matrices.
 """
 from __future__ import annotations
 

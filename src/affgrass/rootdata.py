@@ -117,8 +117,8 @@ class GTFamily:
         for b, k in enumerate(self.edge_lengths()):
             if k < 0:
                 raise InconsistentFamily(
-                    f"support {self.support} on the nu={self.nu} fiber gives the edge "
-                    f"between chambers {b},{(b + 1) % 6} the negative length {k}")
+                    "support {0} on the nu={1} fiber gives the edge between chambers {2},{3} "
+                    "the negative length {4}", self.support, self.nu, b, (b + 1) % 6, k)
 
     @classmethod
     def from_vertices(cls, nu: int, vertices) -> "GTFamily":
@@ -130,8 +130,8 @@ class GTFamily:
         for b, v in enumerate(_support_vertices(nu, M)):
             if v != vertices[b]:
                 raise InconsistentFamily(
-                    f"vertex {vertices[b]} at chamber {b} is not {v}, where the "
-                    f"support puts it: not a positive orthogonal family on the nu={nu} fiber")
+                    "vertex {0} at chamber {1} is not {2}, where the support puts it: not a "
+                    "positive orthogonal family on the nu={3} fiber", vertices[b], b, v, nu)
         return cls(nu, M)
 
     def edge_lengths(self) -> Tuple[int, ...]:

@@ -18,7 +18,8 @@ import math
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV,
                              PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
 from affgrass.grass import (GrassPoint, _entry_windows, _hnf_lower, _profile, _window_entries,
-                            canonicalize_point, dprofile, mat, mat_diag_eps, point_from_y)
+                            canonicalize_point, dprofile, mat, mat_diag_eps, point_from_y,
+                            y_inverse)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import canonicalize, dimension
@@ -243,6 +244,12 @@ def y_map(word, ts):
 def point_from_y_by_gauss(word, ts):
     """The coset [y_word(t)^-1] through eta_w0_inv and a series matrix inverse."""
     return canonicalize_point(mat_inv(y_map(word, ts)))
+
+
+def point_from_y_series(word, ts):
+    """The coset [y_word(t)^-1] by the series Hermite form of the closed-form
+    inverse at the parameters' full precision."""
+    return canonicalize_point(y_inverse(word, ts))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ def test_domain_error_exit_code():
 
 
 _BORELS = ("123", "132", "312", "321", "231", "213")
+
+
+def test_inconsistent_polytope_message(tmp_path):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"nu": 1, "vertices": {
+        k: [0, 1, 0] if k == "213" else [1, 0, 0] for k in _BORELS}}))
+    r = run("points", "--polytope", str(poly), "--prime", "2")
+    assert r.returncode == 2
+    assert r.stderr == ("error: vertex (1, 0, 0) at chamber 4 is not (1, 1, -1), where the "
+                        "support puts it: not a positive orthogonal family on the nu=1 fiber\n")
 _SERIES = {"lead": 0, "coeffs": [1], "prec": "exact"}
 
 

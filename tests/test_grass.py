@@ -20,8 +20,8 @@ from affgrass.rootdata import BORELS, contains, pairing, weyl_family
 
 from reference import (D, Delta, agrees, decompose_u0, dprofile_matrix, eta_w0, eta_w0_inv,
                        exact, gauss_plus, iter_entries_windows, mat_det, mat_identity, mat_inv,
-                       mat_mul, minor, point_from_y_by_gauss, root_elem, translate_point, x_mat,
-                       y_map)
+                       mat_mul, minor, point_from_y_by_gauss, point_from_y_series, root_elem,
+                       translate_point, x_mat, y_map)
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -378,6 +378,111 @@ def test_point_from_y_matches_gauss_reference():
             assert got == _bfz_outcome(word, ts, point_from_y_by_gauss)
             seen.add(got if isinstance(got, type) else GrassPoint)
     assert seen == {GrassPoint, GaussFailure, PrecisionLoss}
+
+
+@pytest.mark.parametrize("p, prec", [(2, 16), (3, 32), (5, 32), (10007, 8), (10007, 64)])
+def test_point_from_y_matches_series_hermite_form(p, prec):
+    # the cut parameters and the integer kernel against the series Hermite
+    # form of y_word(t)^-1 at full precision: the same point or the same error
+    field = PrimeField(p, prec)
+    rng = random.Random(f"bfz:{p}:{prec}")
+    for word in ("121", "212"):
+        for n in itertools.product(range(4), repeat=3):
+            for _ in range(10):
+                ts = [random_with_val(field, k, rng) for k in n]
+                assert (_bfz_outcome(word, ts, point_from_y)
+                        == _bfz_outcome(word, ts, point_from_y_series))
+
+
+def _known(e):
+    """The known terms of a series, as an exact Laurent polynomial."""
+    return e if e.prec is None else e.as_exact_below(e.prec)
+
+
+@pytest.mark.parametrize("start", [0, -1])
+def test_point_from_y_precision_rule_is_sharp(start):
+    # point_from_y reads row k of g = y_word(t)^-1 below B_k, B_0 = 0 and
+    # B_1 = max(0, -val g01): a polynomial added to a truncated entry from
+    # exponent B_k on leaves the coset alone, and one from B_k - 1 moves it
+    field = PrimeField(5, 16)
+    rng = random.Random(32)
+    tried = Counter()
+    for k in range(120):
+        word = ("121", "212")[k % 2]
+        ts = [random_with_val(field, rng.randrange(4), rng, exact=True, tail=rng.randrange(3))
+              for _ in range(3)]
+        x = point_from_y(word, ts)
+        g0 = y_inverse(word, ts)
+        g = [[_known(e) for e in row] for row in g0]
+        tops = (0, max(0, -val(g[0][1])))
+        for r, c in ((0, 1), (0, 2), (1, 2)):
+            if g0[r][c].prec is None:
+                continue
+            noise = LaurentSeries(field, tops[r] + start,
+                                  [rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(3)])
+            m = [list(row) for row in g]
+            m[r][c] = m[r][c] + noise
+            assert (canonicalize_point(mat(m)) == x) == (start == 0)
+            tried[word, r] += 1
+    assert min(tried.values()) > 20 and len(tried) == 4
+
+
+def _complete(t, field, rng):
+    """An exact Laurent polynomial over field that agrees with t to its precision."""
+    tail = [] if t.prec is None else (
+        [0] * (t.prec - t.lead - len(t.coeffs)) + [rng.randrange(field.p) for _ in range(4)])
+    return LaurentSeries(field, t.lead, list(t.coeffs) + tail)
+
+
+def test_point_from_y_is_the_point_of_random_completions():
+    # parameters of any valuation, exact or truncated: where point_from_y
+    # answers, a completion of the parameters has that point, and where the
+    # series form answers, point_from_y gives its point
+    rng = random.Random(33)
+    checked = 0
+    for k in range(400):
+        field = PrimeField(rng.choice((2, 3, 5)), rng.randrange(2, 16))
+        ts = []
+        for _ in range(3):
+            v = rng.randrange(-4, 5)
+            cs = [rng.randrange(1, field.p)] + [rng.randrange(field.p) for _ in range(8)]
+            ts.append(LaurentSeries(field, v, cs, None if k % 3 == 0 else v + rng.randrange(1, 10)))
+        word = ("121", "212")[k % 2]
+        got = _bfz_outcome(word, ts, point_from_y)
+        ref = _bfz_outcome(word, ts, point_from_y_series)
+        assert got == ref or (ref is PrecisionLoss and isinstance(got, GrassPoint))
+        if isinstance(got, GrassPoint):
+            high = PrimeField(field.p, 48)
+            assert point_from_y_series(word, [_complete(t, high, rng) for t in ts]) == got
+            checked += 1
+    assert checked > 200
+
+
+def _cut(t, prec):
+    return LaurentSeries(t.field, t.lead, t.coeffs, prec)
+
+
+@pytest.mark.parametrize("word, ts, i, prec", [
+    # 121: g01 = -1/t1 is read below B_0 = 0, so t1 = eps^2 needs precision 4
+    ("121", ((2, (1, 1, 3)), (0, (1,)), (0, (1,))), 0, 4),
+    # 121: g12 = -(t1+t3)/(t2 t3) is read below B_1 = val t1 = 2
+    ("121", ((2, (1,)), (0, (1,)), (0, (1, 4, 2))), 2, 2),
+    # 212: g12 = -1/t1 is read below B_1 = val t2 + val t3 - val(t1+t3) = 2
+    ("212", ((0, (1, 1, 3)), (2, (1,)), (0, (1,))), 0, 2),
+])
+def test_point_from_y_precision_short_of_the_rule_raises(word, ts, i, prec):
+    # t_i known to the rule's precision gives the point of the exact
+    # parameters (where the series form may still give up); one term less
+    # raises PrecisionLoss, as the series form does
+    field = PrimeField(5, 16)
+    ts = [LaurentSeries(field, lead, cs) for lead, cs in ts]
+    x = point_from_y(word, ts)
+    ts[i] = _cut(ts[i], prec)
+    assert point_from_y(word, ts) == x
+    ts[i] = _cut(ts[i], prec - 1)
+    for fn in (point_from_y, point_from_y_series):
+        with pytest.raises(PrecisionLoss):
+            fn(word, ts)
 
 
 def test_point_from_y_word_checked():

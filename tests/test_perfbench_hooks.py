@@ -40,3 +40,14 @@ def test_smallest_job_runs_traced(bench, name):
     assert any(s[0] != tracer.JOB_SPAN for s in t.spans)
     assert set(tracer.summarize(t, [1.0])) == {"counts", "ratios", "times"}
     assert workloads.matches(reference[job.key], json.loads(json.dumps(job.canon(result))))
+
+
+def test_bfz_param_universe_matches_reference(bench):
+    # a pass runs one of 16 slots per Lusztig datum; here every slot's
+    # points, member flags and retries are checked against the reference
+    _tracer, workloads = bench
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["bfz_param"]
+    jobs = workloads.WORKLOADS["bfz_param"].universe()
+    assert len(jobs) == len(reference) == 432
+    for job in jobs:
+        assert reference[job.key] == json.loads(json.dumps(job.canon(job.run())))

@@ -154,6 +154,21 @@ def test_infeasible_support_rejected():
     assert not found
 
 
+def test_inconsistent_family_messages():
+    # the message is formatted when read, from the fields the error keeps
+    W = weyl_family((1, 0, 0))
+    with pytest.raises(InconsistentFamily) as e:
+        family_from_support((1, 1, 1, 0, 1, 1), W.nu)
+    assert str(e.value) == ("support (1, 1, 1, 0, 1, 1) on the nu=1 fiber gives the edge "
+                            "between chambers 0,1 the negative length -1")
+    with pytest.raises(InconsistentFamily) as e:
+        GTFamily.from_vertices(1, ((1, 0, 0),) * 5 + ((0, 1, 0),))
+    assert e.value.args[1:] == ((1, 0, 0), 4, (1, 1, -1), 1)
+    assert str(e.value) == ("vertex (1, 0, 0) at chamber 4 is not (1, 1, -1), where the "
+                            "support puts it: not a positive orthogonal family on the nu=1 fiber")
+    assert str(InconsistentFamily("a {plain} message")) == "a {plain} message"
+
+
 def test_family_from_support_reads_back_its_support():
     # each support number is read back from a vertex built from it, so a
     # support vector either fails the family invariants or comes back unchanged
