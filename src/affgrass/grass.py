@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
-from .hermite import hermite_entries
+from .hermite import _adjugate, hermite_entries
 from .laurent import (INF, ONE_ENTRY, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _entry,
                       _mul, _val_diff, eps, one, zero)
 from .rootdata import GTFamily, Coweight, family_from_support
@@ -62,65 +62,55 @@ class GrassPoint:
         return mat(h)
 
 
-def _pick_pivot(entries: List[LaurentSeries]):
-    best, bestv = None, None
-    for j, e in enumerate(entries):
-        if e.nonzero and (bestv is None or e.lead < bestv):
-            best, bestv = j, e.lead
-    for e in entries:
-        if not e.nonzero and not e.is_exact_zero:
-            if bestv is None or e.prec <= bestv:
-                raise PrecisionLoss("pivot ambiguous: a candidate entry is zero up to precision")
-    if best is None:
-        raise SingularMatrix("no pivot: matrix is singular")
-    return best, bestv
-
-
-def _high_part(e: LaurentSeries, cut: int) -> LaurentSeries:
-    """Monomials with exponent >= cut, divided by eps^cut."""
-    cs = [c if (e.lead + i) >= cut else 0 for i, c in enumerate(e.coeffs)]
-    return LaurentSeries(e.field, e.lead, cs, e.prec).shift(-cut)
-
-
-def _hnf_lower(g: Matrix):
-    """Column Hermite form over O: returns (matrix, diagonal exponents)."""
-    field = g[0][0].field
-    cols = [[g[r][c] for r in range(3)] for c in range(3)]
-    exact_zero = zero(field)
-    for i in range(3):
-        j, v = _pick_pivot([cols[j][i] for j in range(i, 3)])
-        j += i
-        cols[i], cols[j] = cols[j], cols[i]
-        unit = cols[i][i].shift(-v).inv()
-        cols[i] = [e * unit for e in cols[i]]
-        cols[i][i] = eps(field, v)
-        for j in range(i + 1, 3):
-            f = cols[j][i].shift(-v)
-            if f.nonzero or not f.is_exact_zero:
-                cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
-            cols[j][i] = exact_zero
-    d = tuple(cols[i][i].lead for i in range(3))
-    # reduce below-diagonal entries modulo eps^{d_row}
-    for (r, c) in ((1, 0), (2, 0), (2, 1)):
-        q = _high_part(cols[c][r], d[r])
-        if not q.is_exact_zero:
-            cols[c] = [a - q * b for a, b in zip(cols[c], cols[r])]
-    for c in range(3):
-        for r in range(3):
-            if r > c:
-                cols[c][r] = cols[c][r].as_exact_below(d[r])
-            elif r < c:
-                cols[c][r] = exact_zero
-            else:
-                cols[c][r] = eps(field, d[r])
-    h = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
-    return h, d
-
-
 def canonicalize_point(g: Matrix) -> GrassPoint:
-    h, d = _hnf_lower(g)
-    return GrassPoint(g[0][0].field, d,
-                      tuple((e.lead, e.coeffs) for e in (h[1][0], h[2][0], h[2][1])))
+    """The coset gK of a 3x3 LaurentSeries matrix, by the integer Hermite
+    kernel on the known terms g~ of its entries.
+
+    An entry known only below prec_kj leaves an error delta_kj of valuation
+    >= prec_kj, and the coset is fixed once every X = g~^-1 delta lies in
+    M3(O) with X mod eps nilpotent, for then 1 + X lies in K.  With
+    g~^-1 = adj(g~) / det(g~), val det(g~) = sum(d) and
+    m_ij = min_k (val g~^-1_ik + prec_kj), that is every m_ij >= 0 and no
+    cycle, self-loops included, among the (i, j) with m_ij = 0; otherwise
+    ``PrecisionLoss``.  A singular g~ raises ``SingularMatrix`` when every
+    completion of g is singular too, else ``PrecisionLoss``.
+    """
+    field = g[0][0].field
+    if any(e.field != field for row in g for e in row):
+        raise ValueError("mixed prime fields")
+    p = field.p
+    cut = [[(e.lead, e.coeffs) for e in row] for row in g]
+    prec = [[e._prec_inf() for e in row] for row in g]
+    try:
+        d, entries = hermite_entries(cut, p)
+    except SingularMatrix:
+        free = [(k, j) for k in range(3) for j in range(3) if prec[k][j] < INF]
+        if _completions_singular(cut, free, _adjugate(cut, p)):
+            raise
+        raise PrecisionLoss("the known terms are singular, a completion need not be") from None
+    adj = _adjugate(cut, p)
+    m = [[min(adj[i][k][0] - sum(d) + prec[k][j] if adj[i][k][1] else INF for k in range(3))
+          for j in range(3)] for i in range(3)]
+    zeros = [(i, j) for i in range(3) for j in range(3) if m[i][j] == 0]
+    if min(map(min, m)) < 0 or not any(all(o.index(i) < o.index(j) for i, j in zeros)
+                                       for o in itertools.permutations(range(3))):
+        raise PrecisionLoss("the truncated entries do not determine the coset")
+    return GrassPoint(field, d, entries)
+
+
+def _completions_singular(cut, free, adj) -> bool:
+    """Whether det(cut + sum t_kj E_kj), over indeterminates t_kj at the free
+    positions, vanishes, cut being singular.  Its coefficients are the minors
+    left by free positions in distinct rows and columns: the cofactor at one,
+    the entry left by two, and 1 for three."""
+    for n in (1, 2, 3):
+        for ps in itertools.combinations(free, n):
+            ks, js = zip(*ps)
+            if len(set(ks)) < n or len(set(js)) < n:
+                continue
+            if n == 3 or (adj[js[0]][ks[0]] if n == 1 else cut[3 - sum(ks)][3 - sum(js)])[1]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

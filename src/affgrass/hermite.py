@@ -2,12 +2,11 @@
 
 Entries are the (lead, coeffs) normal forms of ``laurent``, as in
 ``grass.GrassPoint``, and every sum, product and unit inverse is a ``laurent``
-kernel.  The cell enumerators build each point here, with no
-``LaurentSeries``.  ``grass.point_from_y`` builds its point here too, from
-y_word(t)^-1 cut to exact entries below the exponents that its precision rule
-says the coset reads.
-The series form ``grass._hnf_lower`` is the test reference; in the library it
-serves only ``canonicalize_point`` on user matrices.
+kernel.  Every point of the library is built here, with no ``LaurentSeries``:
+the cell points, ``grass.point_from_y`` from y_word(t)^-1 cut below the
+exponents its precision rule says the coset reads, and
+``grass.canonicalize_point`` from the known terms of a series matrix, its
+precision rule read off ``_adjugate``.
 """
 from __future__ import annotations
 
@@ -74,12 +73,17 @@ def hermite_entries(g: Sequence[Sequence[Entry]], p: int):
     return (d1, d2, d3), (h21, h31, h32)
 
 
-def unipotent_inverse(u: Sequence[Sequence[Entry]], p: int):
-    """u^-1 as entries: the adjugate, u being of determinant 1."""
+def _adjugate(g: Sequence[Sequence[Entry]], p: int):
+    """adj(g) as entries, so that g adj(g) = det(g)."""
     def cof(i, j):  # signed, by cyclic indices
         r0, r1, c0, c1 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-        return _add(_times(u[r0][c0], u[r1][c1], p), _times(u[r0][c1], u[r1][c0], p), p, -1)
-    adj = [[cof(j, i) for j in range(3)] for i in range(3)]
+        return _add(_times(g[r0][c0], g[r1][c1], p), _times(g[r0][c1], g[r1][c0], p), p, -1)
+    return [[cof(j, i) for j in range(3)] for i in range(3)]
+
+
+def unipotent_inverse(u: Sequence[Sequence[Entry]], p: int):
+    """u^-1 as entries: the adjugate, u being of determinant 1."""
+    adj = _adjugate(u, p)
     det = ZERO_ENTRY
     for j in range(3):
         det = _add(det, _times(u[0][j], adj[j][0], p), p)

@@ -230,11 +230,6 @@ class LaurentSeries:
         cs = _conv(self.coeffs, other.coeffs, n, self.field.p)
         return LaurentSeries(self.field, lead, cs, None if math.isinf(prec) else int(prec))
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by eps^k."""
-        return LaurentSeries(self.field, self.lead + k, self.coeffs,
-                             None if self.prec is None else self.prec + k)
-
     def inv(self) -> "LaurentSeries":
         if not self.coeffs:
             if self.is_exact_zero:

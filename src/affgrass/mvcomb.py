@@ -5,8 +5,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import InconsistentFamily, NotMV, PreconditionViolated
-from .rootdata import (CANON_ORDER, GTFamily, RHO, W0, Coweight, Perm,
-                       act, add_cw, coroot, perm_inv, perm_mul, scale_cw, sub_cw)
+from .rootdata import (_WEYL_SOURCE, CANON_ORDER, GTFamily, Coweight, Perm, add_cw, coroot,
+                       edge_lengths, perm_inv, scale_cw, sub_cw)
 
 WORDS = ("121", "212")
 
@@ -107,21 +107,33 @@ ZERO = _Zero()
 CrystalResult = Union[MVPolytope, _Zero]
 
 
+def mv_twist(f: GTFamily) -> Optional[Perm]:
+    """The first w of ``CANON_ORDER`` minimizing <w.rho, lambda_w - lambda_{w w0}>
+    with w^-1.f an MV polytope, or None, on the support alone.
+
+    The score is sum(M) - 2 nu - M_j - M_{j^c} with j = w(2), so the
+    minimizing twists are those whose w(2) maximizes M_j + M_{j^c}.  Each is
+    tested by the braid move on its edge lengths:
+    (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2), a = min(k5, k3).
+    """
+    M = f.support
+    width = [M[j] + M[5 - j] for j in range(3)]  # CHAMBERS lists complements in reverse
+    best = max(width)
+    for w in CANON_ORDER:
+        if width[w[1] - 1] == best:
+            k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
+            a = min(k[5], k[3])
+            if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3]:
+                return w
+    return None
+
+
 def canonicalize(f: GTFamily) -> Tuple[Perm, MVPolytope]:
     """Find w minimizing <w.rho, lambda_w - lambda_{w w0}> with w^-1.f an MV polytope."""
-    scores = []
-    for w in CANON_ORDER:
-        diff = sub_cw(f.vertex_of(w), f.vertex_of(perm_mul(w, W0)))
-        wrho = act(w, RHO)
-        scores.append(sum(a * b for a, b in zip(wrho, diff)))
-    best = min(scores)
-    for w, s in zip(CANON_ORDER, scores):
-        if s != best:
-            continue
-        g = f.weyl(perm_inv(w))
-        if is_mv_family(g):
-            return w, MVPolytope.from_family(g)
-    raise NotMV(f"no minimizing Weyl twist of {f.vertices} is braid-consistent")
+    w = mv_twist(f)
+    if w is None:
+        raise NotMV(f"no minimizing Weyl twist of {f.vertices} is braid-consistent")
+    return w, MVPolytope.from_family(f.weyl(perm_inv(w)))
 
 
 def _crystal_datum(i: int, P: MVPolytope) -> LusztigDatum:

@@ -20,9 +20,9 @@ from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import Edge, PoincarePoly, skeleton
-from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
-from .rootdata import (_WEYL_SOURCE, BORELS, CHAMBERS, Coweight, GTFamily, contains, edge_lengths,
-                       family_from_support, pairing, perm_inv, sub_cw, tighten_support)
+from .mvcomb import LusztigDatum, MVPolytope, braid, mv_twist, vertices_of
+from .rootdata import (CHAMBERS, Coweight, GTFamily, contains, family_from_support, pairing, sub_cw,
+                       tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -238,23 +238,8 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
 # ---------------------------------------------------------------------------
 
 def is_gmv(f: GTFamily) -> bool:
-    """Whether ``canonicalize`` finds an MV twist of f, on the support alone.
-
-    The twist score <w.rho, lambda_w - lambda_{w w0}> is sum(M) - 2 nu - M_j
-    - M_{j^c} with j = w(2), so the minimizing twists are those whose w(2)
-    maximizes M_j + M_{j^c}.  Each is tested by the braid move on its edge
-    lengths: (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2), a = min(k5, k3).
-    """
-    M = f.support
-    width = [M[j] + M[5 - j] for j in range(3)]  # CHAMBERS lists complements in reverse
-    best = max(width)
-    for w in BORELS:
-        if width[w[1] - 1] == best:
-            k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
-            a = min(k[5], k[3])
-            if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3]:
-                return True
-    return False
+    """Whether ``canonicalize`` finds an MV twist of f, on the support alone."""
+    return mv_twist(f) is not None
 
 
 def gmv_dimension(f: GTFamily) -> int:

@@ -31,7 +31,6 @@ BORELS: Tuple[Perm, ...] = (IDENT, S2, S2S1, W0, S1S2, S1)
 CANON_ORDER: Tuple[Perm, ...] = (IDENT, S1, S2, S1S2, S2S1, W0)
 
 POSROOTS: Tuple[Root, ...] = ((1, 2), (1, 3), (2, 3))
-RHO: Coweight = (1, 0, -1)
 
 CHAMBERS: Tuple[FrozenSet[int], ...] = (
     frozenset({1}), frozenset({2}), frozenset({3}),
@@ -50,12 +49,6 @@ def perm_inv(w: Perm) -> Perm:
     for i, wi in enumerate(w):
         out[wi - 1] = i + 1
     return tuple(out)  # type: ignore[return-value]
-
-
-def act(w: Perm, v: Coweight) -> Coweight:
-    """Permutation action on coweights: (w.v)_i = v_{w^-1(i)}."""
-    wi = perm_inv(w)
-    return (v[wi[0] - 1], v[wi[1] - 1], v[wi[2] - 1])
 
 
 def coroot(a: Root) -> Coweight:
@@ -144,9 +137,6 @@ class GTFamily:
 
     def vertex(self, b: int) -> Coweight:
         return self.vertices[b]
-
-    def vertex_of(self, w: Perm) -> Coweight:
-        return self.vertices[BORELS.index(w)]
 
     def contains_point(self, v: Coweight) -> bool:
         if sum(v) != self.nu:

@@ -17,10 +17,10 @@ from .errors import (NormalPositionRequired, PatternMismatch,
 from .grass import GrassPoint
 from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, _val_diff,
                       random_with_val, val, zero)
-from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid,
-                     datum121_of, datum212_of, is_alternating, ZERO)
+from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, datum121_of, is_alternating,
+                     is_mv_family, ZERO)
 from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
-from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, pairing,
+from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, iota_family, pairing,
                        perm_inv, perm_mul)
 
 Pattern = Tuple[int, int, int]  # (c12, c23, c13)
@@ -224,15 +224,12 @@ def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal,
 
 def _normalize_gmv(f: GTFamily):
     """(delta, w, d): f is iota^delta (w . h), h normal-position MV with datum d."""
-    from .rootdata import iota_family
     for delta in (0, 1):
         g0 = iota_family(f) if delta else f
         for w in BORELS:
             h = g0.weyl(perm_inv(w))
             d = datum121_of(h)
-            if braid(d) != datum212_of(h):
-                continue
-            if d.n[0] >= d.n[2] >= d.n[1]:
+            if is_mv_family(h) and d.n[0] >= d.n[2] >= d.n[1]:
                 return delta, w, d
     raise NormalPositionRequired(f"{f.vertices} has no normal-position presentation")
 

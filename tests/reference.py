@@ -1,30 +1,31 @@
 """Reference constructions the tests compare the library against.
 
 No library code calls these: each is the slow, direct form of something the
-library computes another way (series matrices and chamber minors in place of
-the integer kernels, term-by-term series products and inverses in place of
-the packed product and the Newton inverse, vertices in place of supports, a
-Gauss decomposition in place of the closed form of the BFZ map, the inverse
-of that map, lattice points in place of support tightening, one orientation
-at a time and the full scan of all vertex sets in place of the bounded subset
-scan, every candidate of the entry windows in place of the D0 and Springer
-balls, ``canonicalize`` in place of the GMV test and the cell dimension on
-the support, one walk that tests every state against the avoided point in
-place of the facet cuts), or a plain definition no library path needs.
+library computes another way (series matrices, the series Hermite form and
+chamber minors in place of the integer kernels, term-by-term series products
+and inverses in place of the packed product and the Newton inverse, vertices
+in place of supports, a Gauss decomposition in place of the closed form of
+the BFZ map, the inverse of that map, lattice points in place of support
+tightening, one orientation at a time and the full scan of all vertex sets in
+place of the bounded subset scan, every candidate of the entry windows in
+place of the D0 and Springer balls, the vertex scores of ``canonicalize`` in
+place of its twist search on the support, one walk that tests every state
+against the avoided point in place of the facet cuts), or a plain definition
+no library path needs.
 """
 import itertools
 import math
 
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV,
                              PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry_windows, _hnf_lower, _profile, _window_entries,
-                            canonicalize_point, dprofile, mat, mat_diag_eps, point_from_y,
-                            y_inverse)
+from affgrass.grass import (GrassPoint, _entry_windows, _profile, _window_entries, dprofile, mat,
+                            mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
 from affgrass.moment import PoincarePoly
-from affgrass.mvcomb import canonicalize, dimension
+from affgrass.mvcomb import MVPolytope, dimension, is_mv_family
 from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
-from affgrass.rootdata import CHAMBERS, family_from_support, pairing, sub_cw, tighten_support
+from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBERS, W0, family_from_support, pairing,
+                               perm_inv, perm_mul, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # series values
@@ -148,7 +149,7 @@ def Delta(g, S):
 def D(x, S):
     """D_S of a point or of a matrix, read off the closed-form profile."""
     if not isinstance(x, GrassPoint):
-        x = canonicalize_point(x)
+        x = canonicalize_point_series(x)
     return dprofile(x)[CHAMBERS.index(frozenset(S))]
 
 
@@ -186,6 +187,75 @@ def wbar0(field):
     z, o = zero(field), one(field)
     neg = LaurentSeries(field, 0, (-1,))
     return ((z, z, o), (z, neg, z), (o, z, z))
+
+
+# ---------------------------------------------------------------------------
+# the series Hermite form
+# ---------------------------------------------------------------------------
+
+def _pick_pivot(entries):
+    best, bestv = None, None
+    for j, e in enumerate(entries):
+        if e.nonzero and (bestv is None or e.lead < bestv):
+            best, bestv = j, e.lead
+    for e in entries:
+        if not e.nonzero and not e.is_exact_zero:
+            if bestv is None or e.prec <= bestv:
+                raise PrecisionLoss("pivot ambiguous: a candidate entry is zero up to precision")
+    if best is None:
+        raise SingularMatrix("no pivot: matrix is singular")
+    return best, bestv
+
+
+def _high_part(e, cut):
+    """Monomials with exponent >= cut, divided by eps^cut."""
+    cs = [c if (e.lead + i) >= cut else 0 for i, c in enumerate(e.coeffs)]
+    return LaurentSeries(e.field, e.lead, cs, e.prec) * eps(e.field, -cut)
+
+
+def _hnf_lower(g):
+    """Column Hermite form over O by LaurentSeries elimination: returns
+    (matrix, diagonal exponents)."""
+    field = g[0][0].field
+    cols = [[g[r][c] for r in range(3)] for c in range(3)]
+    exact_zero = zero(field)
+    for i in range(3):
+        j, v = _pick_pivot([cols[j][i] for j in range(i, 3)])
+        j += i
+        cols[i], cols[j] = cols[j], cols[i]
+        unit = (cols[i][i] * eps(field, -v)).inv()
+        cols[i] = [e * unit for e in cols[i]]
+        cols[i][i] = eps(field, v)
+        for j in range(i + 1, 3):
+            f = cols[j][i] * eps(field, -v)
+            if f.nonzero or not f.is_exact_zero:
+                cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
+            cols[j][i] = exact_zero
+    d = tuple(cols[i][i].lead for i in range(3))
+    # reduce below-diagonal entries modulo eps^{d_row}
+    for (r, c) in ((1, 0), (2, 0), (2, 1)):
+        q = _high_part(cols[c][r], d[r])
+        if not q.is_exact_zero:
+            cols[c] = [a - q * b for a, b in zip(cols[c], cols[r])]
+    for c in range(3):
+        for r in range(3):
+            if r > c:
+                cols[c][r] = cols[c][r].as_exact_below(d[r])
+            elif r < c:
+                cols[c][r] = exact_zero
+            else:
+                cols[c][r] = eps(field, d[r])
+    h = tuple(tuple(cols[c][r] for c in range(3)) for r in range(3))
+    return h, d
+
+
+def canonicalize_point_series(g):
+    """``grass.canonicalize_point`` by the series Hermite form: pivots
+    inverted at the field's working precision, and ``PrecisionLoss`` wherever
+    a division or reduction loses a term the result reads."""
+    h, d = _hnf_lower(g)
+    return GrassPoint(g[0][0].field, d,
+                      tuple((e.lead, e.coeffs) for e in (h[1][0], h[2][0], h[2][1])))
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +313,13 @@ def y_map(word, ts):
 
 def point_from_y_by_gauss(word, ts):
     """The coset [y_word(t)^-1] through eta_w0_inv and a series matrix inverse."""
-    return canonicalize_point(mat_inv(y_map(word, ts)))
+    return canonicalize_point_series(mat_inv(y_map(word, ts)))
 
 
 def point_from_y_series(word, ts):
     """The coset [y_word(t)^-1] by the series Hermite form of the closed-form
     inverse at the parameters' full precision."""
-    return canonicalize_point(y_inverse(word, ts))
+    return canonicalize_point_series(y_inverse(word, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +399,14 @@ def dprofile_matrix(g):
 
 def translate_point(x, chi):
     """The point eps^chi . x, canonicalized through the series Hermite form."""
-    return canonicalize_point(mat_mul(mat_diag_eps(x.field, chi), x.h))
+    return canonicalize_point_series(mat_mul(mat_diag_eps(x.field, chi), x.h))
 
 
 def curve_point(field, a, k, v):
     """A nonfixed point of the 1-dimensional orbit joining v and v - k.coroot(a)."""
     n = pairing(v, (a[0],)) - pairing(v, (a[1],)) - k
     g = mat_mul(root_elem(field, a, eps(field, n)), mat_diag_eps(field, v))
-    return canonicalize_point(g)
+    return canonicalize_point_series(g)
 
 
 def member_springer_matrix(g, gamma):
@@ -369,7 +439,7 @@ def cell_points_by_matrices(field, diag, windows, inverted=False):
         for (r, c, lo, _hi), cs in zip(windows, coeff_sets):
             u[r - 1][c - 1] = LaurentSeries(work, lo, cs)
         m = mat_inv(mat(u)) if inverted else mat(u)
-        x = canonicalize_point(mat_mul(m, mat_diag_eps(work, diag)))
+        x = canonicalize_point_series(mat_mul(m, mat_diag_eps(work, diag)))
         pts.add(GrassPoint(field, x.d, x.entries))
     return pts
 
@@ -396,19 +466,41 @@ def iter_entries_windows(f, q, budget=5_000_000):
 # maximal generalized MV subpolytopes on lattice points
 # ---------------------------------------------------------------------------
 
+RHO = (1, 0, -1)
+
+
+def act(w, v):
+    """Permutation action on coweights: (w.v)_i = v_{w^-1(i)}."""
+    wi = perm_inv(w)
+    return (v[wi[0] - 1], v[wi[1] - 1], v[wi[2] - 1])
+
+
+def canonicalize_by_scores(f):
+    """``mvcomb.canonicalize`` by the vertex scores: the first w of CANON_ORDER
+    minimizing <w.rho, lambda_w - lambda_{w w0}> with w^-1.f an MV polytope."""
+    scores = []
+    for w in CANON_ORDER:
+        diff = sub_cw(f.vertices[BORELS.index(w)], f.vertices[BORELS.index(perm_mul(w, W0))])
+        scores.append(sum(a * b for a, b in zip(act(w, RHO), diff)))
+    for w, s in zip(CANON_ORDER, scores):
+        if s == min(scores) and is_mv_family(f.weyl(perm_inv(w))):
+            return w, MVPolytope.from_family(f.weyl(perm_inv(w)))
+    raise NotMV(f"no minimizing Weyl twist of {f.vertices} is braid-consistent")
+
+
 def is_gmv_canonical(f):
-    """``paving.is_gmv`` by ``canonicalize``: some minimizing Weyl twist of f
-    is an MV polytope."""
+    """``paving.is_gmv`` by the vertex scores: some minimizing Weyl twist of
+    f is an MV polytope."""
     try:
-        canonicalize(f)
+        canonicalize_by_scores(f)
         return True
     except NotMV:
         return False
 
 
 def gmv_dimension_canonical(f):
-    """``paving.gmv_dimension`` by ``canonicalize``: n1 + 2 n2 + n3 of the MV twist."""
-    _w, P = canonicalize(f)
+    """``paving.gmv_dimension`` by the vertex scores: n1 + 2 n2 + n3 of the MV twist."""
+    _w, P = canonicalize_by_scores(f)
     return dimension(P)
 
 

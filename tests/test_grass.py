@@ -18,10 +18,10 @@ from affgrass.paving import (contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)
 from affgrass.rootdata import BORELS, contains, pairing, weyl_family
 
-from reference import (D, Delta, agrees, decompose_u0, dprofile_matrix, eta_w0, eta_w0_inv,
-                       exact, gauss_plus, iter_entries_windows, mat_det, mat_identity, mat_inv,
-                       mat_mul, minor, point_from_y_by_gauss, point_from_y_series, root_elem,
-                       translate_point, x_mat, y_map)
+from reference import (D, Delta, agrees, canonicalize_point_series, decompose_u0, dprofile_matrix,
+                       eta_w0, eta_w0_inv, exact, gauss_plus, iter_entries_windows, mat_det,
+                       mat_identity, mat_inv, mat_mul, minor, point_from_y_by_gauss,
+                       point_from_y_series, root_elem, translate_point, x_mat, y_map)
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -545,8 +545,9 @@ def test_delta_bounds_D_with_equality_somewhere():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hermite_entries_match_series_form(p):
-    # the integer Hermite form against _hnf_lower on random nonsingular
-    # matrices of exact Laurent polynomials, units of O on the diagonal or not
+    # the integer Hermite form against the series Hermite form on random
+    # nonsingular matrices of exact Laurent polynomials, units of O on the
+    # diagonal or not
     rng = random.Random(40 + p)
     field = PrimeField(p)
     done = 0
@@ -558,9 +559,83 @@ def test_hermite_entries_match_series_form(p):
             with pytest.raises(SingularMatrix):
                 hermite_entries(g, p)
             continue
-        x = canonicalize_point(m)
+        x = canonicalize_point_series(m)
         assert hermite_entries(g, p) == (x.d, x.entries)
         done += 1
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except AffgrassError as e:
+        return type(e)
+
+
+def _completion(e, field, rng):
+    """An exact Laurent polynomial over field that agrees with e to its precision."""
+    known = LaurentSeries(field, e.lead, e.coeffs)
+    if e.prec is None:
+        return known
+    return known + LaurentSeries(field, e.prec, [rng.randrange(field.p) for _ in range(4)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_canonicalize_point_matches_series_form(p):
+    # random 3x3 matrices, entry leads in [-2, 2] with up to 4 coefficients,
+    # none, a fifth or half of the entries truncated: where the series form
+    # gives a point the kernel gives it too, and where the kernel answers,
+    # two random exact completions have its point (by the exact kernel, which
+    # test_hermite_entries_match_series_form checks) or are singular with it
+    rng = random.Random(50 + p)
+    field = PrimeField(p, 16)
+    got = Counter()
+    for k in range(990):
+        frac = (0, 0.2, 0.5)[k % 3]
+        g = mat([[LaurentSeries(field, lead, [rng.randrange(p) for _ in range(rng.randrange(5))],
+                                lead + rng.randrange(5) if rng.random() < frac else None)
+                  for lead in (rng.randrange(-2, 3) for _c in range(3))] for _r in range(3)])
+        x, ref = _outcome(canonicalize_point, g), _outcome(canonicalize_point_series, g)
+        assert x == ref or not isinstance(ref, GrassPoint)
+        got[isinstance(ref, GrassPoint), isinstance(x, GrassPoint)] += 1
+        if x is PrecisionLoss:
+            continue
+        for _ in range(2):
+            h = mat([[_completion(e, field, rng) for e in row] for row in g])
+            assert _outcome(canonicalize_point, h) == x
+    # the kernel answers wherever the series form does, and more often
+    assert got[True, False] == 0 and got[False, True] > 10
+
+
+def test_canonicalize_point_where_the_series_form_gives_up():
+    # y_121(t)^-1 with t1 = eps^2 + eps^3 + O(eps^4), t2 = t3 = 1 over F_5:
+    # its entries are known below exponent 0, all the coset reads, but the
+    # series form loses terms to its pivot divisions
+    field = PrimeField(5, 16)
+    o = one(field)
+    ts = [LaurentSeries(field, 2, (1, 1), 4), o, o]
+    assert canonicalize_point(y_inverse("121", ts)) == point_from_y("121", ts)
+    with pytest.raises(PrecisionLoss):
+        canonicalize_point_series(y_inverse("121", ts))
+
+
+def test_canonicalize_point_singular_cuts():
+    # a singular cut is SingularMatrix when every completion is singular: here
+    # rows 1 and 2 are exact zeros in columns 1 and 3, though neither the
+    # exact rows nor the exact columns are dependent; a cut that some
+    # completion makes nonsingular is PrecisionLoss
+    o, z = one(F3), zero(F3)
+    free = LaurentSeries(F3, 0, (), 2)
+    with pytest.raises(SingularMatrix):
+        canonicalize_point(((z, o, z), (z, free, z), (free, o, free)))
+    with pytest.raises(PrecisionLoss):
+        canonicalize_point(((o, z, z), (z, o, z), (z, z, free)))
+
+
+def test_canonicalize_point_mixed_fields():
+    g = [list(row) for row in mat_identity(F3)]
+    g[2][2] = one(PrimeField(5))
+    with pytest.raises(ValueError):
+        canonicalize_point(mat(g))
 
 
 def test_point_translation_and_equivariance():

@@ -6,7 +6,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from affgrass.laurent import LaurentSeries, PrimeField, eps  # noqa: E402
+from affgrass.laurent import LaurentSeries, PrimeField  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 10007)
 
@@ -56,13 +56,6 @@ def test_distributive(abc):
 def test_additive_inverse_is_exact_zero(a):
     (a,) = a
     assert (a + (-a)).is_exact_zero
-
-
-@laws
-@given(polys(1), st.integers(-8, 8))
-def test_shift_is_multiplication_by_eps(a, k):
-    (a,) = a
-    assert a.shift(k) == a * eps(a.field, k)
 
 
 @laws

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from affgrass.errors import (InconsistentFamily, NormalPositionRequired,
+from affgrass.errors import (InconsistentFamily, NormalPositionRequired, NotMV,
                              PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
 from affgrass import paving
 from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _alternating_words,
@@ -11,7 +11,7 @@ from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _a
 from affgrass.grass import ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
-from affgrass.mvcomb import LusztigDatum, MVPolytope
+from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize
 from affgrass.paving import (ContractingCell, _cell_points, _maximal, _mv_cell_fn, _pave,
                              contracting_cell, gmv_dimension, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
@@ -21,9 +21,9 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from
                                pairing, scale_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
-from reference import (cell_points_by_matrices, curve_point, gmv_dimension_canonical,
-                       is_gmv_canonical, max_gmv_inside_by_lattice_points, max_gmv_inside_walk,
-                       translate_point)
+from reference import (canonicalize_by_scores, cell_points_by_matrices, curve_point,
+                       gmv_dimension_canonical, is_gmv_canonical, max_gmv_inside_by_lattice_points,
+                       max_gmv_inside_walk, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -142,8 +142,9 @@ def _kernel_test_cells():
 
 
 def test_cell_points_match_matrix_products():
-    # the integer Hermite kernel against LaurentSeries products and _hnf_lower;
-    # each cell has exactly q^dim points, so its parametrization is injective
+    # the integer Hermite kernel against LaurentSeries products and the
+    # series Hermite form; each cell has exactly q^dim points, so its
+    # parametrization is injective
     cases = _kernel_test_cells()
     assert sum(isinstance(c, ContractingCell) and q == 2 for c, q in cases) == 60
     assert {c.inverted for c, _q in cases if isinstance(c, ContractingCell)} == {True, False}
@@ -327,6 +328,20 @@ def test_is_gmv_matches_canonicalize():
     fams = _grid_families()
     assert len(fams) == 6928
     assert [is_gmv(f) for f in fams] == [is_gmv_canonical(f) for f in fams]
+
+
+def test_canonicalize_matches_vertex_scores():
+    # the twist search on the support gives the same (w, MVPolytope) as the
+    # vertex-score loop, and raises NotMV exactly where is_gmv is false
+    for f in _grid_families():
+        try:
+            want = canonicalize_by_scores(f)
+        except NotMV:
+            assert not is_gmv(f)
+            with pytest.raises(NotMV):
+                canonicalize(f)
+            continue
+        assert is_gmv(f) and canonicalize(f) == want
 
 
 def test_gmv_dimension_matches_canonicalize():

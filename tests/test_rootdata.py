@@ -4,12 +4,12 @@ import pytest
 
 from affgrass.errors import InconsistentFamily
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, IDENT, S1, W0,
-                               act, add_cw, contains,
+                               add_cw, contains,
                                family_from_support, iota_family, pairing,
                                perm_mul, scale_cw, sub_cw, tighten_support, weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
-from reference import eq_up_to_translation
+from reference import act, eq_up_to_translation
 
 
 def P(n, base=None):

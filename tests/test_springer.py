@@ -252,9 +252,9 @@ def test_member_kernel_matches_matrix(n, q):
 def _dprofile_series(x):
     """The LaurentSeries closed form of the D-profile."""
     d1, d2, d3 = x.d
-    a = x.h[1][0].shift(-d1)
-    c = x.h[2][0].shift(-d1)
-    b = x.h[2][1].shift(-d2)
+    a = x.h[1][0] * eps(x.field, -d1)
+    c = x.h[2][0] * eps(x.field, -d1)
+    b = x.h[2][1] * eps(x.field, -d2)
     va, vb, vc = val(a), val(b), val(c)
     vab_c = val(a * b - c)
     return (min(-d1, va - d2, vab_c - d3), min(-d2, vb - d3), -d3,
@@ -265,9 +265,9 @@ def _dprofile_series(x):
 def _member_springer_series(x, gamma):
     """The LaurentSeries closed form of the Springer condition."""
     d1, d2, d3 = x.d
-    a = x.h[1][0].shift(-d1)
-    c = x.h[2][0].shift(-d1)
-    b = x.h[2][1].shift(-d2)
+    a = x.h[1][0] * eps(x.field, -d1)
+    c = x.h[2][0] * eps(x.field, -d1)
+    b = x.h[2][1] * eps(x.field, -d2)
     g1, g2, g3 = gamma.gamma
     t21 = a * (g2 - g1)
     t32 = b * (g3 - g2)
