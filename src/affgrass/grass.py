@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -280,6 +281,15 @@ def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
             for tail in tails[n]:
                 e31 = _entry(lo, (*head, *tail))
                 yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+
+
+def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
+    """The Ec families of the F_q-points of the truncation of f, or of its
+    Springer points with gamma, counted.  Ec of a point is a function of its
+    D-profile (nu is f's), so each profile becomes a family once."""
+    by_profile = Counter(prof for *_pt, prof in _iter_entries(f, q, gamma=gamma))
+    return Counter({family_from_support([-v for v in prof], f.nu): n
+                    for prof, n in by_profile.items()})
 
 
 def _below(e: Entry, r) -> Entry:

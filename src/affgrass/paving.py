@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _iter_entries, _window_entries, enumerate_points
+from .grass import GrassPoint, _ec_counts, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import Edge, PoincarePoly, skeleton
@@ -331,14 +331,19 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         else:
             cands = [(P, b) for P in actives for b in range(6)]
         dims = {P.support: gmv_dimension(P) for P in dict.fromkeys(P for P, _b in cands)}
-        P, b = min(cands, key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
-                                         pb[0].vertex(pb[1]), pb[1], pb[0].support))
-        v = P.vertex(b)
-        for Q in actives:
-            if Q.support != P.support and Q.contains_point(v):
-                raise PavingVerificationFailed(
-                    f"step {len(steps)}: vertex {v}, chamber {b}, of support {P.support} lies "
-                    f"in another active piece, support {Q.support}; the subdivision fails here")
+        cands.sort(key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
+                                   pb[0].vertex(pb[1]), pb[1], pb[0].support))
+
+        def other(P, b):  # an active piece but P that contains P's vertex b, or None
+            return next((Q for Q in actives if Q.support != P.support
+                         and Q.contains_point(P.vertex(b))), None)
+        # the best candidate whose vertex lies in no other active piece, else the best
+        P, b = next((pb for pb in cands if other(*pb) is None), cands[0])
+        v, Q = P.vertex(b), other(P, b)
+        if Q is not None:
+            raise PavingVerificationFailed(
+                f"step {len(steps)}: vertex {v}, chamber {b}, of support {P.support} lies "
+                f"in another active piece, support {Q.support}; the subdivision fails here")
         dim, ok = cell_fn(P, b)
         if not ok:
             raise PavingVerificationFailed(
@@ -356,20 +361,14 @@ def _pave(family: GTFamily, cell_fn: CellFn,
 
 
 def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
-                  qs: Sequence[int], springer_pattern=None,
-                  rng: Optional[random.Random] = None) -> dict:
-    from .springer import synthesize_gamma  # springer imports this module
+                  checks: Sequence[Tuple[PrimeField, object]]) -> dict:
+    """Count each step's cell over every (field, gamma) of ``checks``, the
+    Springer points with a gamma, else all; each must have q^dim points."""
     record = {"per_q": [], "ok": True}
-    for field in _fields(qs):
+    for field, gamma in checks:
         q = field.p
-        gam = None if springer_pattern is None else synthesize_gamma(
-            springer_pattern, field, rng or random.Random(0))
-        # Ec of a point is a function of its D-profile (nu is the family's),
-        # so points are counted by profile and each profile matched to a step once
-        by_profile = Counter(prof for *_pt, prof in _iter_entries(family, q, gamma=gam))
         counts = [0] * len(steps)
-        for prof, n in by_profile.items():
-            fx = family_from_support([-v for v in prof], family.nu)
+        for fx, n in _ec_counts(family, q, gamma).items():
             i = next((i for i, st in enumerate(steps) if contains(st.polytope, fx)
                       and fx.vertices[st.borel] == st.vertex), None)
             if i is None:
@@ -387,7 +386,8 @@ def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
 
 def greedy_paving(f: GTFamily, verify_qs: Sequence[int] = (2, 3),
                   rng: Optional[random.Random] = None) -> PavingPlan:
-    """Contracting-cell paving in min-weight vertex order, verified by counts."""
+    """Contracting-cell paving in min-weight vertex order, verified by counts.
+    ``rng`` is unused: the counts draw nothing."""
     steps = _pave(f, _mv_cell_fn)
-    verified = _verify_steps(steps, f, verify_qs, None, rng)
+    verified = _verify_steps(steps, f, [(field, None) for field in _fields(verify_qs)])
     return PavingPlan("greedy", f, tuple(steps), verified)

@@ -1,7 +1,8 @@
 """Affine Springer fibers for regular diagonal elements of gl(3, O).
 
-Membership, dimension, the fundamental-domain truncation, the affine-cell
-criterion with explicit per-chamber orbit counts, its brute-force oracle, and
+Membership (t31 by the ball ``t31_ball``), dimension, the fundamental-domain
+truncation, the affine-cell criterion with explicit per-chamber orbit counts,
+its brute-force oracle on the Springer-point counter ``grass._ec_counts``, and
 the pavings of the crystal-truncated fibers with the boundary vertex orders.
 """
 from __future__ import annotations
@@ -10,16 +11,16 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed, PrecisionLoss)
-from .grass import GrassPoint
-from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, _val_diff,
-                      random_with_val, val, zero)
+from .grass import GrassPoint, _below, _ec_counts
+from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, random_with_val,
+                      val, zero)
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, datum121_of, is_alternating,
                      is_mv_family, ZERO)
-from .paving import PavingPlan, _pave, _verify_steps, is_normal_position
+from .paving import PavingPlan, _fields, _pave, _verify_steps, is_normal_position
 from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, iota_family, pairing,
                        perm_inv, perm_mul)
 
@@ -83,7 +84,7 @@ class RegularDiagonal:
         e21, e31, e32 (a, b, c as in ``grass._profile``).  L^-1 gamma L has
         t21 = a (g2 - g1), t32 = b (g3 - g2), t31 = ab (g1 - g2) - c (g1 - g3):
         the first two reduce to va + c12 >= d2 - d1 and vb + c23 >= d3 - d2,
-        and t31 scaled by eps^(d1+d2) must vanish below d2 + d3."""
+        and t31 scaled by eps^(d1+d2) must vanish below d2 + d3 (``t31_ball``)."""
         d1, d2, d3 = d
         c12, c23, c13 = self.c
         if e21[1] and e21[0] + c12 < d2 or e32[1] and e32[0] + c23 < d3:
@@ -93,21 +94,18 @@ class RegularDiagonal:
         y = e31[0] + d2 + c13 if e31[1] else INF
         if min(x, y) >= top:
             return True
-        (r12, s12), (r13, s13) = self._roots
-        # unequal leads cannot cancel; a truncated gamma must reach top
-        if x != y or min(x - c12 + s12, y - c13 + s13) < top:
+        if x != y:  # unequal leads cannot cancel
             return False
-        p = self.field.p
-        return _val_diff(_mul(_mul(e21, e32, p), r12, p, top),
-                         _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
+        ball = self.t31_ball(d, e21, e32)
+        return ball is not None and _below(e31, ball[1]) == _below(*ball)
 
     def t31_ball(self, d: Coweight, e21, e32):
-        """The e31 whose t31 test in ``admits`` passes with e21 and e32, as a
+        """The e31 whose t31 term vanishes below top with e21 and e32, as a
         ball (centre, radius), or None when there are none.  With r13 =
         eps^c13 u13 it is val(e31 - e21 e32 r12 u13^-1 eps^-(d2+c13)) >=
-        d3 - c13, the centre known below the radius.  Below top a passing e31
-        has the lead of the centre, so the precision rule of ``admits`` is a
-        test on e21 and e32 alone."""
+        d3 - c13, the centre known below the radius.  A truncated gamma must
+        know r12 and r13 to top - x terms, a test on e21 and e32 alone, or no
+        e31 is known to pass."""
         _d1, d2, d3 = d
         c12, _c23, c13 = self.c
         top = d2 + d3
@@ -209,13 +207,13 @@ def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
             >= min(n1 + n2, n1 - n3 + c13))
 
 
-def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal,
-                     points: Iterable[GrassPoint]) -> bool:
-    """Brute force: count the Springer points among ``points``, the F_q-points
-    of ``contracting_cell(P, b)`` with q = gamma.field.p."""
+def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
+    """Brute force: count the Springer F_q-points, q = gamma.field.p, of the
+    chamber-b contracting cell, those of the truncation whose Ec has P's vertex b."""
     ls = criterion_l_values(P.datum121.n, b, gamma.c)
-    count = sum(1 for x in points if member_springer(x, gamma))
-    return count == gamma.field.p ** sum(ls)
+    q, v = gamma.field.p, P.family.vertex(b)
+    count = sum(n for fx, n in _ec_counts(P.family, q, gamma).items() if fx.vertex(b) == v)
+    return count == q ** sum(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +343,7 @@ def truncated_paving(gamma: RegularDiagonal, j: Sequence[int],
     steps = _pave(polys[0], cell_fn, forced=forced, springer_c=gamma.c)
     if verify_qs is None:
         verify_qs = tuple(q for q in (2, 3, 5) if pattern_realizable(gamma.c, q))[:2]
-    verified = _verify_steps(steps, polys[0], verify_qs,
-                             springer_pattern=gamma.c, rng=rng)
+    checks = [(field, synthesize_gamma(gamma.c, field, rng or random.Random(0)))
+              for field in _fields(verify_qs)]
+    verified = _verify_steps(steps, polys[0], checks)
     return PavingPlan("springer", polys[0], tuple(steps), verified)

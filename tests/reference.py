@@ -8,10 +8,12 @@ in place of supports, a Gauss decomposition in place of the closed form of
 the BFZ map, the inverse of that map, lattice points in place of support
 tightening, one orientation at a time and the full scan of all vertex sets in
 place of the bounded subset scan, every candidate of the entry windows in
-place of the D0 and Springer balls, the vertex scores of ``canonicalize`` in
-place of its twist search on the support, one walk that tests every state
-against the avoided point in place of the facet cuts), or a plain definition
-no library path needs.
+place of the D0 and Springer balls, products in place of the t31 ball, the
+points of one contracting cell in place of the Springer points of the whole
+truncation sorted by Ec, the vertex scores of ``canonicalize`` in place of
+its twist search on the support, one walk that tests every state against the
+avoided point in place of the facet cuts), or a plain definition no library
+path needs.
 """
 import itertools
 import math
@@ -20,12 +22,13 @@ from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV
                              PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
 from affgrass.grass import (GrassPoint, _entry_windows, _profile, _window_entries, dprofile, mat,
                             mat_diag_eps, point_from_y, y_inverse)
-from affgrass.laurent import INF, LaurentSeries, PrimeField, eps, one, zero
+from affgrass.laurent import INF, LaurentSeries, PrimeField, _mul, _val_diff, eps, one, zero
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import MVPolytope, dimension, is_mv_family
 from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBERS, W0, family_from_support, pairing,
                                perm_inv, perm_mul, sub_cw, tighten_support)
+from affgrass.springer import criterion_l_values
 
 # ---------------------------------------------------------------------------
 # series values
@@ -416,6 +419,36 @@ def member_springer_matrix(g, gamma):
     gm = ((gamma.gamma[0], z, z), (z, gamma.gamma[1], z), (z, z, gamma.gamma[2]))
     conj = mat_mul(mat_mul(mat_inv(g), gm), g)
     return all(conj[i][j].effval() >= 0 for i in range(3) for j in range(3))
+
+
+def admits_by_products(gamma, d, e21, e31, e32):
+    """``RegularDiagonal.admits`` with its t31 test as products: the two
+    terms e21 e32 r12 and e31 eps^d2 r13 of t31, each cut at top, must agree
+    below top, and a truncated gamma must know both roots that far."""
+    _d1, d2, d3 = d
+    c12, c23, c13 = gamma.c
+    if e21[1] and e21[0] + c12 < d2 or e32[1] and e32[0] + c23 < d3:
+        return False
+    top = d2 + d3
+    x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
+    y = e31[0] + d2 + c13 if e31[1] else INF
+    if min(x, y) >= top:
+        return True
+    (r12, s12), (r13, s13) = gamma._roots
+    # unequal leads cannot cancel; a truncated gamma must reach top
+    if x != y or min(x - c12 + s12, y - c13 + s13) < top:
+        return False
+    p = gamma.field.p
+    return _val_diff(_mul(_mul(e21, e32, p), r12, p, top),
+                     _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
+
+
+def criterion_oracle_on_cells(P, b, gamma, points):
+    """``criterion_oracle`` on ``points``, the F_q-points of
+    ``contracting_cell(P, b)``, each tested by ``admits_by_products``."""
+    ls = criterion_l_values(P.datum121.n, b, gamma.c)
+    count = sum(1 for x in points if admits_by_products(gamma, x.d, *x.entries))
+    return count == gamma.field.p ** sum(ls)
 
 
 def eq_up_to_translation(f, g):

@@ -212,16 +212,25 @@ def test_greedy_plan_fields():
     assert js["method"] == "greedy" and js["verified"]["per_q"]
 
 
-def test_greedy_failure_names_both_pieces():
-    # a known gap of the greedy engine: on P(3,3,3) the vertex chosen at step
-    # 5 lies in a second active piece.  The error names both supports; once
-    # the engine is fixed this should build and verify a plan instead.
-    fam = MVPolytope.from_datum(LusztigDatum("121", (3, 3, 3))).family
+def test_greedy_takes_best_feasible_candidate():
+    # on these data the best-ranked vertex lies in a second active piece at
+    # some step (step 5 on P(3,3,3)); a lower-ranked candidate paves instead
+    for fam in (MVPolytope.from_datum(LusztigDatum("121", (3, 3, 3))).family,
+                weyl_family((6, 3, 0))):
+        plan = greedy_paving(fam, verify_qs=(2,))
+        assert len(plan.steps) == 37
+        assert plan.verified["per_q"] == [
+            {"q": 2, "total": 17067, "by_step": [2 ** s.dim for s in plan.steps]}]
+
+
+def test_forced_vertex_in_another_piece_names_both_pieces():
+    # a forced vertex whose only candidate lies in another active piece
+    fam = MVPolytope.from_datum(LusztigDatum("121", (0, 1, 1))).family
     with pytest.raises(PavingVerificationFailed) as e:
-        greedy_paving(fam)
+        _pave(fam, _mv_cell_fn, forced=[(-1, -1, 2), (0, -1, 1)])
     msg = str(e.value)
-    assert "step 5" in msg and "vertex (-5, 0, 5), chamber 3" in msg
-    assert "support (0, 2, 5, 0, 3, 5)" in msg and "support (0, 3, 5, 0, 2, 5)" in msg
+    assert "step 1" in msg and "vertex (0, -1, 1), chamber 1" in msg
+    assert "support (0, 0, 1, 0, 1, 1)" in msg and "support (0, 0, 2, 0, 2, 0)" in msg
 
 
 def test_max_gmv_inside():

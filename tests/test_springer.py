@@ -4,10 +4,12 @@ from collections import Counter
 
 import pytest
 
-from affgrass.acceptance import SPRINGER_FAMILIES, _alternating_words
+from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_data,
+                                 _ultrametric_box)
 from affgrass.errors import BudgetExceeded, PatternMismatch, PavingVerificationFailed
-from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, canonicalize_point, ec,
-                            enumerate_points, iter_points, mat, mat_diag_eps, sample_point)
+from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_entries,
+                            canonicalize_point, ec, enumerate_points, iter_points, mat,
+                            mat_diag_eps, sample_point)
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word
@@ -20,7 +22,8 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import (exact, iter_entries_windows, mat_identity, mat_inv, mat_mul,
+from reference import (admits_by_products, criterion_oracle_on_cells, exact,
+                       iter_entries_windows, mat_identity, mat_inv, mat_mul,
                        member_springer_matrix, translate_point)
 
 F2 = PrimeField(2, 64)
@@ -163,9 +166,8 @@ def test_criterion_examples():
     P0 = MVPolytope.from_datum(LusztigDatum("121", (0, 0, 0)))
     g0 = synthesize_gamma((0, 0, 0), F3, rng)
     assert criterion(P0, 0, g0) is True
-    cell = contracting_cell(P, 0).enumerate(F3)
-    assert criterion_oracle(P, 0, g1, cell) is True
-    assert criterion_oracle(P, 0, g2, cell) is False
+    assert criterion_oracle(P, 0, g1) is True
+    assert criterion_oracle(P, 0, g2) is False
 
 
 def test_criterion_c_zero_forces_tiny_cells():
@@ -174,7 +176,7 @@ def test_criterion_c_zero_forces_tiny_cells():
     P = MVPolytope.from_datum(LusztigDatum("121", (1, 0, 1)))
     for b in range(6):
         assert criterion_l_values((1, 0, 1), b, (0, 0, 0)) == (0, 0, 0)
-        assert criterion_oracle(P, b, gam, contracting_cell(P, b).enumerate(F3)) is True
+        assert criterion_oracle(P, b, gam) is True
 
 
 def test_raw_form_equivalence_spot():
@@ -323,8 +325,9 @@ def test_greedy_verification_matches_series_loop():
 
 
 def _admitted_by_windows(fam, q, gam):
-    """The Springer points by the window loop, each candidate tested by admits."""
-    return Counter(x for x in iter_entries_windows(fam, q) if gam.admits(*x[:4]))
+    """The Springer points by the window loop, each candidate tested by the
+    product form of ``admits``."""
+    return Counter(x for x in iter_entries_windows(fam, q) if admits_by_products(gam, *x[:4]))
 
 
 @pytest.mark.parametrize("n1, n2", SPRINGER_FAMILIES)
@@ -354,6 +357,8 @@ def test_truncated_gamma_must_reach_top(rel12, rel13, total):
     got = Counter(_iter_entries(fam, 3, gamma=gam))
     assert got == _admitted_by_windows(fam, 3, gam)
     assert sum(got.values()) == total
+    for x in iter_entries_windows(fam, 3):
+        assert gam.admits(*x[:4]) == admits_by_products(gam, *x[:4]), x
 
 
 def test_springer_budget_counts_whole_windows():
@@ -364,3 +369,61 @@ def test_springer_budget_counts_whole_windows():
     assert list(_iter_entries(fam, 3, budget=count, gamma=gam))
     with pytest.raises(BudgetExceeded):
         next(_iter_entries(fam, 3, budget=count - 1, gamma=gam))
+
+
+# ---------------------------------------------------------------------------
+# the t31 ball and the Springer counts by Ec against the product forms
+# ---------------------------------------------------------------------------
+
+def _cell_oracle_cells():
+    """The polytopes of the normal data in {0..2}^3 with F_2, and with F_3
+    those whose cells have dimension at most 4."""
+    for n in _normal_data():
+        P = MVPolytope.from_datum(LusztigDatum("121", n))
+        for q in (2, 3):
+            if q == 2 or n[0] + 2 * n[1] + n[2] <= 4:
+                yield P, PrimeField(q)
+
+
+def test_admits_matches_products_on_cells():
+    pairs = 0
+    for P, field in _cell_oracle_cells():
+        rng = random.Random(60 + field.p)
+        gams = [synthesize_gamma(c, field, rng) for c in itertools.product(range(4), repeat=3)
+                if pattern_realizable(c, field.p)]
+        for b in range(6):
+            for x in contracting_cell(P, b).enumerate(field):
+                for gam in gams:
+                    pairs += 1
+                    assert gam.admits(x.d, *x.entries) == \
+                        admits_by_products(gam, x.d, *x.entries), (x, gam.c)
+    assert pairs == 71376
+
+
+def test_springer_counts_match_cell_oracle():
+    # every (cell, gamma) pair of criterion 7 over F_2, and over F_3 for cells
+    # of dimension at most 4, with criterion 7's gammas
+    rng = random.Random(7 * 1000 + 7)
+    pairs = 0
+    for n in _normal_data():
+        P = MVPolytope.from_datum(LusztigDatum("121", n))
+        cells = {}
+        for c in _ultrametric_box():
+            for q in (2, 3):
+                if q == 3 and c[0] != n[0] or not pattern_realizable(c, q):
+                    continue
+                gam = synthesize_gamma(c, PrimeField(q), rng)
+                if q == 3 and n[0] + 2 * n[1] + n[2] > 4:
+                    continue
+                counts = _ec_counts(P.family, q, gam)
+                for b in range(6):
+                    pairs += 1
+                    if (b, q) not in cells:
+                        cells[b, q] = contracting_cell(P, b).enumerate(PrimeField(q))
+                    v = P.family.vertex(b)
+                    got = sum(k for fx, k in counts.items() if fx.vertex(b) == v)
+                    want = sum(1 for x in cells[b, q] if admits_by_products(gam, x.d, *x.entries))
+                    assert got == want, (n, c, b, q)
+                    assert criterion_oracle(P, b, gam) == \
+                        criterion_oracle_on_cells(P, b, gam, cells[b, q])
+    assert pairs == 1320
