@@ -123,15 +123,16 @@ def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     return _profile(x.d, *x.entries, x.field.p)
 
 
-def _profile(d: Coweight, e21, e31, e32, p: int) -> Tuple[Union[int, float], ...]:
+def _profile(d: Coweight, e21, e31, e32, p: int, prod=None) -> Tuple[Union[int, float], ...]:
     """The D-profile of the point with diagonal eps^d and lower entries e21,
     e31, e32.  With a = h21 eps^-d1, b = h32 eps^-d2, c = h31 eps^-d1 it is
-    made of leads; val(ab - c) needs a product only when its leads meet."""
+    made of leads; val(ab - c) needs the product e21 e32 (``prod``, when the
+    caller has it) only when its leads meet."""
     d1, d2, d3 = d
     va = e21[0] - d1 if e21[1] else INF
     vb = e32[0] - d2 if e32[1] else INF
     vc = e31[0] - d1 if e31[1] else INF
-    vab_c = (_val_diff(_mul(e21, e32, p), (e31[0] + d2, e31[1])) - d1 - d2
+    vab_c = (_val_diff(prod or _mul(e21, e32, p), (e31[0] + d2, e31[1])) - d1 - d2
              if va + vb == vc != INF else min(va + vb, vc))
     return (
         min(-d1, va - d2, vab_c - d3),
@@ -260,11 +261,8 @@ def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
             c12, c23, _c13 = gamma.c
             w21, w32 = (max(w21[0], d2 - c12), d2), (max(w32[0], d3 - c23), d3)
         for e21, e32 in itertools.product(*_window_entries(q, (w21, w32))):
-            ab = ZERO_ENTRY
-            if e21[1] and e32[1]:
-                lead, cs = _mul(e21, e32, q)
-                ab = (lead - d2, cs)
-            ball = (ab, d1 + d3 - f.support[0])
+            prod = _mul(e21, e32, q) if e21[1] and e32[1] else ZERO_ENTRY
+            ball = ((prod[0] - d2, prod[1]), d1 + d3 - f.support[0])
             if gamma is not None:
                 ball = _meet(ball, gamma.t31_ball(d, e21, e32))
                 if ball is None:
@@ -280,7 +278,7 @@ def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
                 tails[n] = list(itertools.product(range(q), repeat=n))
             for tail in tails[n]:
                 e31 = _entry(lo, (*head, *tail))
-                yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+                yield d, e21, e31, e32, _profile(d, e21, e31, e32, q, prod)
 
 
 def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:

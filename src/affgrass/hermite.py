@@ -2,11 +2,11 @@
 
 Entries are the (lead, coeffs) normal forms of ``laurent``, as in
 ``grass.GrassPoint``, and every sum, product and unit inverse is a ``laurent``
-kernel.  Every point of the library is built here, with no ``LaurentSeries``:
-the cell points, ``grass.point_from_y`` from y_word(t)^-1 cut below the
-exponents its precision rule says the coset reads, and
-``grass.canonicalize_point`` from the known terms of a series matrix, its
-precision rule read off ``_adjugate``.
+kernel.  Every point built from a matrix is built here, with no
+``LaurentSeries``: explicit cell coordinates (``paving._cell_points``),
+``grass.point_from_y`` from y_word(t)^-1 cut below the exponents its precision
+rule says the coset reads, and ``grass.canonicalize_point`` from the known
+terms of a series matrix, its precision rule read off ``_adjugate``.
 """
 from __future__ import annotations
 

@@ -16,13 +16,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _ec_counts, _window_entries, enumerate_points
+from .grass import GrassPoint, _ec_counts, _iter_entries, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import LusztigDatum, MVPolytope, braid, mv_twist, vertices_of
-from .rootdata import (CHAMBERS, Coweight, GTFamily, contains, family_from_support, pairing, sub_cw,
-                       tighten_support)
+from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
+                       family_from_support, pairing, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -41,7 +41,8 @@ _CELL_SHAPES = {
 
 @dataclass(frozen=True)
 class ContractingCell:
-    """Explicit coordinates of C_B: unipotent entry windows over a diagonal."""
+    """C_B, the points of the truncation whose Ec has the polytope's vertex B, and
+    its claimed explicit coordinates: unipotent entry windows over a diagonal."""
 
     polytope: MVPolytope
     borel: int
@@ -51,16 +52,23 @@ class ContractingCell:
     windows: Tuple[Tuple[int, int, int, int], ...]  # (row, col, lo, hi)
 
     def enumerate(self, field: PrimeField) -> Set[GrassPoint]:
-        return _cell_points(field, self.diag, self.windows, self.inverted)
+        """The cell by its definition: the points of the truncation whose D-profile
+        is -M_S on the facets S = {w1}, {w1, w2} that fix the vertex of Borel w."""
+        f, w = self.polytope.family, BORELS[self.borel]
+        i, j = (CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2))
+        mi, mj = -f.support[i], -f.support[j]
+        return {GrassPoint(field, d, (e21, e31, e32))
+                for d, e21, e31, e32, prof in _iter_entries(f, field.p)
+                if prof[i] == mi and prof[j] == mj}
 
 
 def _cell_points(field: PrimeField, diag: Coweight,
                  windows: Sequence[Tuple[int, int, int, int]],
                  inverted: bool = False) -> Set[GrassPoint]:
     """The points u . eps^diag, entry (row, col) of the unipotent u ranging
-    over the exact polynomials with exponents in [lo, hi); ``inverted`` puts
-    u^-1 in place of u.  Each point is the integer Hermite form of the
-    polynomial matrix, so the field's precision is never read."""
+    over the exact polynomials with exponents in [lo, hi) (``inverted``: u^-1),
+    by the integer Hermite form, so the field's precision is never read: an
+    Iwahori cell, or the claimed coordinates of a contracting cell."""
     p = field.p
     pts = set()
     for entries in itertools.product(

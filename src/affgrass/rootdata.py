@@ -145,19 +145,11 @@ class GTFamily:
         return all(pairing(v, S) <= M[ci] for ci, S in enumerate(CHAMBERS))
 
     def lattice_points(self) -> List[Coweight]:
-        M = self.support
-        # coordinate i is at most M_{i} and at least nu - M_{jk}
-        lo, hi = self.nu - max(M[3:]), max(M[:3])
-        out = []
-        for v1 in range(lo, hi + 1):
-            for v2 in range(lo, hi + 1):
-                v = (v1, v2, self.nu - v1 - v2)
-                if v[2] < lo or v[2] > hi:
-                    continue
-                if all(pairing(v, S) <= M[ci] for ci, S in enumerate(CHAMBERS)):
-                    out.append(v)
-        out.sort()
-        return out
+        """The points, sorted: the six facets bound v1 by M1 and nu - M23, and
+        v2 by M2, M12 - v1, nu - M13 and nu - M3 - v1."""
+        (m1, m2, m3, m12, m13, m23), nu = self.support, self.nu
+        return [(v1, v2, nu - v1 - v2) for v1 in range(nu - m23, m1 + 1)
+                for v2 in range(max(nu - m13, nu - m3 - v1), min(m2, m12 - v1) + 1)]
 
     def span(self) -> int:
         """The largest coordinate minus the least, over the polytope."""

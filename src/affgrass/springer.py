@@ -207,13 +207,14 @@ def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
             >= min(n1 + n2, n1 - n3 + c13))
 
 
-def criterion_oracle(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
-    """Brute force: count the Springer F_q-points, q = gamma.field.p, of the
-    chamber-b contracting cell, those of the truncation whose Ec has P's vertex b."""
-    ls = criterion_l_values(P.datum121.n, b, gamma.c)
-    q, v = gamma.field.p, P.family.vertex(b)
-    count = sum(n for fx, n in _ec_counts(P.family, q, gamma).items() if fx.vertex(b) == v)
-    return count == q ** sum(ls)
+def criterion_oracle(P: MVPolytope, gamma: RegularDiagonal) -> Tuple[bool, ...]:
+    """Brute force, per chamber b in BORELS order: whether the cell C_b, the
+    points of the truncation whose Ec has P's vertex b, has q^(l12+l23+l13)
+    Springer F_q-points, q = gamma.field.p; one count by Ec serves all six."""
+    q, f = gamma.field.p, P.family
+    counts = _ec_counts(f, q, gamma)
+    return tuple(sum(n for fx, n in counts.items() if fx.vertex(b) == f.vertex(b))
+                 == q ** sum(criterion_l_values(P.datum121.n, b, gamma.c)) for b in range(6))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ chamber minors in place of the integer kernels, term-by-term series products
 and inverses in place of the packed product and the Newton inverse, vertices
 in place of supports, a Gauss decomposition in place of the closed form of
 the BFZ map, the inverse of that map, lattice points in place of support
-tightening, one orientation at a time and the full scan of all vertex sets in
-place of the bounded subset scan, every candidate of the entry windows in
-place of the D0 and Springer balls, products in place of the t31 ball, the
-points of one contracting cell in place of the Springer points of the whole
-truncation sorted by Ec, the vertex scores of ``canonicalize`` in place of
+tightening, a box scan in place of the closed-form lattice points, one
+orientation at a time and the full scan of all vertex sets in place of the
+bounded subset scan, every candidate of the entry windows in place of the D0
+and Springer balls, products in place of the t31 ball, the points of one
+contracting cell in place of the Springer points of the whole truncation
+sorted by Ec, the vertex scores of ``canonicalize`` in place of
 its twist search on the support, one walk that tests every state against the
 avoided point in place of the facet cuts), or a plain definition no library
 path needs.
@@ -444,8 +445,9 @@ def admits_by_products(gamma, d, e21, e31, e32):
 
 
 def criterion_oracle_on_cells(P, b, gamma, points):
-    """``criterion_oracle`` on ``points``, the F_q-points of
-    ``contracting_cell(P, b)``, each tested by ``admits_by_products``."""
+    """Verdict b of ``criterion_oracle`` on ``points``, the F_q-points of the
+    explicit coordinates of ``contracting_cell(P, b)``, each tested by
+    ``admits_by_products``."""
     ls = criterion_l_values(P.datum121.n, b, gamma.c)
     count = sum(1 for x in points if admits_by_products(gamma, x.d, *x.entries))
     return count == gamma.field.p ** sum(ls)
@@ -663,3 +665,25 @@ def min_formal_poincare_full_scan(g, budget=1 << 18):
         mask ^= (1 << v)
     order_idx.reverse()
     return PoincarePoly(best[size - 1][::-1]), [verts[i] for i in order_idx]
+
+
+# ---------------------------------------------------------------------------
+# lattice points by a box scan
+# ---------------------------------------------------------------------------
+
+def lattice_points_by_scan(f):
+    """``GTFamily.lattice_points`` as the scan of the coordinate box, each
+    candidate tested against the six facets."""
+    M = f.support
+    # coordinate i is at most M_{i} and at least nu - M_{jk}
+    lo, hi = f.nu - max(M[3:]), max(M[:3])
+    out = []
+    for v1 in range(lo, hi + 1):
+        for v2 in range(lo, hi + 1):
+            v = (v1, v2, f.nu - v1 - v2)
+            if v[2] < lo or v[2] > hi:
+                continue
+            if all(pairing(v, S) <= M[ci] for ci, S in enumerate(CHAMBERS)):
+                out.append(v)
+    out.sort()
+    return out

@@ -159,6 +159,20 @@ def test_cell_points_match_matrix_products():
         assert c.enumerate(field) == want
 
 
+def test_cell_enumeration_matches_coordinates_over_f5():
+    # F_5, a prime no other cell test uses: on the normal-data cells of
+    # dimension at most 3, the cell by its definition is the set its explicit
+    # coordinates carve, with 5^dim points
+    F5 = PrimeField(5)
+    cells = [contracting_cell(MVPolytope.from_datum(LusztigDatum("121", n)), b)
+             for n in _normal_data() if n[0] + 2 * n[1] + n[2] <= 3 for b in range(6)]
+    assert len(cells) == 30
+    for c in cells:
+        pts = c.enumerate(F5)
+        assert len(pts) == 5 ** c.dim
+        assert pts == _cell_points(F5, c.diag, c.windows, c.inverted)
+
+
 def test_inverted_cell_needs_determinant_one():
     # an inverted cell inverts its unipotent by the adjugate
     with pytest.raises(PreconditionViolated):
@@ -167,8 +181,9 @@ def test_inverted_cell_needs_determinant_one():
 
 def test_cell_enumeration_ignores_precision():
     # the contracting cells of the normal data with n_i <= 2, and Iwahori
-    # cells: the integer Hermite kernel has no series, so the field's
-    # precision (1 or 64) changes nothing
+    # cells: neither the enumerator nor the integer Hermite kernel of the
+    # explicit coordinates has a series, so the field's precision (1 or 64)
+    # changes nothing
     cells = [contracting_cell(MVPolytope.from_datum(LusztigDatum("121", n)), b)
              for n in itertools.product(range(3), repeat=3) if n[0] >= n[2] >= n[1]
              for b in range(6)]
@@ -180,6 +195,8 @@ def test_cell_enumeration_ignores_precision():
     for c in cells:
         pts = c.enumerate(PrimeField(2, 64))
         assert len(pts) == 2 ** c.dim and c.enumerate(PrimeField(2, 1)) == pts
+        if isinstance(c, ContractingCell):
+            assert _cell_points(PrimeField(2, 1), c.diag, c.windows, c.inverted) == pts
 
 
 def test_first_step_cells_all_borels():

@@ -9,7 +9,7 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, IDENT, S1, W0,
                                perm_mul, scale_cw, sub_cw, tighten_support, weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
-from reference import act, eq_up_to_translation
+from reference import act, eq_up_to_translation, lattice_points_by_scan
 
 
 def P(n, base=None):
@@ -228,6 +228,22 @@ def test_lattice_points_against_plain_enumeration():
     assert sorted(brute) == fam.lattice_points()
     for b in range(6):
         assert fam.vertex(b) in brute
+
+
+def test_lattice_points_match_box_scan():
+    # the closed form reads the six facets as bounds on v1 and v2: the same
+    # sorted list as the box scan on every consistent family with support in
+    # {-1..3}^6 and nu in {-1..2}
+    fams = 0
+    for nu in range(-1, 3):
+        for M in itertools.product(range(-1, 4), repeat=6):
+            try:
+                f = GTFamily(nu, M)
+            except InconsistentFamily:
+                continue
+            fams += 1
+            assert f.lattice_points() == lattice_points_by_scan(f), (nu, M)
+    assert fams == 6928
 
 
 def test_tighten_support_matches_lattice_points():

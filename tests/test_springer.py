@@ -13,7 +13,7 @@ from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_entrie
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word
-from affgrass.paving import contracting_cell, greedy_paving
+from affgrass.paving import _cell_points, contracting_cell, greedy_paving
 from affgrass.rootdata import contains, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
@@ -166,8 +166,8 @@ def test_criterion_examples():
     P0 = MVPolytope.from_datum(LusztigDatum("121", (0, 0, 0)))
     g0 = synthesize_gamma((0, 0, 0), F3, rng)
     assert criterion(P0, 0, g0) is True
-    assert criterion_oracle(P, 0, g1) is True
-    assert criterion_oracle(P, 0, g2) is False
+    assert criterion_oracle(P, g1)[0] is True
+    assert criterion_oracle(P, g2)[0] is False
 
 
 def test_criterion_c_zero_forces_tiny_cells():
@@ -176,7 +176,7 @@ def test_criterion_c_zero_forces_tiny_cells():
     P = MVPolytope.from_datum(LusztigDatum("121", (1, 0, 1)))
     for b in range(6):
         assert criterion_l_values((1, 0, 1), b, (0, 0, 0)) == (0, 0, 0)
-        assert criterion_oracle(P, b, gam) is True
+    assert criterion_oracle(P, gam) == (True,) * 6
 
 
 def test_raw_form_equivalence_spot():
@@ -402,7 +402,8 @@ def test_admits_matches_products_on_cells():
 
 def test_springer_counts_match_cell_oracle():
     # every (cell, gamma) pair of criterion 7 over F_2, and over F_3 for cells
-    # of dimension at most 4, with criterion 7's gammas
+    # of dimension at most 4, with criterion 7's gammas; the cells are listed
+    # on their explicit coordinates, not by Ec as the counts are
     rng = random.Random(7 * 1000 + 7)
     pairs = 0
     for n in _normal_data():
@@ -416,14 +417,16 @@ def test_springer_counts_match_cell_oracle():
                 if q == 3 and n[0] + 2 * n[1] + n[2] > 4:
                     continue
                 counts = _ec_counts(P.family, q, gam)
+                oracle = criterion_oracle(P, gam)
                 for b in range(6):
                     pairs += 1
                     if (b, q) not in cells:
-                        cells[b, q] = contracting_cell(P, b).enumerate(PrimeField(q))
+                        cell = contracting_cell(P, b)
+                        cells[b, q] = _cell_points(PrimeField(q), cell.diag, cell.windows,
+                                                   cell.inverted)
                     v = P.family.vertex(b)
                     got = sum(k for fx, k in counts.items() if fx.vertex(b) == v)
                     want = sum(1 for x in cells[b, q] if admits_by_products(gam, x.d, *x.entries))
                     assert got == want, (n, c, b, q)
-                    assert criterion_oracle(P, b, gam) == \
-                        criterion_oracle_on_cells(P, b, gam, cells[b, q])
+                    assert oracle[b] == criterion_oracle_on_cells(P, b, gam, cells[b, q])
     assert pairs == 1320
