@@ -19,8 +19,8 @@ from .laurent import PrimeField, series_from_json
 from .moment import graph_to_json, min_formal_poincare, skeleton, to_dot
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      coweight, crystal_E, crystal_F, dimension, is_alternating)
-from .paving import greedy_paving, paving_121
-from .rootdata import BORELS, GTFamily, weyl_family
+from .paving import PavingPlan, PavingStep, greedy_paving, paving_121
+from .rootdata import BORELS, GTFamily, add_cw, sub_cw, weyl_family
 from .springer import (RegularDiagonal, fundamental_domain, synthesize_gamma,
                        truncated_paving)
 
@@ -216,10 +216,13 @@ def cmd_pave(args):
     qs = _verify_qs(args.verify_q)
     if args.method == "greedy":
         plan = greedy_paving(fam, verify_qs=qs)
+    elif "word" not in data:
+        raise AffgrassError("iwahori paving needs a polytope given by a Lusztig datum")
     else:
-        if "word" not in data:
-            raise AffgrassError("iwahori paving needs a polytope given by a Lusztig datum")
-        plan = paving_121(_datum(data), verify_qs=qs)
+        iw = paving_121(_datum(data), verify_qs=qs)  # anchored in its two Schubert triangles
+        chi = sub_cw(fam.vertex(3), iw.polytope.vertex(3))
+        steps = tuple(PavingStep(add_cw(s.vertex, chi), s.borel, s.dim, fam) for s in iw.steps)
+        plan = PavingPlan("iwahori", fam, steps, iw.verified)
     _emit(args, plan.to_json())
 
 

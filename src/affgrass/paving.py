@@ -12,7 +12,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
@@ -271,13 +271,14 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
         queue = [tighten_support(M[:ci] + (cut,) + M[ci + 1:], nu) for ci, cut in
                  enumerate(pairing(avoid, S) - 1 for S in CHAMBERS) if cut + M[5 - ci] >= nu]
     seen = set(queue)
-    found: Dict[Tuple[int, ...], GTFamily] = {}
+    found: Dict[Tuple[int, ...], GTFamily] = {}  # an antichain: no support below another
     while queue:
         m = queue.pop()
         if any(all(a <= b for a, b in zip(m, r)) for r in found):
             continue
         fam = family_from_support(m, nu)
         if is_gmv(fam):
+            found = {r: F for r, F in found.items() if not all(a <= b for a, b in zip(r, m))}
             found[m] = fam
             continue
         for ci in range(6):
@@ -289,14 +290,7 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
                 if len(seen) > _WALK_BUDGET:
                     raise BudgetExceeded("support tightening walk exceeded its budget")
                 queue.append(m2)
-    return _maximal(found.values())
-
-
-def _maximal(pieces: Iterable[GTFamily]) -> List[GTFamily]:
-    """One piece per support, minus those inside another, sorted by support."""
-    pool = list({P.support: P for P in pieces}.values())
-    out = [P for P in pool if not any(Q.support != P.support and contains(Q, P) for Q in pool)]
-    return sorted(out, key=lambda P: P.support)
+    return sorted(found.values(), key=lambda P: P.support)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +352,10 @@ def _pave(family: GTFamily, cell_fn: CellFn,
                 f"cell at vertex {v}, chamber {b} of {P.vertices} is not affine "
                 f"by the criterion")
         steps.append(PavingStep(v, b, dim, P))
-        actives = _maximal([Q for Q in actives if Q.support != P.support]
-                           + max_gmv_inside(P, v))
+        # the actives stay an antichain: a new piece lies inside P, so it contains none of them
+        rest = [Q for Q in actives if Q.support != P.support]
+        new = [N for N in max_gmv_inside(P, v) if not any(contains(Q, N) for Q in rest)]
+        actives = sorted(rest + new, key=lambda R: R.support)
     want = set(family.lattice_points())
     got = [s.vertex for s in steps]
     if len(set(got)) != len(got) or set(got) != want:

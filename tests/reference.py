@@ -13,8 +13,9 @@ and Springer balls, products in place of the t31 ball, the points of one
 contracting cell in place of the Springer points of the whole truncation
 sorted by Ec, the vertex scores of ``canonicalize`` in place of
 its twist search on the support, one walk that tests every state against the
-avoided point in place of the facet cuts), or a plain definition no library
-path needs.
+avoided point in place of the facet cuts, a maximal-element pass over every
+GMV support found in place of the antichain the walk keeps), or a plain
+definition no library path needs.
 """
 import itertools
 import math
@@ -26,9 +27,9 @@ from affgrass.grass import (GrassPoint, _entry_windows, _profile, _window_entrie
 from affgrass.laurent import INF, LaurentSeries, PrimeField, _mul, _val_diff, eps, one, zero
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import MVPolytope, dimension, is_mv_family
-from affgrass.paving import _WALK_BUDGET, _maximal, is_gmv
-from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBERS, W0, family_from_support, pairing,
-                               perm_inv, perm_mul, sub_cw, tighten_support)
+from affgrass.paving import _WALK_BUDGET, is_gmv
+from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBERS, W0, contains, family_from_support,
+                               pairing, perm_inv, perm_mul, sub_cw, tighten_support)
 from affgrass.springer import criterion_l_values
 
 # ---------------------------------------------------------------------------
@@ -537,6 +538,13 @@ def gmv_dimension_canonical(f):
     """``paving.gmv_dimension`` by the vertex scores: n1 + 2 n2 + n3 of the MV twist."""
     _w, P = canonicalize_by_scores(f)
     return dimension(P)
+
+
+def _maximal(pieces):
+    """One piece per support, minus those inside another, sorted by support."""
+    pool = list({P.support: P for P in pieces}.values())
+    out = [P for P in pool if not any(Q.support != P.support and contains(Q, P) for Q in pool)]
+    return sorted(out, key=lambda P: P.support)
 
 
 def max_gmv_inside_walk(f, avoid):

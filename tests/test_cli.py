@@ -59,6 +59,26 @@ def test_pave_command(tmp_path):
     assert json.loads(r.stdout)["poincare"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("base, nu, vertices", [
+    (None, 0, [[0, 0, 0], [-1, 1, 0], [-1, 0, 1]]),
+    ([5, 5, 5], 15, [[6, 5, 4], [5, 6, 4], [5, 5, 5]])])
+def test_pave_iwahori_plan_lies_on_the_named_polytope(tmp_path, base, nu, vertices):
+    # the Iwahori plan is built in the anchoring of the two Schubert
+    # triangles, then translated onto the polytope the file names
+    data = {"word": "121", "n": [1, 0, 1]}
+    if base is not None:
+        data["base"] = base
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps(data))
+    greedy = json.loads(run("pave", "--polytope", str(poly), "--verify-q", "2").stdout)
+    out = json.loads(run("pave", "--polytope", str(poly), "--method", "iwahori",
+                         "--verify-q", "2").stdout)
+    assert out["nu"] == greedy["nu"] == nu
+    assert [s["vertex"] for s in out["steps"]] == vertices
+    assert sorted(vertices) == sorted(s["vertex"] for s in greedy["steps"])
+    assert out["verified"]["per_q"] == [{"q": 2, "total": 7, "by_step": [4, 2, 1]}]
+
+
 @pytest.mark.parametrize("qs, want", [("2,2", [2]), ("3,2,3", [3, 2])])
 def test_pave_verifies_each_modulus_once(tmp_path, qs, want):
     poly = tmp_path / "p.json"

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from affgrass.grass import ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize
-from affgrass.paving import (ContractingCell, _cell_points, _maximal, _mv_cell_fn, _pave,
+from affgrass.paving import (ContractingCell, _cell_points, _mv_cell_fn, _pave,
                              contracting_cell, gmv_dimension, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
@@ -21,7 +23,7 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from
                                pairing, scale_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
-from reference import (canonicalize_by_scores, cell_points_by_matrices, curve_point,
+from reference import (_maximal, canonicalize_by_scores, cell_points_by_matrices, curve_point,
                        gmv_dimension_canonical, is_gmv_canonical, max_gmv_inside_by_lattice_points,
                        max_gmv_inside_walk, translate_point)
 
@@ -240,6 +242,23 @@ def test_greedy_takes_best_feasible_candidate():
             {"q": 2, "total": 17067, "by_step": [2 ** s.dim for s in plan.steps]}]
 
 
+# (vertex, borel, dim, support) of each step of the greedy plans of the data
+# where some step takes a lower-ranked candidate: on these the ranking, and so
+# the order the engine keeps its pieces in, decides the plan
+PINNED_PLANS = json.loads((Path(__file__).parent / "data" / "greedy_plans.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_greedy_plan_matches_pinned_plan(name):
+    kind, args = name.rstrip(")").split("(")
+    n = tuple(int(k) for k in args.split(","))
+    fam = (weyl_family(n) if kind == "Weyl"
+           else MVPolytope.from_datum(LusztigDatum("121", n)).family)
+    got = [[list(s.vertex), s.borel, s.dim, list(s.polytope.support)]
+           for s in _pave(fam, _mv_cell_fn)]
+    assert got == PINNED_PLANS[name]
+
+
 def test_forced_vertex_in_another_piece_names_both_pieces():
     # a forced vertex whose only candidate lies in another active piece
     fam = MVPolytope.from_datum(LusztigDatum("121", (0, 1, 1))).family
@@ -408,6 +427,9 @@ def test_max_gmv_inside_matches_walk_on_pave_calls(monkeypatch):
         for j in _alternating_words(2 * n2):
             truncated_paving(gam, j, verify_qs=())
     assert (n_mv, n_purity, len(calls) - n_mv - n_purity) == (151, 41, 181)
+    # two data where some step takes a lower-ranked candidate
+    for n in ((3, 3, 3), (4, 4, 4)):
+        _pave(MVPolytope.from_datum(LusztigDatum("121", n)).family, _mv_cell_fn)
     for f, avoid in calls:
         assert [P.support for P in real(f, avoid)] == \
             [P.support for P in max_gmv_inside_walk(f, avoid)], (f.support, avoid)
