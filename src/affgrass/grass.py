@@ -237,32 +237,36 @@ def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
             for lo, hi in windows]
 
 
-def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
-    """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
-    of f; with a ``springer.RegularDiagonal`` gamma, for those that
-    ``gamma.admits``.
+def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagonal=None):
+    """Yield (d, e21, e32, P, ball, lo, hi, s, head) for each diagonal d of
+    the truncation of f and each (e21, e32) of the windows whose e31 ball
+    meets the e31 window [lo, hi).  The e31 of those points are the fixed
+    ``head``, coefficients on [lo, s), followed by a free tail on [s, hi).
 
     The windows give every part of the profile floor but the val(ab - c)
     term of D0, which for fixed (d, e21, e32) is a ball of e31:
-    val(e31 - e21 e32 eps^-d2) >= d1 + d3 - M0.
-    With gamma, the t21 and t32 tests of ``admits`` raise the low ends of the
-    e21 and e32 windows, and its t31 test is a second ball
-    (``gamma.t31_ball``).  Two balls are nested or disjoint, so the e31 that
-    pass are one ball cut by the e31 window.  The budget counts the
-    candidates of the whole windows.
+    val(e31 - P) >= d1 + d3 - M0, with P = e21 e32 eps^-d2 the uncut centre.
+    With a ``springer.RegularDiagonal`` gamma, the t21 and t32 tests of
+    ``gamma.admits`` raise the low ends of the e21 and e32 windows, and its
+    t31 test is a second ball (``gamma.t31_ball``).  Two balls are nested or
+    disjoint, so ``ball`` (centre below its radius, radius) is the one met.
+    ``diagonal``, a predicate on d, skips the other diagonals.  The budget
+    counts the candidates of the whole windows.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
         raise BudgetExceeded(f"enumeration needs > {budget} candidates")
-    tails = {}  # free e31 coefficients by their number
     for d, (w21, (lo, hi), w32) in windows:
+        if diagonal is not None and not diagonal(d):
+            continue
         d1, d2, d3 = d
         if gamma is not None:
             c12, c23, _c13 = gamma.c
             w21, w32 = (max(w21[0], d2 - c12), d2), (max(w32[0], d3 - c23), d3)
         for e21, e32 in itertools.product(*_window_entries(q, (w21, w32))):
             prod = _mul(e21, e32, q) if e21[1] and e32[1] else ZERO_ENTRY
-            ball = ((prod[0] - d2, prod[1]), d1 + d3 - f.support[0])
+            P = (prod[0] - d2, prod[1])
+            ball = (P, d1 + d3 - f.support[0])
             if gamma is not None:
                 ball = _meet(ball, gamma.t31_ball(d, e21, e32))
                 if ball is None:
@@ -270,15 +274,25 @@ def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
             centre, rad = _below(*ball), ball[1]
             if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
                 continue
-            start = min(max(rad, lo), hi)  # e31 is free from this exponent up
-            head = [0] * (start - lo)
+            s = min(max(rad, lo), hi)  # e31 is free from this exponent up
+            head = [0] * (s - lo)
             head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
-            n = hi - start
-            if n not in tails:
-                tails[n] = list(itertools.product(range(q), repeat=n))
-            for tail in tails[n]:
-                e31 = _entry(lo, (*head, *tail))
-                yield d, e21, e31, e32, _profile(d, e21, e31, e32, q, prod)
+            yield d, e21, e32, P, (centre, rad), lo, hi, s, head
+
+
+def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
+    """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
+    of f; with a ``springer.RegularDiagonal`` gamma, for those that
+    ``gamma.admits``: every tail of each ``_iter_pairs`` head."""
+    tails = {}  # free e31 coefficients by their number
+    for d, e21, e32, P, _ball, lo, hi, s, head in _iter_pairs(f, q, budget, gamma):
+        prod = (P[0] + d[1], P[1])
+        n = hi - s
+        if n not in tails:
+            tails[n] = list(itertools.product(range(q), repeat=n))
+        for tail in tails[n]:
+            e31 = _entry(lo, (*head, *tail))
+            yield d, e21, e31, e32, _profile(d, e21, e31, e32, q, prod)
 
 
 def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:

@@ -16,9 +16,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _ec_counts, _iter_entries, _window_entries, enumerate_points
+from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, enumerate_points
 from .hermite import hermite_entries, unipotent_inverse
-from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField
+from .laurent import INF, ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import LusztigDatum, MVPolytope, braid, mv_twist, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
@@ -53,13 +53,46 @@ class ContractingCell:
 
     def enumerate(self, field: PrimeField) -> Set[GrassPoint]:
         """The cell by its definition: the points of the truncation whose D-profile
-        is -M_S on the facets S = {w1}, {w1, w2} that fix the vertex of Borel w."""
-        f, w = self.polytope.family, BORELS[self.borel]
-        i, j = (CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2))
-        mi, mj = -f.support[i], -f.support[j]
-        return {GrassPoint(field, d, (e21, e31, e32))
-                for d, e21, e31, e32, prof in _iter_entries(f, field.p)
-                if prof[i] == mi and prof[j] == mj}
+        is -M_S on the facets S = {w1}, {w1, w2} that fix the vertex of Borel w,
+        each facet tested as early as it allows on the pairs of ``_iter_pairs``.
+
+        Facets 2 and 5 are -d3 and -(d2 + d3), and facets 1 and 4 functions of
+        the pair.  The profile floor holds, so facet 3 is met by the pair's
+        terms or by a term of e31 at lo, and facet 0 by the pair's terms or by
+        val(e31 - P) = d1 + d3 - M0, the D0 radius r.  Each of these fixes the
+        pair's verdict or excludes one value of the first free coefficient.
+        """
+        f, w, q = self.polytope.family, BORELS[self.borel], field.p
+        facets = [CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2)]
+        M = f.support
+        pts: Set[GrassPoint] = set()
+        tails = {}
+        for d, e21, e32, P, (_c, r), lo, hi, s, head in _iter_pairs(
+                f, q, diagonal=lambda d: (2 not in facets or d[2] == M[2])
+                and (5 not in facets or d[1] + d[2] == M[5])):
+            d1, d2, d3 = d
+            va = e21[0] - d1 if e21[1] else INF
+            vb = e32[0] - d2 if e32[1] else INF
+            pair = (min(-d1, va - d2), min(-d2, vb - d3), -d3,
+                    min(-d1 - d2, vb - d1 - d3), min(-d1 - d3, va - d2 - d3), -d2 - d3)
+            pr = P[1][r - P[0]] if 0 <= r - P[0] < len(P[1]) else 0  # P's term at r
+            cut = set()  # the values the first free coefficient may not take
+            for k in facets:
+                if pair[k] == -M[k]:
+                    continue
+                if k == 0 and lo <= r < hi:  # e31 - P needs a term at r = s
+                    cut.add(pr)
+                elif k == 3 and s == lo < hi:  # e31 needs a term at lo = s
+                    cut.add(0)
+                elif not (k == 0 and pr or k == 3 and lo < s and head[0]):
+                    break
+            else:
+                n = hi - s
+                if n not in tails:
+                    tails[n] = list(itertools.product(range(q), repeat=n))
+                pts.update(GrassPoint(field, d, (e21, _entry(lo, (*head, *t)), e32))
+                           for t in tails[n] if not (cut and t[0] in cut))
+        return pts
 
 
 def _cell_points(field: PrimeField, diag: Coweight,
@@ -369,12 +402,15 @@ def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
     """Count each step's cell over every (field, gamma) of ``checks``, the
     Springer points with a gamma, else all; each must have q^dim points."""
     record = {"per_q": [], "ok": True}
+    by_corner: Dict[Tuple[Coweight, int], List[int]] = {}  # step indices, ascending
+    for i, st in enumerate(steps):
+        by_corner.setdefault((st.vertex, st.borel), []).append(i)
     for field, gamma in checks:
         q = field.p
         counts = [0] * len(steps)
         for fx, n in _ec_counts(family, q, gamma).items():
-            i = next((i for i, st in enumerate(steps) if contains(st.polytope, fx)
-                      and fx.vertices[st.borel] == st.vertex), None)
+            i = min((i for b, v in enumerate(fx.vertices) for i in by_corner.get((v, b), ())
+                     if contains(steps[i].polytope, fx)), default=None)
             if i is None:
                 raise PavingVerificationFailed(
                     f"{n} points with Ec {fx.vertices} match no paving step")

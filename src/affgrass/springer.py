@@ -193,10 +193,12 @@ def criterion_bound(n: Tuple[int, int, int], b: int, c: Pattern) -> int:
 
 
 def criterion(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
-    """Whether the Springer slice of the chamber-b contracting cell is affine."""
+    """Whether the Springer slice of the chamber-b contracting cell is affine,
+    read off P's datum: a normal-position P is its own normal form."""
+    n = P.datum121.n
     if not is_normal_position(P.datum121):
-        raise NormalPositionRequired(f"datum {P.datum121.n} needs n1 >= n3 >= n2")
-    return springer_cell_data(P.family, b, gamma)[1]
+        raise NormalPositionRequired(f"datum {n} needs n1 >= n3 >= n2")
+    return sum(criterion_l_values(n, b, gamma.c)) <= criterion_bound(n, b, gamma.c)
 
 
 def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:

@@ -14,7 +14,9 @@ contracting cell in place of the Springer points of the whole truncation
 sorted by Ec, the vertex scores of ``canonicalize`` in place of
 its twist search on the support, one walk that tests every state against the
 avoided point in place of the facet cuts, a maximal-element pass over every
-GMV support found in place of the antichain the walk keeps), or a plain
+GMV support found in place of the antichain the walk keeps, every point of
+the truncation filtered by its profile in place of the facet cut of a
+contracting cell), or a plain
 definition no library path needs.
 """
 import itertools
@@ -22,14 +24,15 @@ import math
 
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV,
                              PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry_windows, _profile, _window_entries, dprofile, mat,
-                            mat_diag_eps, point_from_y, y_inverse)
+from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, _profile, _window_entries,
+                            dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, _mul, _val_diff, eps, one, zero
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import MVPolytope, dimension, is_mv_family
 from affgrass.paving import _WALK_BUDGET, is_gmv
-from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBERS, W0, contains, family_from_support,
-                               pairing, perm_inv, perm_mul, sub_cw, tighten_support)
+from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, contains,
+                               family_from_support, pairing, perm_inv, perm_mul, sub_cw,
+                               tighten_support)
 from affgrass.springer import criterion_l_values
 
 # ---------------------------------------------------------------------------
@@ -496,6 +499,18 @@ def iter_entries_windows(f, q, budget=5_000_000):
             prof = _profile(d, e21, e31, e32, q)
             if all(v >= m for v, m in zip(prof, floor)):
                 yield d, e21, e31, e32, prof
+
+
+def contracting_cell_by_filter(cell, field):
+    """``ContractingCell.enumerate`` as every point of the truncation whose
+    D-profile is -M_S on the facets S = {w1}, {w1, w2} that fix the vertex of
+    Borel w."""
+    f, w = cell.polytope.family, BORELS[cell.borel]
+    i, j = (CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2))
+    mi, mj = -f.support[i], -f.support[j]
+    return {GrassPoint(field, d, (e21, e31, e32))
+            for d, e21, e31, e32, prof in _iter_entries(f, field.p)
+            if prof[i] == mi and prof[j] == mj}
 
 
 # ---------------------------------------------------------------------------

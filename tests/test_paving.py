@@ -1,16 +1,17 @@
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from affgrass.errors import (InconsistentFamily, NormalPositionRequired, NotMV,
+from affgrass.errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired, NotMV,
                              PavingVerificationFailed, PreconditionViolated, ShapeMismatch)
 from affgrass import paving
 from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _alternating_words,
                                  _normal_data)
-from affgrass.grass import ec, enumerate_points, member
+from affgrass.grass import _iter_entries, ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize
@@ -23,8 +24,9 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from
                                pairing, scale_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
-from reference import (_maximal, canonicalize_by_scores, cell_points_by_matrices, curve_point,
-                       gmv_dimension_canonical, is_gmv_canonical, max_gmv_inside_by_lattice_points,
+from reference import (_maximal, canonicalize_by_scores, cell_points_by_matrices,
+                       contracting_cell_by_filter, curve_point, gmv_dimension_canonical,
+                       is_gmv_canonical, max_gmv_inside_by_lattice_points,
                        max_gmv_inside_walk, translate_point)
 
 F2 = PrimeField(2, 64)
@@ -173,6 +175,41 @@ def test_cell_enumeration_matches_coordinates_over_f5():
         pts = c.enumerate(F5)
         assert len(pts) == 5 ** c.dim
         assert pts == _cell_points(F5, c.diag, c.windows, c.inverted)
+
+
+def test_cell_facet_cut_matches_filter():
+    # the facet cut of every cell of the normal data in {0..3}^3 over F_2,
+    # over F_3 with n1 + n2 + n3 <= 6, and of a translated anchoring equals
+    # the filter of the whole truncation; in chambers 0, 1 and 5 (facets 0
+    # and 3) some pair keeps only part of its tails, which the cut of the
+    # first free coefficient decides
+    cases = [(MVPolytope.from_datum(LusztigDatum("121", n)), q) for q in (2, 3)
+             for n in itertools.product(range(4), repeat=3)
+             if n[0] >= n[2] >= n[1] and (q == 2 or sum(n) <= 6)]
+    cases.append((MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1)), base=(-1, 1, 1)), 3))
+    assert len(cases) == 37
+    split = set()
+    for P, q in cases:
+        field = PrimeField(q)
+        pairs = Counter((d, e21, e32) for d, e21, _e31, e32, _prof
+                        in _iter_entries(P.family, q))
+        for b in range(6):
+            cell = contracting_cell(P, b)
+            pts = cell.enumerate(field)
+            assert pts == contracting_cell_by_filter(cell, field), (P.datum121.n, b, q)
+            kept = Counter((x.d, x.entries[0], x.entries[2]) for x in pts)
+            if any(k < pairs[pr] for pr, k in kept.items()):
+                split.add(b)
+    assert split == {0, 1, 5}
+
+
+def test_cell_enumeration_counts_whole_windows():
+    # P(5,5,5) over F_2 has about 1.3e7 window candidates; the cut would build
+    # far fewer, but the budget counts the whole windows, for every chamber
+    P = MVPolytope.from_datum(LusztigDatum("121", (5, 5, 5)))
+    for b in range(6):
+        with pytest.raises(BudgetExceeded):
+            contracting_cell(P, b).enumerate(F2)
 
 
 def test_inverted_cell_needs_determinant_one():

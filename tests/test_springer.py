@@ -6,20 +6,21 @@ import pytest
 
 from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_data,
                                  _ultrametric_box)
-from affgrass.errors import BudgetExceeded, PatternMismatch, PavingVerificationFailed
+from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
+                             PavingVerificationFailed)
 from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_entries,
                             canonicalize_point, ec, enumerate_points, iter_points, mat,
                             mat_diag_eps, sample_point)
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
-from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word
+from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
 from affgrass.paving import _cell_points, contracting_cell, greedy_paving
 from affgrass.rootdata import contains, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
                                criterion_bound, fundamental_domain,
                                member_springer,
-                               pattern_realizable, springer_dim,
+                               pattern_realizable, springer_cell_data, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
 from reference import (admits_by_products, criterion_oracle_on_cells, exact,
@@ -168,6 +169,29 @@ def test_criterion_examples():
     assert criterion(P0, 0, g0) is True
     assert criterion_oracle(P, g1)[0] is True
     assert criterion_oracle(P, g2)[0] is False
+
+
+def test_criterion_reads_the_datum():
+    # a normal-position P is its own normal form, so reading the datum gives
+    # the verdict of the transported cell data: every normal datum in
+    # {0..4}^3 (one by its 212 word, one translated), every chamber and every
+    # realizable pattern in {0..3}^3 over F_2 and F_3
+    rng = random.Random(22)
+    gams = [synthesize_gamma(c, F, rng) for F in (F2, F3)
+            for c in itertools.product(range(4), repeat=3) if pattern_realizable(c, F.p)]
+    data = [n for n in itertools.product(range(5), repeat=3) if n[0] >= n[2] >= n[1]]
+    polys = [MVPolytope.from_datum(LusztigDatum("121", n)) for n in data]
+    polys += [MVPolytope.from_datum(braid(LusztigDatum("121", (3, 1, 2)))),
+              MVPolytope.from_datum(LusztigDatum("121", (4, 0, 2)), base=(2, -1, 5))]
+    assert len(polys) == 37 and polys[-2].datum121.n == (3, 1, 2)
+    for P in polys:
+        for b in range(6):
+            for gam in gams:
+                assert criterion(P, b, gam) == springer_cell_data(P.family, b, gam)[1]
+    for n in itertools.product(range(3), repeat=3):
+        if not n[0] >= n[2] >= n[1]:
+            with pytest.raises(NormalPositionRequired):
+                criterion(MVPolytope.from_datum(LusztigDatum("121", n)), 0, gams[0])
 
 
 def test_criterion_c_zero_forces_tiny_cells():
