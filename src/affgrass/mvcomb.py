@@ -4,15 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import InconsistentFamily, NotMV, PreconditionViolated
-from .rootdata import (_WEYL_SOURCE, CANON_ORDER, GTFamily, Coweight, Perm, add_cw, coroot,
-                       edge_lengths, perm_inv, scale_cw, sub_cw)
+from .errors import NotMV, PreconditionViolated
+from .rootdata import (_WEYL_SOURCE, CANON_ORDER, GTFamily, Coweight, Perm, add_cw, edge_lengths,
+                       perm_inv, sub_cw)
 
 WORDS = ("121", "212")
-
-_ALPHA1 = coroot((1, 2))
-_ALPHA2 = coroot((2, 3))
-_ALPHA13 = coroot((1, 3))
 
 
 @dataclass(frozen=True)
@@ -36,35 +32,26 @@ def braid(d: LusztigDatum) -> LusztigDatum:
 
 
 def vertices_of(d: LusztigDatum, base: Coweight) -> GTFamily:
-    """The vertex family of the MV polytope with this datum, anchored so that
-    the w0-side vertex is ``base``."""
-    n = d.n if d.word == "121" else braid(d).n
-    m = braid(LusztigDatum("121", n)).n
-    lw0 = base
-    ls1s2 = add_cw(lw0, scale_cw(n[2], _ALPHA2))
-    ls1 = add_cw(ls1s2, scale_cw(n[1], _ALPHA13))
-    le = add_cw(ls1, scale_cw(n[0], _ALPHA1))
-    ls2s1 = add_cw(lw0, scale_cw(m[2], _ALPHA1))
-    ls2 = add_cw(ls2s1, scale_cw(m[1], _ALPHA13))
-    if add_cw(ls2, scale_cw(m[0], _ALPHA2)) != le:
-        raise InconsistentFamily(f"the two edge paths of {d} do not close up")
-    # in BORELS order: e, s2, s2s1, w0, s1s2, s1
-    return GTFamily.from_vertices(sum(base), (le, ls2, ls2s1, lw0, ls1s2, ls1))
+    """The family of the MV polytope with this datum whose w0-side vertex is
+    ``base``: with (n1, n2, n3) the 121 datum and m3 = n1 + n2 - min(n1, n3),
+    each support number is read at base, lambda_s1 = base + n3 a23 + n2 a13,
+    lambda_e = lambda_s1 + n1 a12 or lambda_s2 = base + m3 a12 + min(n1, n3) a13."""
+    n1, n2, n3 = d.n if d.word == "121" else braid(d).n
+    m3 = n1 + n2 - min(n1, n3)
+    b1, b2, b3 = base
+    return GTFamily(b1 + b2 + b3, (b1 + n1 + n2, b2 + n3, b3, b1 + b2 + n2 + n3, b1 + b3 + m3,
+                                   b2 + b3))
 
 
-def datum121_of(f: GTFamily) -> LusztigDatum:
-    """Edge lengths along the path through chambers e, s1, s1s2, w0."""
-    k = f.edge_lengths()
-    return LusztigDatum("121", (k[5], k[4], k[3]))
-
-
-def datum212_of(f: GTFamily) -> LusztigDatum:
-    k = f.edge_lengths()
-    return LusztigDatum("212", (k[0], k[1], k[2]))
-
-
-def is_mv_family(f: GTFamily) -> bool:
-    return braid(datum121_of(f)) == datum212_of(f)
+def mv_edges(f: GTFamily, w: Perm) -> Optional[Tuple[int, ...]]:
+    """The edge lengths k of w^-1.f when it is an MV polytope, else None: the
+    braid move must take its 121 datum (k5, k4, k3) to its 212 datum
+    (k0, k1, k2), that is (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2) with
+    a = min(k5, k3)."""
+    M = f.support
+    k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
+    a = min(k[5], k[3])
+    return k if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3] else None
 
 
 @dataclass(frozen=True)
@@ -84,15 +71,14 @@ class MVPolytope:
     def from_datum(cls, d: LusztigDatum, base: Optional[Coweight] = None) -> "MVPolytope":
         d121 = d if d.word == "121" else braid(d)
         if base is None:
-            # anchor the top vertex lambda_e at the origin
-            n1, n2, n3 = d121.n
-            base = (-(n1 + n2), n1 - n3, n2 + n3)
-        fam = vertices_of(d121, base)
-        return cls(base, d121, braid(d121), fam)
+            base = _base_keeping_top(d121, (0, 0, 0))
+        return cls(base, d121, braid(d121), vertices_of(d121, base))
 
     @classmethod
     def from_family(cls, f: GTFamily) -> "MVPolytope":
-        return cls(f.vertex(3), datum121_of(f), datum212_of(f), f)
+        k = f.edge_lengths()
+        return cls(f.vertex(3), LusztigDatum("121", (k[5], k[4], k[3])),
+                   LusztigDatum("212", k[:3]), f)
 
 
 class _Zero:
@@ -113,18 +99,14 @@ def mv_twist(f: GTFamily) -> Optional[Perm]:
 
     The score is sum(M) - 2 nu - M_j - M_{j^c} with j = w(2), so the
     minimizing twists are those whose w(2) maximizes M_j + M_{j^c}.  Each is
-    tested by the braid move on its edge lengths:
-    (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2), a = min(k5, k3).
+    tested by the braid move on its edge lengths (``mv_edges``).
     """
     M = f.support
     width = [M[j] + M[5 - j] for j in range(3)]  # CHAMBERS lists complements in reverse
     best = max(width)
     for w in CANON_ORDER:
-        if width[w[1] - 1] == best:
-            k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
-            a = min(k[5], k[3])
-            if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3]:
-                return w
+        if width[w[1] - 1] == best and mv_edges(f, w) is not None:
+            return w
     return None
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, enumerate_points
+from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import INF, ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
@@ -255,7 +255,7 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
     record = {"per_q": [], "ok": True}
     for field in _fields(verify_qs):
         q = field.p
-        pts = set(enumerate_points(family, field))
+        pts = set(iter_points(family, field))
         seen: Set[GrassPoint] = set()
         by_cell = []
         for c in cells:

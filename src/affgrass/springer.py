@@ -18,8 +18,7 @@ from .errors import (NormalPositionRequired, PatternMismatch,
 from .grass import GrassPoint, _below, _ec_counts
 from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, random_with_val,
                       val, zero)
-from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, datum121_of, is_alternating,
-                     is_mv_family, ZERO)
+from .mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, is_alternating, mv_edges, ZERO
 from .paving import PavingPlan, _fields, _pave, _verify_steps, is_normal_position
 from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, iota_family, pairing,
                        perm_inv, perm_mul)
@@ -228,10 +227,9 @@ def _normalize_gmv(f: GTFamily):
     for delta in (0, 1):
         g0 = iota_family(f) if delta else f
         for w in BORELS:
-            h = g0.weyl(perm_inv(w))
-            d = datum121_of(h)
-            if is_mv_family(h) and d.n[0] >= d.n[2] >= d.n[1]:
-                return delta, w, d
+            k = mv_edges(g0, w)
+            if k is not None and k[5] >= k[3] >= k[4]:
+                return delta, w, LusztigDatum("121", (k[5], k[4], k[3]))
     raise NormalPositionRequired(f"{f.vertices} has no normal-position presentation")
 
 

@@ -16,23 +16,25 @@ its twist search on the support, one walk that tests every state against the
 avoided point in place of the facet cuts, a maximal-element pass over every
 GMV support found in place of the antichain the walk keeps, every point of
 the truncation filtered by its profile in place of the facet cut of a
-contracting cell), or a plain
+contracting cell, two vertex paths and two Lusztig data in place of the
+support of an MV polytope and the braid test on its edge lengths), or a plain
 definition no library path needs.
 """
 import itertools
 import math
 
-from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, NotMV,
-                             PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
+from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
+                             NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
+                             RetryExhausted, SingularMatrix)
 from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, _profile, _window_entries,
                             dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import INF, LaurentSeries, PrimeField, _mul, _val_diff, eps, one, zero
 from affgrass.moment import PoincarePoly
-from affgrass.mvcomb import MVPolytope, dimension, is_mv_family
+from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import _WALK_BUDGET, is_gmv
-from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, contains,
-                               family_from_support, pairing, perm_inv, perm_mul, sub_cw,
-                               tighten_support)
+from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
+                               add_cw, contains, coroot, family_from_support, iota_family,
+                               pairing, perm_inv, perm_mul, scale_cw, sub_cw, tighten_support)
 from affgrass.springer import criterion_l_values
 
 # ---------------------------------------------------------------------------
@@ -511,6 +513,55 @@ def contracting_cell_by_filter(cell, field):
     return {GrassPoint(field, d, (e21, e31, e32))
             for d, e21, e31, e32, prof in _iter_entries(f, field.p)
             if prof[i] == mi and prof[j] == mj}
+
+
+# ---------------------------------------------------------------------------
+# MV polytopes by vertex paths and Lusztig data
+# ---------------------------------------------------------------------------
+
+_ALPHA1, _ALPHA2, _ALPHA13 = coroot((1, 2)), coroot((2, 3)), coroot((1, 3))
+
+
+def vertices_of_by_paths(d, base):
+    """``mvcomb.vertices_of`` by its two vertex paths from the w0-side vertex
+    ``base``: the 121 datum through s1s2 and s1, the 212 datum through s2s1
+    and s2, which must close up at lambda_e; the support is read off the six
+    vertices by ``GTFamily.from_vertices``."""
+    n = d.n if d.word == "121" else braid(d).n
+    m = braid(LusztigDatum("121", n)).n
+    lw0 = base
+    ls1s2 = add_cw(lw0, scale_cw(n[2], _ALPHA2))
+    ls1 = add_cw(ls1s2, scale_cw(n[1], _ALPHA13))
+    le = add_cw(ls1, scale_cw(n[0], _ALPHA1))
+    ls2s1 = add_cw(lw0, scale_cw(m[2], _ALPHA1))
+    ls2 = add_cw(ls2s1, scale_cw(m[1], _ALPHA13))
+    if add_cw(ls2, scale_cw(m[0], _ALPHA2)) != le:
+        raise InconsistentFamily(f"the two edge paths of {d} do not close up")
+    # in BORELS order: e, s2, s2s1, w0, s1s2, s1
+    return GTFamily.from_vertices(sum(base), (le, ls2, ls2s1, lw0, ls1s2, ls1))
+
+
+def is_mv_family(f):
+    """``mvcomb.mv_edges(f, IDENT) is not None`` by two Lusztig data: the
+    braid move takes the 121 datum, read along the chambers e, s1, s1s2, w0,
+    to the 212 datum read along e, s2, s2s1, w0."""
+    k = f.edge_lengths()
+    return braid(LusztigDatum("121", (k[5], k[4], k[3]))) == LusztigDatum("212", k[:3])
+
+
+def normalize_gmv_by_families(f):
+    """``springer._normalize_gmv`` on families: the first (delta, w) with
+    h = w^-1 . iota^delta f an MV family whose 121 datum d has
+    n1 >= n3 >= n2, and that d."""
+    for delta in (0, 1):
+        g0 = iota_family(f) if delta else f
+        for w in BORELS:
+            h = g0.weyl(perm_inv(w))
+            k = h.edge_lengths()
+            d = LusztigDatum("121", (k[5], k[4], k[3]))
+            if is_mv_family(h) and d.n[0] >= d.n[2] >= d.n[1]:
+                return delta, w, d
+    raise NormalPositionRequired(f"{f.vertices} has no normal-position presentation")
 
 
 # ---------------------------------------------------------------------------

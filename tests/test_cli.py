@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+README_CLI = Path(__file__).parent / "data" / "readme_cli"
 
 
 def run(*args, flags=()):
@@ -280,3 +283,29 @@ def test_same_output_under_optimize(tmp_path):
         plain, opt = run(*args), run(*args, flags=("-O",))
         assert plain.returncode == opt.returncode == 0
         assert json.loads(opt.stdout) == json.loads(plain.stdout)
+
+
+# the CLI examples of the README, each with the file its stdout must equal
+README_EXAMPLES = [
+    ("polytope", ("polytope", "--word", "121", "--n", "2,1,1")),
+    ("braid", ("braid", "--word", "121", "--n", "2,1,0")),
+    ("points", ("points", "--polytope", "{p}", "--prime", "2")),
+    ("graph", ("graph", "--polytope", "{p}", "--dot", "{dot}")),
+    ("betti", ("betti", "--polytope", "{p}")),
+    ("pave_greedy", ("pave", "--polytope", "{p}", "--method", "greedy", "--verify-q", "2,3")),
+    ("pave_iwahori", ("pave", "--polytope", "{p}", "--method", "iwahori")),
+    ("springer", ("springer", "--gamma", "{g}", "--truncate", "j=12", "--verify-q", "2,3")),
+]
+
+
+@pytest.mark.parametrize("name, args", README_EXAMPLES, ids=[n for n, _a in README_EXAMPLES])
+def test_readme_example_output_is_recorded(tmp_path, name, args):
+    files = {"p": tmp_path / "p.json", "g": tmp_path / "g.json", "dot": tmp_path / "g.dot"}
+    files["p"].write_text('{"word": "121", "n": [1,0,1]}\n')
+    files["g"].write_text('{"pattern": [2,1,1], "prime": 3}\n')
+    r = subprocess.run([sys.executable, "-m", "affgrass",
+                        *(a.format(**files) for a in args)], capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == (README_CLI / f"{name}.json").read_bytes()
+    if name == "graph":
+        assert files["dot"].read_bytes() == (README_CLI / "graph.dot").read_bytes()

@@ -30,18 +30,22 @@ def test_skeleton_examples():
     assert len(point.edges) == 0
 
 
-def test_skeleton_matches_curve_membership():
-    # reference: the orbit (a, k) at v is an edge when a nonfixed point of it,
-    # canonicalized over F_2, is a member of the truncation
-    F2 = PrimeField(2, 64)
+def _skeleton_families():
     fams = [P(n).weyl(w) for n in itertools.product(range(3), repeat=3)
             for w in BORELS]
     fams += [weyl_family((2, 1, 0)), weyl_family((3, 1, 0))]
     big = P((2, 1, 1))
     fams += [Q for v in big.lattice_points() for Q in max_gmv_inside(big, v)]
     assert len(fams) == 200
+    return fams
+
+
+def test_skeleton_matches_curve_membership():
+    # reference: the orbit (a, k) at v is an edge when a nonfixed point of it,
+    # canonicalized over F_2, is a member of the truncation
+    F2 = PrimeField(2, 64)
     n_edges = 0
-    for f in fams:
+    for f in _skeleton_families():
         vset = set(f.lattice_points())
         want = sorted(
             (v, u, a, k) for v in vset for a in POSROOTS
@@ -51,6 +55,22 @@ def test_skeleton_matches_curve_membership():
         assert list(skeleton(f).edges) == want
         n_edges += len(want)
     assert n_edges == 3920
+
+
+def test_springer_filter_reads_each_root_valuation():
+    # springer_c is (c12, c23, c13): each edge stays when k is at most the
+    # valuation of its own root, which asymmetric patterns tell apart
+    fams = _skeleton_families()
+    kept = dropped = 0
+    for c in ((1, 1, 1), (2, 1, 1), (1, 2, 0), (0, 1, 3), (3, 0, 1)):
+        c_of = dict(zip(((1, 2), (2, 3), (1, 3)), c))
+        for f in fams:
+            full = skeleton(f).edges
+            want = tuple(e for e in full if e[3] <= c_of[e[2]])
+            assert skeleton(f, springer_c=c).edges == want
+            kept += len(want)
+            dropped += len(full) - len(want)
+    assert (kept, dropped) == (11688, 7912)
 
 
 def test_wt_is_cell_dimension_at_corners():

@@ -8,6 +8,7 @@ from affgrass.mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word,
                              dimension, vertices_of)
 from affgrass.rootdata import (CANON_ORDER, GTFamily, IDENT, perm_inv, sub_cw,
                                weyl_family)
+from reference import vertices_of_by_paths
 
 
 def P(n):
@@ -36,6 +37,15 @@ def test_two_triangle_vertex_labels():
     assert fam.vertex(3) == (-n2, n1 - n3, n3)
     assert fam.vertex(2) == (n1 - n3, -n2, n3)
     assert len({sum(v) for v in fam.vertices}) == 1  # constant component sum
+
+
+def test_vertices_of_matches_paths():
+    # the support in closed form is the family the two vertex paths give,
+    # from either word and at bases off the origin
+    for n in itertools.product(range(8), repeat=3):
+        for d in (LusztigDatum("121", n), LusztigDatum("212", n)):
+            for base in ((0, 0, 0), (-2, 1, -3), (4, -1, 0)):
+                assert vertices_of(d, base) == vertices_of_by_paths(d, base)
 
 
 def test_degenerate_polytope():

@@ -14,19 +14,19 @@ from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _a
 from affgrass.grass import _iter_entries, ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
-from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize
+from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize, mv_edges, mv_twist
 from affgrass.paving import (ContractingCell, _cell_points, _mv_cell_fn, _pave,
                              contracting_cell, gmv_dimension, greedy_paving,
                              iwahori_cell, is_gmv, max_gmv_inside,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
-                               pairing, scale_cw, tighten_support, weyl_family)
+                               pairing, perm_inv, scale_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
 from reference import (_maximal, canonicalize_by_scores, cell_points_by_matrices,
                        contracting_cell_by_filter, curve_point, gmv_dimension_canonical,
-                       is_gmv_canonical, max_gmv_inside_by_lattice_points,
+                       is_gmv_canonical, is_mv_family, max_gmv_inside_by_lattice_points,
                        max_gmv_inside_walk, translate_point)
 
 F2 = PrimeField(2, 64)
@@ -424,6 +424,27 @@ def test_canonicalize_matches_vertex_scores():
                 canonicalize(f)
             continue
         assert is_gmv(f) and canonicalize(f) == want
+
+
+def test_mv_test_matches_lusztig_data():
+    # the braid test on twisted edge lengths is the braid move between the two
+    # Lusztig data of the twisted family, and mv_twist is the twist that the
+    # vertex scores pick
+    n_mv = 0
+    for f in _grid_families():
+        for w in BORELS:
+            h = f.weyl(perm_inv(w))
+            k = mv_edges(f, w)
+            assert (k is not None) == is_mv_family(h)
+            if k is not None:
+                assert k == h.edge_lengths()
+                n_mv += 1
+        try:
+            want = canonicalize_by_scores(f)[0]
+        except NotMV:
+            want = None
+        assert mv_twist(f) == want
+    assert n_mv == 13878
 
 
 def test_gmv_dimension_matches_canonicalize():

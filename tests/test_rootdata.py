@@ -301,10 +301,11 @@ def test_adjacent_gap_positivity_enforced():
 def test_iota_vs_datum_reversal():
     # transpose-inverse reverses each edge path, so it reverses the 212-datum
     # read as a 121-datum: datum121(iota P(n)) = braid(reverse(n))
-    from affgrass.mvcomb import braid, datum121_of, datum212_of, LusztigDatum
+    from affgrass.mvcomb import braid, LusztigDatum, MVPolytope
     for n in ((2, 1, 0), (1, 1, 1), (2, 1, 1), (0, 2, 1)):
         flipped = iota_family(P(n))
         rev = braid(LusztigDatum("121", tuple(reversed(n))))
-        assert datum121_of(flipped).n == rev.n
-        assert datum212_of(flipped).n == tuple(reversed(n))
+        Q = MVPolytope.from_family(flipped)
+        assert Q.datum121.n == rev.n
+        assert Q.datum212.n == tuple(reversed(n))
         assert eq_up_to_translation(flipped, P(rev.n))

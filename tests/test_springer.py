@@ -14,18 +14,18 @@ from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_entrie
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
-from affgrass.paving import _cell_points, contracting_cell, greedy_paving
-from affgrass.rootdata import contains, family_from_support
+from affgrass.paving import _cell_points, contracting_cell, greedy_paving, max_gmv_inside
+from affgrass.rootdata import GTFamily, contains, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
                                criterion_bound, fundamental_domain,
-                               member_springer,
+                               _normalize_gmv, member_springer,
                                pattern_realizable, springer_cell_data, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
 from reference import (admits_by_products, criterion_oracle_on_cells, exact,
                        iter_entries_windows, mat_identity, mat_inv, mat_mul,
-                       member_springer_matrix, translate_point)
+                       member_springer_matrix, normalize_gmv_by_families, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -192,6 +192,26 @@ def test_criterion_reads_the_datum():
         if not n[0] >= n[2] >= n[1]:
             with pytest.raises(NormalPositionRequired):
                 criterion(MVPolytope.from_datum(LusztigDatum("121", n)), 0, gams[0])
+
+
+def test_normalize_gmv_matches_families():
+    # the braid test on twisted edge lengths picks the same (delta, w, datum)
+    # as the search over twisted families and their two Lusztig data, on every
+    # maximal GMV piece avoiding a vertex of P(n), n in {0..4}^3
+    pieces = set()
+    for n in itertools.product(range(5), repeat=3):
+        f = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        for v in set(f.vertices):
+            pieces.update(max_gmv_inside(f, v))
+    assert len(pieces) == 402
+    for Q in pieces:
+        assert _normalize_gmv(Q) == normalize_gmv_by_families(Q)
+    # a positive hexagon whose two path data are not braid-related
+    hexagon = GTFamily.from_vertices(0, ((0, 0, 0), (0, -2, 2), (0, -2, 2), (-2, 0, 2),
+                                         (-2, 1, 1), (-1, 1, 0)))
+    for normalize in (_normalize_gmv, normalize_gmv_by_families):
+        with pytest.raises(NormalPositionRequired):
+            normalize(hexagon)
 
 
 def test_criterion_c_zero_forces_tiny_cells():
