@@ -123,25 +123,32 @@ def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
     return _profile(x.d, *x.entries, x.field.p)
 
 
-def _profile(d: Coweight, e21, e31, e32, p: int, prod=None) -> Tuple[Union[int, float], ...]:
-    """The D-profile of the point with diagonal eps^d and lower entries e21,
-    e31, e32.  With a = h21 eps^-d1, b = h32 eps^-d2, c = h31 eps^-d1 it is
-    made of leads; val(ab - c) needs the product e21 e32 (``prod``, when the
-    caller has it) only when its leads meet."""
+def _pair_profile(d: Coweight, e21, e32) -> Tuple[Union[int, float], ...]:
+    """The D-profile of the points over (d, e21, e32) without its two e31
+    terms: with a = h21 eps^-d1 and b = h32 eps^-d2 it is made of leads."""
     d1, d2, d3 = d
     va = e21[0] - d1 if e21[1] else INF
     vb = e32[0] - d2 if e32[1] else INF
-    vc = e31[0] - d1 if e31[1] else INF
-    vab_c = (_val_diff(prod or _mul(e21, e32, p), (e31[0] + d2, e31[1])) - d1 - d2
-             if va + vb == vc != INF else min(va + vb, vc))
-    return (
-        min(-d1, va - d2, vab_c - d3),
-        min(-d2, vb - d3),
-        -d3,
-        min(-d1 - d2, vb - d1 - d3, vc - d2 - d3),
-        min(-d1 - d3, va - d2 - d3),
-        -d2 - d3,
-    )
+    return (min(-d1, va - d2), min(-d2, vb - d3), -d3,
+            min(-d1 - d2, vb - d1 - d3), min(-d1 - d3, va - d2 - d3), -d2 - d3)
+
+
+def _profile(d: Coweight, e21, e31, e32, p: int,
+             P=None, pair=None) -> Tuple[Union[int, float], ...]:
+    """The D-profile of the point with diagonal eps^d and lower entries e21,
+    e31, e32: the pair profile lowered at D0 by val(e31 - P) - d1 - d3, with
+    P = e21 e32 eps^-d2, and at D3 by val(e31) - nu.  P is formed, unless the
+    caller has it, only when the leads of e31 and P meet."""
+    d1, d2, d3 = d
+    pair = pair or _pair_profile(d, e21, e32)
+    v31 = e31[0] if e31[1] else INF
+    vP = e21[0] + e32[0] - d2 if e21[1] and e32[1] else INF
+    if v31 == vP != INF:
+        v31_P = _val_diff(P or (vP, _mul(e21, e32, p)[1]), e31)
+    else:
+        v31_P = min(v31, vP)
+    return (min(pair[0], v31_P - d1 - d3), pair[1], pair[2],
+            min(pair[3], v31 - d1 - d2 - d3), pair[4], pair[5])
 
 
 def ec(x: GrassPoint) -> GTFamily:
@@ -238,24 +245,26 @@ def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
 
 
 def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagonal=None):
-    """Yield (d, e21, e32, P, ball, lo, hi, s, head) for each diagonal d of
-    the truncation of f and each (e21, e32) of the windows whose e31 ball
-    meets the e31 window [lo, hi).  The e31 of those points are the fixed
-    ``head``, coefficients on [lo, s), followed by a free tail on [s, hi).
+    """Yield (d, e21, e32, P, pair, radius, lo, head, tails) for each diagonal
+    d of the truncation of f and each (e21, e32) of the windows whose e31 ball
+    meets the e31 window [lo, hi): the e31 of those points are the fixed
+    ``head``, coefficients from lo, followed by each of ``tails``, every
+    coefficient list on [lo + len(head), hi); ``pair`` is ``_pair_profile``.
 
-    The windows give every part of the profile floor but the val(ab - c)
+    The windows give every part of the profile floor but the val(e31 - P)
     term of D0, which for fixed (d, e21, e32) is a ball of e31:
     val(e31 - P) >= d1 + d3 - M0, with P = e21 e32 eps^-d2 the uncut centre.
     With a ``springer.RegularDiagonal`` gamma, the t21 and t32 tests of
     ``gamma.admits`` raise the low ends of the e21 and e32 windows, and its
     t31 test is a second ball (``gamma.t31_ball``).  Two balls are nested or
-    disjoint, so ``ball`` (centre below its radius, radius) is the one met.
-    ``diagonal``, a predicate on d, skips the other diagonals.  The budget
-    counts the candidates of the whole windows.
+    disjoint, so ``radius`` is that of the one met.  ``diagonal``, a
+    predicate on d, skips the other diagonals.  The budget counts the
+    candidates of the whole windows.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
         raise BudgetExceeded(f"enumeration needs > {budget} candidates")
+    tails = {}  # free e31 coefficients by their number
     for d, (w21, (lo, hi), w32) in windows:
         if diagonal is not None and not diagonal(d):
             continue
@@ -277,29 +286,19 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
             s = min(max(rad, lo), hi)  # e31 is free from this exponent up
             head = [0] * (s - lo)
             head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
-            yield d, e21, e32, P, (centre, rad), lo, hi, s, head
-
-
-def _iter_entries(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None):
-    """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
-    of f; with a ``springer.RegularDiagonal`` gamma, for those that
-    ``gamma.admits``: every tail of each ``_iter_pairs`` head."""
-    tails = {}  # free e31 coefficients by their number
-    for d, e21, e32, P, _ball, lo, hi, s, head in _iter_pairs(f, q, budget, gamma):
-        prod = (P[0] + d[1], P[1])
-        n = hi - s
-        if n not in tails:
-            tails[n] = list(itertools.product(range(q), repeat=n))
-        for tail in tails[n]:
-            e31 = _entry(lo, (*head, *tail))
-            yield d, e21, e31, e32, _profile(d, e21, e31, e32, q, prod)
+            n = hi - s
+            if n not in tails:
+                tails[n] = list(itertools.product(range(q), repeat=n))
+            yield d, e21, e32, P, _pair_profile(d, e21, e32), rad, lo, head, tails[n]
 
 
 def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
     """The Ec families of the F_q-points of the truncation of f, or of its
     Springer points with gamma, counted.  Ec of a point is a function of its
     D-profile (nu is f's), so each profile becomes a family once."""
-    by_profile = Counter(prof for *_pt, prof in _iter_entries(f, q, gamma=gamma))
+    by_profile = Counter(_profile(d, e21, _entry(lo, (*head, *t)), e32, q, P, pair)
+                         for d, e21, e32, P, pair, _r, lo, head, tails
+                         in _iter_pairs(f, q, gamma=gamma) for t in tails)
     return Counter({family_from_support([-v for v in prof], f.nu): n
                     for prof, n in by_profile.items()})
 
@@ -325,8 +324,9 @@ def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
 
     Entries are exact polynomials, so the field's precision is never read.
     """
-    for d, e21, e31, e32, _prof in _iter_entries(f, field.p, budget):
-        yield GrassPoint(field, d, (e21, e31, e32))
+    for d, e21, e32, _P, _pair, _r, lo, head, tails in _iter_pairs(f, field.p, budget):
+        for t in tails:
+            yield GrassPoint(field, d, (e21, _entry(lo, (*head, *t)), e32))
 
 
 def enumerate_points(f: GTFamily, field: PrimeField,

@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationF
                      PreconditionViolated, ShapeMismatch)
 from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
-from .laurent import INF, ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
+from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import LusztigDatum, MVPolytope, braid, mv_twist, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
@@ -56,42 +56,36 @@ class ContractingCell:
         is -M_S on the facets S = {w1}, {w1, w2} that fix the vertex of Borel w,
         each facet tested as early as it allows on the pairs of ``_iter_pairs``.
 
-        Facets 2 and 5 are -d3 and -(d2 + d3), and facets 1 and 4 functions of
-        the pair.  The profile floor holds, so facet 3 is met by the pair's
-        terms or by a term of e31 at lo, and facet 0 by the pair's terms or by
-        val(e31 - P) = d1 + d3 - M0, the D0 radius r.  Each of these fixes the
-        pair's verdict or excludes one value of the first free coefficient.
+        Facets 2 and 5 are -d3 and -(d2 + d3), and facets 1 and 4 those of the
+        walker's pair profile.  The profile floor holds, so facet 3 is met by
+        the pair profile or by a term of e31 at lo, and facet 0 by the pair
+        profile or by val(e31 - P) = d1 + d3 - M0, the D0 radius r.  A fixed
+        term at lo is the head's first; with an empty head, or with r = lo +
+        len(head), the first free coefficient is at that exponent.  Each test
+        fixes the pair's verdict or excludes one value of that coefficient.
         """
         f, w, q = self.polytope.family, BORELS[self.borel], field.p
         facets = [CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2)]
         M = f.support
         pts: Set[GrassPoint] = set()
-        tails = {}
-        for d, e21, e32, P, (_c, r), lo, hi, s, head in _iter_pairs(
+        for d, e21, e32, P, pair, r, lo, head, tails in _iter_pairs(
                 f, q, diagonal=lambda d: (2 not in facets or d[2] == M[2])
                 and (5 not in facets or d[1] + d[2] == M[5])):
-            d1, d2, d3 = d
-            va = e21[0] - d1 if e21[1] else INF
-            vb = e32[0] - d2 if e32[1] else INF
-            pair = (min(-d1, va - d2), min(-d2, vb - d3), -d3,
-                    min(-d1 - d2, vb - d1 - d3), min(-d1 - d3, va - d2 - d3), -d2 - d3)
+            free = bool(tails[0])  # whether e31 has a free coefficient
             pr = P[1][r - P[0]] if 0 <= r - P[0] < len(P[1]) else 0  # P's term at r
             cut = set()  # the values the first free coefficient may not take
             for k in facets:
                 if pair[k] == -M[k]:
                     continue
-                if k == 0 and lo <= r < hi:  # e31 - P needs a term at r = s
+                if k == 0 and free and r == lo + len(head):  # e31 - P needs a term at r
                     cut.add(pr)
-                elif k == 3 and s == lo < hi:  # e31 needs a term at lo = s
+                elif k == 3 and free and not head:  # e31 needs a term at lo
                     cut.add(0)
-                elif not (k == 0 and pr or k == 3 and lo < s and head[0]):
+                elif not (k == 0 and pr or k == 3 and head and head[0]):
                     break
             else:
-                n = hi - s
-                if n not in tails:
-                    tails[n] = list(itertools.product(range(q), repeat=n))
                 pts.update(GrassPoint(field, d, (e21, _entry(lo, (*head, *t)), e32))
-                           for t in tails[n] if not (cut and t[0] in cut))
+                           for t in tails if not (cut and t[0] in cut))
         return pts
 
 

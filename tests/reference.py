@@ -17,8 +17,9 @@ avoided point in place of the facet cuts, a maximal-element pass over every
 GMV support found in place of the antichain the walk keeps, every point of
 the truncation filtered by its profile in place of the facet cut of a
 contracting cell, two vertex paths and two Lusztig data in place of the
-support of an MV polytope and the braid test on its edge lengths), or a plain
-definition no library path needs.
+support of an MV polytope and the braid test on its edge lengths, every point
+of the pair walker with its profile read off the point in place of the tails
+each library loop expands), or a plain definition no library path needs.
 """
 import itertools
 import math
@@ -26,9 +27,10 @@ import math
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
                              RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, _profile, _window_entries,
+from affgrass.grass import (GrassPoint, _entry_windows, _iter_pairs, _profile, _window_entries,
                             dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
-from affgrass.laurent import INF, LaurentSeries, PrimeField, _mul, _val_diff, eps, one, zero
+from affgrass.laurent import (INF, LaurentSeries, PrimeField, _entry, _mul, _val_diff, eps, one,
+                              zero)
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import _WALK_BUDGET, is_gmv
@@ -489,8 +491,19 @@ def cell_points_by_matrices(field, diag, windows, inverted=False):
 # truncation points on the whole entry windows
 # ---------------------------------------------------------------------------
 
+def _iter_entries(f, q, budget=5_000_000, gamma=None):
+    """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
+    of f; with a ``springer.RegularDiagonal`` gamma, for those that
+    ``gamma.admits``: every tail of each ``grass._iter_pairs`` head, and its
+    profile computed from the point alone."""
+    for d, e21, e32, _P, _pair, _r, lo, head, tails in _iter_pairs(f, q, budget, gamma):
+        for t in tails:
+            e31 = _entry(lo, (*head, *t))
+            yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+
+
 def iter_entries_windows(f, q, budget=5_000_000):
-    """``grass._iter_entries`` without gamma as every candidate of the entry
+    """``_iter_entries`` without gamma as every candidate of the entry
     windows whose D-profile passes the floor."""
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:

@@ -6,7 +6,7 @@ import pytest
 
 from affgrass.errors import (AffgrassError, BudgetExceeded, GaussFailure,
                              PreconditionViolated, PrecisionLoss, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry_windows, _iter_entries, _window_entries,
+from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _window_entries,
                             canonicalize_point, dprofile, ec, enumerate_points, iter_points,
                             mat, mat_diag_eps, member, point_from_y, sample_point, transition,
                             y_inverse)
@@ -16,12 +16,13 @@ from affgrass.laurent import (LaurentSeries, PrimeField, _entry, eps, one, rando
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import (_cell_points, contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)
-from affgrass.rootdata import BORELS, contains, pairing, weyl_family
+from affgrass.rootdata import BORELS, contains, family_from_support, pairing, weyl_family
 
-from reference import (D, Delta, agrees, canonicalize_point_series, decompose_u0, dprofile_matrix,
-                       eta_w0, eta_w0_inv, exact, gauss_plus, iter_entries_windows, mat_det,
-                       mat_identity, mat_inv, mat_mul, minor, point_from_y_by_gauss,
-                       point_from_y_series, root_elem, translate_point, x_mat, y_map)
+from reference import (D, Delta, _iter_entries, agrees, canonicalize_point_series, decompose_u0,
+                       dprofile_matrix, eta_w0, eta_w0_inv, exact, gauss_plus,
+                       iter_entries_windows, mat_det, mat_identity, mat_inv, mat_mul, minor,
+                       point_from_y_by_gauss, point_from_y_series, root_elem, translate_point,
+                       x_mat, y_map)
 
 F2 = PrimeField(2, 32)
 F3 = PrimeField(3, 32)
@@ -186,9 +187,19 @@ def test_profile_kernel_matches_minors(n, q, every):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_d0_ball_matches_window_loop(q):
+    # the walker's reference expansion, and the library's own two loops over
+    # its tails: the points listed and the Ec families counted
+    field = PrimeField(q)
     for n in itertools.product(range(3), repeat=3):
         fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
-        assert Counter(_iter_entries(fam, q)) == Counter(iter_entries_windows(fam, q)), n
+        want = Counter(iter_entries_windows(fam, q))
+        assert Counter(_iter_entries(fam, q)) == want, n
+        assert Counter(iter_points(fam, field)) == \
+            Counter(GrassPoint(field, d, (e21, e31, e32))
+                    for d, e21, e31, e32, _prof in want.elements()), n
+        assert _ec_counts(fam, q) == \
+            Counter(family_from_support([-v for v in prof], fam.nu)
+                    for *_pt, prof in want.elements()), n
 
 
 def test_ec_examples():

@@ -11,7 +11,7 @@ from affgrass.errors import (BudgetExceeded, InconsistentFamily, NormalPositionR
 from affgrass import paving
 from affgrass.acceptance import (PURITY_DATA, PURITY_WEYL, SPRINGER_FAMILIES, _alternating_words,
                                  _normal_data)
-from affgrass.grass import _iter_entries, ec, enumerate_points, member
+from affgrass.grass import ec, enumerate_points, member
 from affgrass.laurent import PrimeField
 from affgrass.moment import compare, min_formal_poincare, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, canonicalize, mv_edges, mv_twist
@@ -24,7 +24,7 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from
                                pairing, perm_inv, scale_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
-from reference import (_maximal, canonicalize_by_scores, cell_points_by_matrices,
+from reference import (_iter_entries, _maximal, canonicalize_by_scores, cell_points_by_matrices,
                        contracting_cell_by_filter, curve_point, gmv_dimension_canonical,
                        is_gmv_canonical, is_mv_family, max_gmv_inside_by_lattice_points,
                        max_gmv_inside_walk, translate_point)

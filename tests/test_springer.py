@@ -8,9 +8,8 @@ from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_
                                  _ultrametric_box)
 from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
                              PavingVerificationFailed)
-from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_entries,
-                            canonicalize_point, ec, enumerate_points, iter_points, mat,
-                            mat_diag_eps, sample_point)
+from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, canonicalize_point, ec,
+                            enumerate_points, iter_points, mat, mat_diag_eps, sample_point)
 from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
                               val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
@@ -23,7 +22,7 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_cell_data, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import (admits_by_products, criterion_oracle_on_cells, exact,
+from reference import (_iter_entries, admits_by_products, criterion_oracle_on_cells, exact,
                        iter_entries_windows, mat_identity, mat_inv, mat_mul,
                        member_springer_matrix, normalize_gmv_by_families, translate_point)
 
@@ -374,6 +373,11 @@ def _admitted_by_windows(fam, q, gam):
     return Counter(x for x in iter_entries_windows(fam, q) if admits_by_products(gam, *x[:4]))
 
 
+def _families(points, nu):
+    """The Ec families of (d, e21, e31, e32, profile) points, counted."""
+    return Counter(family_from_support([-v for v in prof], nu) for *_pt, prof in points.elements())
+
+
 @pytest.mark.parametrize("n1, n2", SPRINGER_FAMILIES)
 def test_springer_balls_match_window_loop(n1, n2):
     # every crystal truncation of the fundamental domain, as criterion 8 runs them
@@ -382,8 +386,9 @@ def test_springer_balls_match_window_loop(n1, n2):
         P0 = MVPolytope.from_family(fundamental_domain(gam))
         for j in _alternating_words(2 * n2):
             fam = apply_crystal_word(j, P0).family
-            assert Counter(_iter_entries(fam, 3, gamma=gam)) == \
-                _admitted_by_windows(fam, 3, gam), (seed, j)
+            want = _admitted_by_windows(fam, 3, gam)
+            assert Counter(_iter_entries(fam, 3, gamma=gam)) == want, (seed, j)
+            assert _ec_counts(fam, 3, gam) == _families(want, fam.nu), (seed, j)
 
 
 @pytest.mark.parametrize("rel12, rel13, total", [(1, None, 2101), (None, 1, 2101),
@@ -398,9 +403,10 @@ def test_truncated_gamma_must_reach_top(rel12, rel13, total):
     gam = RegularDiagonal.from_series((zero(F3), -r12, -r13))
     assert gam.c == (2, 2, 2)
     fam = fundamental_domain(gam)
-    got = Counter(_iter_entries(fam, 3, gamma=gam))
-    assert got == _admitted_by_windows(fam, 3, gam)
+    got, want = Counter(_iter_entries(fam, 3, gamma=gam)), _admitted_by_windows(fam, 3, gam)
+    assert got == want
     assert sum(got.values()) == total
+    assert _ec_counts(fam, 3, gam) == _families(want, fam.nu)
     for x in iter_entries_windows(fam, 3):
         assert gam.admits(*x[:4]) == admits_by_products(gam, *x[:4]), x
 
