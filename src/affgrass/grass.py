@@ -11,7 +11,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
@@ -118,12 +118,12 @@ def _completions_singular(cut, free, adj) -> bool:
 # D-profiles, Ec, membership
 # ---------------------------------------------------------------------------
 
-def dprofile(x: GrassPoint) -> Tuple[Union[int, float], ...]:
+def dprofile(x: GrassPoint) -> Tuple[int, ...]:
     """Closed-form D-profile of a canonical representative."""
     return _profile(x.d, *x.entries, x.field.p)
 
 
-def _pair_profile(d: Coweight, e21, e32) -> Tuple[Union[int, float], ...]:
+def _pair_profile(d: Coweight, e21, e32) -> Tuple[int, ...]:
     """The D-profile of the points over (d, e21, e32) without its two e31
     terms: with a = h21 eps^-d1 and b = h32 eps^-d2 it is made of leads."""
     d1, d2, d3 = d
@@ -134,7 +134,7 @@ def _pair_profile(d: Coweight, e21, e32) -> Tuple[Union[int, float], ...]:
 
 
 def _profile(d: Coweight, e21, e31, e32, p: int,
-             P=None, pair=None) -> Tuple[Union[int, float], ...]:
+             P=None, pair=None) -> Tuple[int, ...]:
     """The D-profile of the point with diagonal eps^d and lower entries e21,
     e31, e32: the pair profile lowered at D0 by val(e31 - P) - d1 - d3, with
     P = e21 e32 eps^-d2, and at D3 by val(e31) - nu.  P is formed, unless the
@@ -152,10 +152,7 @@ def _profile(d: Coweight, e21, e31, e32, p: int,
 
 
 def ec(x: GrassPoint) -> GTFamily:
-    prof = dprofile(x)
-    if any(v is INF or v == INF for v in prof):
-        raise SingularMatrix("point has a vanishing chamber vector")
-    return family_from_support([-int(v) for v in prof], x.nu)
+    return family_from_support([-v for v in dprofile(x)], x.nu)
 
 
 def member(x: GrassPoint, f: GTFamily) -> bool:

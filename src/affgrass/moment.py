@@ -12,11 +12,12 @@ scan of all 2^n sets gives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .errors import BudgetExceeded
-from .rootdata import POSROOTS, GTFamily, Coweight, Root, coroot, scale_cw, sub_cw
+from .rootdata import GTFamily, Coweight, Root, coroot, scale_cw, sub_cw
 
 Edge = Tuple[Coweight, Coweight, Root, int]
 
@@ -27,7 +28,9 @@ class MomentGraph:
     edges: Tuple[Edge, ...]
 
 
-_LINE_INDEX = {(1, 2): 0, (2, 3): 1, (1, 3): 2}
+# per positive root (i, j): 0-based i and j, the CHAMBERS index of {i}^c, and the
+# slot of the Springer triple (c12, c23, c13)
+_ROOT_BOX = (((1, 2), 0, 1, 5, 0), ((1, 3), 0, 2, 5, 2), ((2, 3), 1, 2, 4, 1))
 
 
 def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
@@ -36,20 +39,18 @@ def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
     The closure of the orbit labeled (a, k) is a P^1 whose MV polytope is the
     segment from v to v - k*coroot(a); the truncation is convex, so the orbit
     lies in it exactly when both endpoints are lattice points of the polytope.
+    On the nu plane the polytope is the box nu - M_{i^c} <= v_i <= M_i, and the
+    step to v - k*coroot(a), a = (i, j), lowers v_i and raises v_j, so k runs
+    from 1 to min(v_i - (nu - M_{i^c}), M_j - v_j).
     The Springer condition on the curve is exactly k <= val(alpha(gamma)),
     supplied as the root-valuation triple (c12, c23, c13).
     """
+    M, nu = f.support, f.nu
+    c = (math.inf,) * 3 if springer_c is None else springer_c
     verts = f.lattice_points()
-    vset = set(verts)
-    edges = []
-    for v in verts:
-        for a in POSROOTS:
-            for k in range(1, f.span() + 1):
-                u = sub_cw(v, scale_cw(k, coroot(a)))
-                if u in vset and (springer_c is None
-                                  or k <= springer_c[_LINE_INDEX[a]]):
-                    edges.append((v, u, a, k))
-    edges.sort()
+    edges = sorted((v, sub_cw(v, scale_cw(k, coroot(a))), a, k)
+                   for v in verts for a, i, j, ci, line in _ROOT_BOX
+                   for k in range(1, min(v[i] - nu + M[ci], M[j] - v[j], c[line]) + 1))
     return MomentGraph(tuple(verts), tuple(edges))
 
 

@@ -46,12 +46,11 @@ def vertices_of(d: LusztigDatum, base: Coweight) -> GTFamily:
 def mv_edges(f: GTFamily, w: Perm) -> Optional[Tuple[int, ...]]:
     """The edge lengths k of w^-1.f when it is an MV polytope, else None: the
     braid move must take its 121 datum (k5, k4, k3) to its 212 datum
-    (k0, k1, k2), that is (k4 + k3 - a, a, k5 + k4 - a) == (k0, k1, k2) with
-    a = min(k5, k3)."""
+    (k0, k1, k2).  The hexagon closes, k0 - k3 = k4 - k1 = k2 - k5, so that is
+    k1 == min(k3, k5)."""
     M = f.support
     k = edge_lengths(f.nu, [M[j] for j in _WEYL_SOURCE[perm_inv(w)]])
-    a = min(k[5], k[3])
-    return k if (k[4] + k[3] - a, a, k[5] + k[4] - a) == k[:3] else None
+    return k if k[1] == min(k[3], k[5]) else None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, iter_po
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
-from .mvcomb import LusztigDatum, MVPolytope, braid, mv_twist, vertices_of
+from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
                        family_from_support, pairing, sub_cw, tighten_support)
 
@@ -273,8 +273,12 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
 # ---------------------------------------------------------------------------
 
 def is_gmv(f: GTFamily) -> bool:
-    """Whether ``canonicalize`` finds an MV twist of f, on the support alone."""
-    return mv_twist(f) is not None
+    """Whether ``canonicalize`` finds an MV twist of f: the least of k1, k3, k5 is
+    attained twice.  A twist is MV when its k1 == min(k3, k5), and it sends the odd
+    edges to the odd ones or to the even ones, which are the odd ones plus one delta
+    (the hexagon closes: k0 - k3 = k4 - k1 = k2 - k5)."""
+    a, b, _c = sorted(f.edge_lengths()[1::2])
+    return a == b
 
 
 def gmv_dimension(f: GTFamily) -> int:

@@ -139,10 +139,10 @@ class GTFamily:
         return self.vertices[b]
 
     def contains_point(self, v: Coweight) -> bool:
-        if sum(v) != self.nu:
-            return False
-        M = self.support
-        return all(pairing(v, S) <= M[ci] for ci, S in enumerate(CHAMBERS))
+        """On the nu plane the family is the box nu - M_jk <= v_i <= M_i, {i, j, k} = {1, 2, 3}."""
+        (m1, m2, m3, m12, m13, m23), nu = self.support, self.nu
+        return (sum(v) == nu and nu - m23 <= v[0] <= m1 and nu - m13 <= v[1] <= m2
+                and nu - m12 <= v[2] <= m3)
 
     def lattice_points(self) -> List[Coweight]:
         """The points, sorted: the six facets bound v1 by M1 and nu - M23, and
@@ -150,10 +150,6 @@ class GTFamily:
         (m1, m2, m3, m12, m13, m23), nu = self.support, self.nu
         return [(v1, v2, nu - v1 - v2) for v1 in range(nu - m23, m1 + 1)
                 for v2 in range(max(nu - m13, nu - m3 - v1), min(m2, m12 - v1) + 1)]
-
-    def span(self) -> int:
-        """The largest coordinate minus the least, over the polytope."""
-        return max(self.support[:3]) + max(self.support[3:]) - self.nu
 
     def translate(self, chi: Coweight) -> "GTFamily":
         return GTFamily(self.nu + sum(chi),
@@ -167,19 +163,17 @@ class GTFamily:
 
 
 def tighten_support(M, nu: int) -> Tuple[int, int, int, int, int, int]:
-    """The tight support of the polytope {v : sum(v) = nu, <v, S> <= M_S}: lower
-    each support number to the bound its two neighbours give (the edge lengths of
-    ``GTFamily.edge_lengths``) until none moves.  Two chamber lines meet in a
-    lattice point, so this is also the tight support of its lattice points."""
+    """The tight support of the polytope {v : sum(v) = nu, <v, S> <= M_S}, the box
+    nu - M_jk <= v_i <= M_i cut by the plane: v_i reaches t_i = min(M_i, M_ij + M_ik - nu)
+    and v_j + v_k then min(M_jk, t_j + t_k), so one pass is tight, and no point is
+    left when some t_i + t_jk < nu.  Two chamber lines meet in a lattice point, so
+    this is also the tight support of its lattice points."""
     m1, m2, m3, m12, m13, m23 = M
-    while True:
-        if m1 + m23 < nu or m2 + m13 < nu or m3 + m12 < nu:
-            raise InconsistentFamily(f"support {tuple(M)} on the nu={nu} fiber bounds no point")
-        t1, t2, t3 = min(m1, m12 + m13 - nu), min(m2, m12 + m23 - nu), min(m3, m13 + m23 - nu)
-        t = (t1, t2, t3, min(m12, t1 + t2), min(m13, t1 + t3), min(m23, t2 + t3))
-        if t == (m1, m2, m3, m12, m13, m23):
-            return t
-        m1, m2, m3, m12, m13, m23 = t
+    t1, t2, t3 = min(m1, m12 + m13 - nu), min(m2, m12 + m23 - nu), min(m3, m13 + m23 - nu)
+    t12, t13, t23 = min(m12, t1 + t2), min(m13, t1 + t3), min(m23, t2 + t3)
+    if t1 + t23 < nu or t2 + t13 < nu or t3 + t12 < nu:
+        raise InconsistentFamily(f"support {tuple(M)} on the nu={nu} fiber bounds no point")
+    return t1, t2, t3, t12, t13, t23
 
 
 def family_from_support(M, nu: int) -> GTFamily:

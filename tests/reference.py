@@ -19,7 +19,8 @@ the truncation filtered by its profile in place of the facet cut of a
 contracting cell, two vertex paths and two Lusztig data in place of the
 support of an MV polytope and the braid test on its edge lengths, every point
 of the pair walker with its profile read off the point in place of the tails
-each library loop expands), or a plain definition no library path needs.
+each library loop expands, passes to a fixed point in place of the one-pass
+support tightening), or a plain definition no library path needs.
 """
 import itertools
 import math
@@ -774,3 +775,27 @@ def lattice_points_by_scan(f):
                 out.append(v)
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# support tightening by passes, and the coordinate span
+# ---------------------------------------------------------------------------
+
+def tighten_support_by_passes(M, nu):
+    """``rootdata.tighten_support`` as a loop: lower each support number to the
+    bound its two neighbours give until none moves."""
+    m1, m2, m3, m12, m13, m23 = M
+    while True:
+        if m1 + m23 < nu or m2 + m13 < nu or m3 + m12 < nu:
+            raise InconsistentFamily(f"support {tuple(M)} on the nu={nu} fiber bounds no point")
+        t1, t2, t3 = min(m1, m12 + m13 - nu), min(m2, m12 + m23 - nu), min(m3, m13 + m23 - nu)
+        t = (t1, t2, t3, min(m12, t1 + t2), min(m13, t1 + t3), min(m23, t2 + t3))
+        if t == (m1, m2, m3, m12, m13, m23):
+            return t
+        m1, m2, m3, m12, m13, m23 = t
+
+
+def span(f):
+    """The largest coordinate minus the least, over the polytope: no skeleton
+    edge is longer."""
+    return max(f.support[:3]) + max(f.support[3:]) - f.nu

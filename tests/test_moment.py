@@ -13,7 +13,7 @@ from affgrass.paving import max_gmv_inside
 from affgrass.rootdata import (BORELS, POSROOTS, coroot, family_from_support,
                                scale_cw, sub_cw, weyl_family)
 
-from reference import curve_point, formal_betti, min_formal_poincare_full_scan, wt
+from reference import curve_point, formal_betti, min_formal_poincare_full_scan, span, wt
 
 
 def P(n):
@@ -49,7 +49,7 @@ def test_skeleton_matches_curve_membership():
         vset = set(f.lattice_points())
         want = sorted(
             (v, u, a, k) for v in vset for a in POSROOTS
-            for k in range(1, f.span() + 1)
+            for k in range(1, span(f) + 1)
             if (u := sub_cw(v, scale_cw(k, coroot(a)))) in vset
             and member(curve_point(F2, a, k, v), f))
         assert list(skeleton(f).edges) == want

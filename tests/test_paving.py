@@ -410,6 +410,7 @@ def test_is_gmv_matches_canonicalize():
     fams = _grid_families()
     assert len(fams) == 6928
     assert [is_gmv(f) for f in fams] == [is_gmv_canonical(f) for f in fams]
+    assert all(is_gmv(f) == (mv_twist(f) is not None) for f in fams)
 
 
 def test_canonicalize_matches_vertex_scores():

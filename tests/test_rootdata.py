@@ -9,7 +9,7 @@ from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, IDENT, S1, W0,
                                perm_mul, scale_cw, sub_cw, tighten_support, weyl_family)
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 
-from reference import act, eq_up_to_translation, lattice_points_by_scan
+from reference import act, eq_up_to_translation, lattice_points_by_scan, tighten_support_by_passes
 
 
 def P(n, base=None):
@@ -233,7 +233,10 @@ def test_lattice_points_against_plain_enumeration():
 def test_lattice_points_match_box_scan():
     # the closed form reads the six facets as bounds on v1 and v2: the same
     # sorted list as the box scan on every consistent family with support in
-    # {-1..3}^6 and nu in {-1..2}
+    # {-1..3}^6 and nu in {-1..2}, and the points of the nu plane around it
+    # that contains_point accepts
+    plane = {nu: [(a, b, nu - a - b) for a in range(-5, 5) for b in range(-5, 5)]
+             for nu in range(-1, 3)}
     fams = 0
     for nu in range(-1, 3):
         for M in itertools.product(range(-1, 4), repeat=6):
@@ -243,6 +246,7 @@ def test_lattice_points_match_box_scan():
                 continue
             fams += 1
             assert f.lattice_points() == lattice_points_by_scan(f), (nu, M)
+            assert [v for v in plane[nu] if f.contains_point(v)] == f.lattice_points(), (nu, M)
     assert fams == 6928
 
 
@@ -274,6 +278,24 @@ def test_tighten_support_matches_lattice_points():
                 with pytest.raises(InconsistentFamily):
                     tighten_support(lowered, f.nu)
     assert (len(fams), drops) == (1309, 7518)
+
+
+def test_tighten_support_matches_passes():
+    # one pass against the loop to a fixed point on every support in {-2..3}^6
+    # with nu in {-2..2}: the same tuple, or both raise (None)
+    def outcome(tighten, M, nu):
+        try:
+            return tighten(M, nu)
+        except InconsistentFamily:
+            return None
+
+    raised = 0
+    for nu in range(-2, 3):
+        for M in itertools.product(range(-2, 4), repeat=6):
+            want = outcome(tighten_support_by_passes, M, nu)
+            assert outcome(tighten_support, M, nu) == want, (M, nu)
+            raised += want is None
+    assert raised == 152312
 
 
 def test_weyl_act_and_translate():
