@@ -17,8 +17,8 @@ from .errors import (BudgetExceeded, DivisionByZero, GaussFailure,
                      PreconditionViolated, PrecisionLoss, RetryExhausted,
                      SingularMatrix)
 from .hermite import _adjugate, hermite_entries
-from .laurent import (INF, ONE_ENTRY, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _entry,
-                      _mul, _val_diff, eps, one, zero)
+from .laurent import (INF, ONE_ENTRY, ZERO_ENTRY, Entry, LaurentSeries, PrimeField, _add,
+                      _entry, _mul, _val_diff, eps, one, zero)
 from .rootdata import GTFamily, Coweight, family_from_support
 
 Matrix = Tuple[Tuple[LaurentSeries, ...], ...]
@@ -241,6 +241,11 @@ def _window_entries(q: int, windows: Iterable[Tuple[int, int]]):
             for lo, hi in windows]
 
 
+def _candidates(windows: Iterable[Sequence[Tuple[int, int]]], q: int) -> int:
+    """The candidates over F_q of each tuple of (lo, hi) windows, summed."""
+    return sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for ws in windows)
+
+
 def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagonal=None):
     """Yield (d, e21, e32, P, pair, radius, lo, head, tails) for each diagonal
     d of the truncation of f and each (e21, e32) of the windows whose e31 ball
@@ -253,13 +258,13 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
     val(e31 - P) >= d1 + d3 - M0, with P = e21 e32 eps^-d2 the uncut centre.
     With a ``springer.RegularDiagonal`` gamma, the t21 and t32 tests of
     ``gamma.admits`` raise the low ends of the e21 and e32 windows, and its
-    t31 test is a second ball (``gamma.t31_ball``).  Two balls are nested or
-    disjoint, so ``radius`` is that of the one met.  ``diagonal``, a
-    predicate on d, skips the other diagonals.  The budget counts the
-    candidates of the whole windows.
+    t31 test is a second ball (``gamma.t31_ball`` of the product e21 e32,
+    formed once per pair).  Two balls are nested or disjoint, so ``radius``
+    is that of the one met.  ``diagonal``, a predicate on d, skips the other
+    diagonals.  The budget counts the candidates of the whole windows.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
-    if sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for _d, ws in windows) > budget:
+    if _candidates((ws for _d, ws in windows), q) > budget:
         raise BudgetExceeded(f"enumeration needs > {budget} candidates")
     tails = {}  # free e31 coefficients by their number
     for d, (w21, (lo, hi), w32) in windows:
@@ -274,7 +279,7 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
             P = (prod[0] - d2, prod[1])
             ball = (P, d1 + d3 - f.support[0])
             if gamma is not None:
-                ball = _meet(ball, gamma.t31_ball(d, e21, e32))
+                ball = _meet(ball, gamma.t31_ball(d, prod))
                 if ball is None:
                     continue
             centre, rad = _below(*ball), ball[1]
@@ -291,12 +296,57 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
 
 def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
     """The Ec families of the F_q-points of the truncation of f, or of its
-    Springer points with gamma, counted.  Ec of a point is a function of its
-    D-profile (nu is f's), so each profile becomes a family once."""
-    by_profile = Counter(_profile(d, e21, _entry(lo, (*head, *t)), e32, q, P, pair)
-                         for d, e21, e32, P, pair, _r, lo, head, tails
-                         in _iter_pairs(f, q, gamma=gamma) for t in tails)
-    return Counter({family_from_support([-v for v in prof], f.nu): n
+    Springer points with gamma, counted by e31 class, not point by point.
+
+    A pair's e31 are its head on [lo, s) and every tail on [s, hi); their
+    profiles differ only in D0 = min(pair[0], val(e31 - P) - d1 - d3) and
+    D3 = min(pair[3], val(e31) - nu), with val(e31) = min(b0, u) and
+    val(e31 - P) = min(bP, w): b0 is the head's first term, bP the first
+    exponent off [s, hi) where P differs from the head, and u, w are where
+    the tail first differs from 0 and from P.  With kp the first term of P in
+    [s, hi), (u, w) is (r, r) for (q-1) q^(hi-r-1) tails, s <= r < kp; then
+    (kp, kp) for (q-2) q^(hi-kp-1); (r, kp) and (kp, r) for (q-1) q^(hi-r-1)
+    each, kp < r < hi; (inf, kp) and (kp, inf) once; or (inf, inf) once when
+    there is no kp.  The budget counts the (e21, e32) candidates of the
+    windows.  Ec is a function of the profile, so each becomes a family once.
+    """
+    if _candidates((_entry_windows(f, d)[::2] for d in f.lattice_points()), q) > 5_000_000:
+        raise BudgetExceeded("counting needs > 5000000 (e21, e32) candidates")
+    nu = f.nu
+    by_profile = Counter()
+    for d, _e21, _e32, P, (p0, p1, p2, p3, p4, p5), _r, lo, head, tails in _iter_pairs(
+            f, q, INF, gamma):
+        s = lo + len(head)
+        hi = s + len(tails[0])
+        t0 = d[0] + d[2]
+        fixed = _entry(lo, head)
+        # D0 = min(a0, w) - t0 and D3 = min(a3, u) - nu, with bP and b0 in the caps
+        a0, a3, kp = p0 + t0, min(p3 + nu, fixed[0] if fixed[1] else INF), INF
+        dl, dc = _add(P, fixed, q, -1)  # P less the fixed part: P itself on [s, hi)
+        for k, c in enumerate(dc, dl):
+            if c:
+                if s <= k < hi:
+                    kp = min(kp, k)
+                else:
+                    a0 = min(a0, k)
+                    if k >= hi:
+                        break
+        for r in range(s, min(kp, hi)):
+            by_profile[min(a0, r) - t0, p1, p2, min(a3, r) - nu, p4, p5] += \
+                (q - 1) * q ** (hi - r - 1)
+        if kp == INF:
+            by_profile[a0 - t0, p1, p2, a3 - nu, p4, p5] += 1
+            continue
+        at0, at3 = min(a0, kp) - t0, min(a3, kp) - nu
+        if q > 2:
+            by_profile[at0, p1, p2, at3, p4, p5] += (q - 2) * q ** (hi - kp - 1)
+        for r in range(kp + 1, hi):
+            n = (q - 1) * q ** (hi - r - 1)
+            by_profile[at0, p1, p2, min(a3, r) - nu, p4, p5] += n
+            by_profile[min(a0, r) - t0, p1, p2, at3, p4, p5] += n
+        by_profile[at0, p1, p2, a3 - nu, p4, p5] += 1
+        by_profile[a0 - t0, p1, p2, at3, p4, p5] += 1
+    return Counter({family_from_support([-v for v in prof], nu): n
                     for prof, n in by_profile.items()})
 
 

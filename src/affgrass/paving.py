@@ -22,7 +22,7 @@ from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
-                       family_from_support, pairing, sub_cw, tighten_support)
+                       edge_lengths, family_from_support, pairing, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -302,15 +302,15 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
         queue = [tighten_support(M[:ci] + (cut,) + M[ci + 1:], nu) for ci, cut in
                  enumerate(pairing(avoid, S) - 1 for S in CHAMBERS) if cut + M[5 - ci] >= nu]
     seen = set(queue)
-    found: Dict[Tuple[int, ...], GTFamily] = {}  # an antichain: no support below another
+    found: Set[Tuple[int, ...]] = set()  # an antichain: no support below another
     while queue:
         m = queue.pop()
         if any(all(a <= b for a, b in zip(m, r)) for r in found):
             continue
-        fam = family_from_support(m, nu)
-        if is_gmv(fam):
-            found = {r: F for r, F in found.items() if not all(a <= b for a, b in zip(r, m))}
-            found[m] = fam
+        odd = sorted(edge_lengths(nu, m)[1::2])
+        if odd[0] == odd[1]:  # is_gmv on the support alone
+            found = {r for r in found if not all(a <= b for a, b in zip(r, m))}
+            found.add(m)
             continue
         for ci in range(6):
             if m[ci] + m[5 - ci] == nu:  # S^c = 5 - ci; the facet is the whole polytope
@@ -321,7 +321,7 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
                 if len(seen) > _WALK_BUDGET:
                     raise BudgetExceeded("support tightening walk exceeded its budget")
                 queue.append(m2)
-    return sorted(found.values(), key=lambda P: P.support)
+    return [family_from_support(m, nu) for m in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Affine Springer fibers for regular diagonal elements of gl(3, O).
 
-Membership (t31 by the ball ``t31_ball``), dimension, the fundamental-domain
-truncation, the affine-cell criterion with explicit per-chamber orbit counts,
-its brute-force oracle on the Springer-point counter ``grass._ec_counts``, and
-the pavings of the crystal-truncated fibers with the boundary vertex orders.
+Membership (t31 by the ball ``t31_ball``: the pair's product e21 e32 times
+rho = r12 / (r13 eps^-c13), which each gamma expands once), dimension, the
+fundamental-domain truncation, the affine-cell criterion with explicit
+per-chamber orbit counts, its brute-force oracle on the Springer-point counter
+``grass._ec_counts``, which counts the points by e31 class, and the pavings of
+the crystal-truncated fibers with the boundary vertex orders.
 """
 from __future__ import annotations
 
@@ -95,28 +97,36 @@ class RegularDiagonal:
             return True
         if x != y:  # unequal leads cannot cancel
             return False
-        ball = self.t31_ball(d, e21, e32)
+        ball = self.t31_ball(d, _mul(e21, e32, self.field.p))
         return ball is not None and _below(e31, ball[1]) == _below(*ball)
 
-    def t31_ball(self, d: Coweight, e21, e32):
-        """The e31 whose t31 term vanishes below top with e21 and e32, as a
-        ball (centre, radius), or None when there are none.  With r13 =
-        eps^c13 u13 it is val(e31 - e21 e32 r12 u13^-1 eps^-(d2+c13)) >=
-        d3 - c13, the centre known below the radius.  A truncated gamma must
-        know r12 and r13 to top - x terms, a test on e21 and e32 alone, or no
-        e31 is known to pass."""
+    @cached_property
+    def _rho(self) -> list:
+        """The coefficients of rho = r12 / (r13 eps^-c13) from its lead c12, as
+        many as ``t31_ball`` has asked for so far."""
+        return []
+
+    def t31_ball(self, d: Coweight, prod):
+        """The e31 whose t31 term vanishes below top with e21 and e32 of
+        product ``prod``, as a ball (centre, radius), or None when there are
+        none.  It is val(e31 - prod rho eps^-(d2+c13)) >= d3 - c13 with
+        rho = r12 / (r13 eps^-c13), the centre known below the radius: rho is
+        read to top - x terms, expanded once per gamma to the longest length
+        asked.  A truncated gamma must know r12 and r13 that far, a test on
+        prod alone, or no e31 is known to pass."""
         _d1, d2, d3 = d
         c12, _c23, c13 = self.c
         top = d2 + d3
-        x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
+        x = prod[0] + c12 if prod[1] else INF
         if x >= top:
             return ZERO_ENTRY, d3 - c13
         (r12, s12), (r13, s13) = self._roots
         if min(s12 - c12, s13 - c13) < top - x:
             return None
-        p = self.field.p
-        u = (0, tuple(_inv(r13[1], top - x, p)))
-        lead, cs = _mul(_mul(_mul(e21, e32, p), r12, p, top), u, p, top)
+        p, rho = self.field.p, self._rho
+        if len(rho) < top - x:
+            rho[:] = _mul(r12, (0, _inv(r13[1], top - x, p)), p, c12 + top - x)[1]
+        lead, cs = _mul(prod, (c12, rho), p, top)
         return (lead - d2 - c13, cs), d3 - c13
 
 

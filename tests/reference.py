@@ -9,7 +9,8 @@ the BFZ map, the inverse of that map, lattice points in place of support
 tightening, a box scan in place of the closed-form lattice points, one
 orientation at a time and the full scan of all vertex sets in place of the
 bounded subset scan, every candidate of the entry windows in place of the D0
-and Springer balls, products in place of the t31 ball, the points of one
+and Springer balls, products in place of the t31 ball, three products per
+pair in place of one by the t31 ball's cached rho, the points of one
 contracting cell in place of the Springer points of the whole truncation
 sorted by Ec, the vertex scores of ``canonicalize`` in place of
 its twist search on the support, one walk that tests every state against the
@@ -19,19 +20,21 @@ the truncation filtered by its profile in place of the facet cut of a
 contracting cell, two vertex paths and two Lusztig data in place of the
 support of an MV polytope and the braid test on its edge lengths, every point
 of the pair walker with its profile read off the point in place of the tails
-each library loop expands, passes to a fixed point in place of the one-pass
+each library loop expands, the profile of every point in place of the e31
+classes the counter counts, passes to a fixed point in place of the one-pass
 support tightening), or a plain definition no library path needs.
 """
 import itertools
 import math
+from collections import Counter
 
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
                              RetryExhausted, SingularMatrix)
 from affgrass.grass import (GrassPoint, _entry_windows, _iter_pairs, _profile, _window_entries,
                             dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
-from affgrass.laurent import (INF, LaurentSeries, PrimeField, _entry, _mul, _val_diff, eps, one,
-                              zero)
+from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
+                              _val_diff, eps, one, zero)
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import _WALK_BUDGET, is_gmv
@@ -453,6 +456,25 @@ def admits_by_products(gamma, d, e21, e31, e32):
                      _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
 
 
+def t31_ball_by_products(gamma, d, e21, e32):
+    """``RegularDiagonal.t31_ball`` of the product of e21 and e32 as three
+    products per pair: e21 e32, then r12, then the inverse of r13's unit part
+    u13, each cut at top, so the centre is e21 e32 r12 u13^-1 eps^-(d2+c13)."""
+    _d1, d2, d3 = d
+    c12, _c23, c13 = gamma.c
+    top = d2 + d3
+    x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
+    if x >= top:
+        return ZERO_ENTRY, d3 - c13
+    (r12, s12), (r13, s13) = gamma._roots
+    if min(s12 - c12, s13 - c13) < top - x:
+        return None
+    p = gamma.field.p
+    u = (0, tuple(_inv(r13[1], top - x, p)))
+    lead, cs = _mul(_mul(_mul(e21, e32, p), r12, p, top), u, p, top)
+    return (lead - d2 - c13, cs), d3 - c13
+
+
 def criterion_oracle_on_cells(P, b, gamma, points):
     """Verdict b of ``criterion_oracle`` on ``points``, the F_q-points of the
     explicit coordinates of ``contracting_cell(P, b)``, each tested by
@@ -501,6 +523,17 @@ def _iter_entries(f, q, budget=5_000_000, gamma=None):
         for t in tails:
             e31 = _entry(lo, (*head, *t))
             yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+
+
+def ec_counts_by_points(f, q, gamma=None):
+    """``grass._ec_counts`` point by point: the D-profile of every tail of
+    each ``grass._iter_pairs`` head, from the pair's P and pair profile,
+    counted, and each profile turned into its Ec family once."""
+    by_profile = Counter(_profile(d, e21, _entry(lo, (*head, *t)), e32, q, P, pair)
+                         for d, e21, e32, P, pair, _r, lo, head, tails
+                         in _iter_pairs(f, q, gamma=gamma) for t in tails)
+    return Counter({family_from_support([-v for v in prof], f.nu): n
+                    for prof, n in by_profile.items()})
 
 
 def iter_entries_windows(f, q, budget=5_000_000):

@@ -6,7 +6,8 @@ import pytest
 
 from affgrass.errors import (AffgrassError, BudgetExceeded, GaussFailure,
                              PreconditionViolated, PrecisionLoss, SingularMatrix)
-from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _window_entries,
+from affgrass import grass
+from affgrass.grass import (GrassPoint, _candidates, _ec_counts, _entry_windows, _window_entries,
                             canonicalize_point, dprofile, ec, enumerate_points, iter_points,
                             mat, mat_diag_eps, member, point_from_y, sample_point, transition,
                             y_inverse)
@@ -535,6 +536,29 @@ def test_enumerate_budget_boundary():
     assert count > len(enumerate_points(W, F3, budget=count))
     with pytest.raises(BudgetExceeded):
         enumerate_points(W, F3, budget=count - 1)
+
+
+def test_counter_budget_counts_pair_candidates(monkeypatch):
+    # the counter never meets whole-window candidates: its guard counts the
+    # (e21, e32) candidates of the windows, the pairs it walks
+    P444, P555, P888 = (MVPolytope.from_datum(LusztigDatum("121", (n, n, n))).family
+                        for n in (4, 5, 8))
+    for fam, q, pairs in ((P444, 3, 188_629), (P555, 2, 46_081), (P888, 2, 6_291_457)):
+        assert _candidates((_entry_windows(fam, d)[::2] for d in fam.lattice_points()), q) == pairs
+    # P(5,5,5) over F_2 has 13,114,475 whole-window candidates
+    with pytest.raises(BudgetExceeded):
+        next(iter_points(P555, F2))
+    assert sum(_ec_counts(P555, 2).values()) == 4_762_283
+    with pytest.raises(BudgetExceeded):
+        _ec_counts(P888, 2)
+    # the guard allows 5,000,000 pair candidates and no more
+    W = weyl_family((2, 0, -1))
+    want = _ec_counts(W, 3)
+    monkeypatch.setattr(grass, "_candidates", lambda windows, q: 5_000_000)
+    assert _ec_counts(W, 3) == want
+    monkeypatch.setattr(grass, "_candidates", lambda windows, q: 5_000_001)
+    with pytest.raises(BudgetExceeded):
+        _ec_counts(W, 3)
 
 
 def test_delta_bounds_D_with_equality_somewhere():

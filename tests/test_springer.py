@@ -8,10 +8,11 @@ from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_
                                  _ultrametric_box)
 from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
                              PavingVerificationFailed)
-from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, canonicalize_point, ec,
-                            enumerate_points, iter_points, mat, mat_diag_eps, sample_point)
-from affgrass.laurent import (LaurentSeries, PrimeField, eps, one, series_from_json,
-                              val, zero)
+from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _window_entries,
+                            canonicalize_point, ec, enumerate_points, iter_points, mat,
+                            mat_diag_eps, sample_point)
+from affgrass.laurent import (ZERO_ENTRY, LaurentSeries, PrimeField, _mul, eps, one,
+                              series_from_json, val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
 from affgrass.paving import _cell_points, contracting_cell, greedy_paving, max_gmv_inside
 from affgrass.rootdata import GTFamily, contains, family_from_support
@@ -22,9 +23,10 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_cell_data, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import (_iter_entries, admits_by_products, criterion_oracle_on_cells, exact,
-                       iter_entries_windows, mat_identity, mat_inv, mat_mul,
-                       member_springer_matrix, normalize_gmv_by_families, translate_point)
+from reference import (_iter_entries, admits_by_products, criterion_oracle_on_cells,
+                       ec_counts_by_points, exact, iter_entries_windows, mat_identity, mat_inv,
+                       mat_mul, member_springer_matrix, normalize_gmv_by_families,
+                       t31_ball_by_products, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -391,16 +393,24 @@ def test_springer_balls_match_window_loop(n1, n2):
             assert _ec_counts(fam, 3, gam) == _families(want, fam.nu), (seed, j)
 
 
-@pytest.mark.parametrize("rel12, rel13, total", [(1, None, 2101), (None, 1, 2101),
-                                                 (1, 1, 2101), (2, 2, 2425),
-                                                 (None, None, 2425)])
+# (rel12, rel13, Springer points of the fundamental domain over F_3)
+TRUNCATED = [(1, None, 2101), (None, 1, 2101), (1, 1, 2101), (2, 2, 2425), (None, None, 2425)]
+
+
+def _gamma_222(rel12, rel13):
+    """A gamma of pattern (2, 2, 2) over F_3 whose roots r12 and r13 are known
+    to relative precision rel12 and rel13 (None: exact)."""
+    r12 = LaurentSeries(F3, 2, [1, 2, 1, 1], None if rel12 is None else 2 + rel12)
+    r13 = LaurentSeries(F3, 2, [2, 1, 0, 1], None if rel13 is None else 2 + rel13)
+    return RegularDiagonal.from_series((zero(F3), -r12, -r13))
+
+
+@pytest.mark.parametrize("rel12, rel13, total", TRUNCATED)
 def test_truncated_gamma_must_reach_top(rel12, rel13, total):
     # pattern (2, 2, 2): when the leads of t31 meet below top, top - x is at
     # most c23 = 2, so roots known to relative precision 2 always reach top
     # and precision 1 falls short on some (e21, e32)
-    r12 = LaurentSeries(F3, 2, [1, 2, 1, 1], None if rel12 is None else 2 + rel12)
-    r13 = LaurentSeries(F3, 2, [2, 1, 0, 1], None if rel13 is None else 2 + rel13)
-    gam = RegularDiagonal.from_series((zero(F3), -r12, -r13))
+    gam = _gamma_222(rel12, rel13)
     assert gam.c == (2, 2, 2)
     fam = fundamental_domain(gam)
     got, want = Counter(_iter_entries(fam, 3, gamma=gam)), _admitted_by_windows(fam, 3, gam)
@@ -433,6 +443,54 @@ def _cell_oracle_cells():
         for q in (2, 3):
             if q == 2 or n[0] + 2 * n[1] + n[2] <= 4:
                 yield P, PrimeField(q)
+
+
+def test_t31_ball_matches_three_products():
+    # every (d, e21, e32) of the e21 and e32 windows of the polytopes of
+    # _cell_oracle_cells and of P(2, 2, 2) over F_3, the fundamental domain of
+    # the truncated gammas of pattern (2, 2, 2), which give None on some pairs;
+    # one gamma per realizable pattern in {0..3}^3 and the truncated gammas
+    pairs = nones = 0
+    cases = [*_cell_oracle_cells(), (MVPolytope.from_datum(LusztigDatum("121", (2, 2, 2))), F3)]
+    for P, field in cases:
+        p, rng = field.p, random.Random(70 + field.p)
+        gams = [synthesize_gamma(c, field, rng) for c in itertools.product(range(4), repeat=3)
+                if pattern_realizable(c, p)] + [_truncated_gamma(p)]
+        if p == 3:
+            gams += [_gamma_222(rel12, rel13) for rel12, rel13, _total in TRUNCATED]
+        for d in P.family.lattice_points():
+            windows = _window_entries(p, _entry_windows(P.family, d)[::2])
+            for e21, e32 in itertools.product(*windows):
+                prod = _mul(e21, e32, p) if e21[1] and e32[1] else ZERO_ENTRY
+                for gam in gams:
+                    want = t31_ball_by_products(gam, d, e21, e32)
+                    assert gam.t31_ball(d, prod) == want, (d, e21, e32, gam.c)
+                    pairs += 1
+                    nones += want is None
+    assert (pairs, nones) == (35050, 1008)
+
+
+def test_counter_matches_point_oracle_on_grid():
+    # n in {0..3}^3 over F_2, and n1 + n2 + n3 <= 6 over F_3, each with no
+    # gamma, one gamma per realizable pattern in {0..3}^3 and the truncated
+    # gammas
+    cases = 0
+    for q in (2, 3):
+        field, rng = PrimeField(q), random.Random(80 + q)
+        gams = [None] + [synthesize_gamma(c, field, rng)
+                         for c in itertools.product(range(4), repeat=3) if pattern_realizable(c, q)]
+        gams.append(_truncated_gamma(q))
+        if q == 3:
+            gams += [_gamma_222(rel12, rel13) for rel12, rel13, _total in TRUNCATED]
+        for n in itertools.product(range(4), repeat=3):
+            if q == 3 and sum(n) > 6:
+                continue
+            fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
+            for gam in gams:
+                cases += 1
+                assert dict(_ec_counts(fam, q, gam)) == dict(ec_counts_by_points(fam, q, gam)), \
+                    (n, q, gam and gam.c)
+    assert cases == 64 * 20 + 54 * 29
 
 
 def test_admits_matches_products_on_cells():
