@@ -246,12 +246,29 @@ def _candidates(windows: Iterable[Sequence[Tuple[int, int]]], q: int) -> int:
     return sum(q ** sum(max(0, hi - lo) for lo, hi in ws) for ws in windows)
 
 
-def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagonal=None):
-    """Yield (d, e21, e32, P, pair, radius, lo, head, tails) for each diagonal
-    d of the truncation of f and each (e21, e32) of the windows whose e31 ball
+_BUDGET = 5_000_000  # candidates one listing or count may meet
+
+
+class _Tails(dict):
+    """Every coefficient list over F_q of length n at key n, built when first
+    asked: the free e31 tails of the pairs of ``_iter_pairs``."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, n: int):
+        self[n] = tails = list(itertools.product(range(self.q), repeat=n))
+        return tails
+
+
+def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal=None,
+                whole: bool = True):
+    """Yield (d, e21, e32, P, pair, radius, lo, head, hi) for each diagonal d
+    of the truncation of f and each (e21, e32) of the windows whose e31 ball
     meets the e31 window [lo, hi): the e31 of those points are the fixed
-    ``head``, coefficients from lo, followed by each of ``tails``, every
-    coefficient list on [lo + len(head), hi); ``pair`` is ``_pair_profile``.
+    ``head``, coefficients from lo, followed by every coefficient list on
+    [lo + len(head), hi) (``_Tails``); ``pair`` is ``_pair_profile``.
 
     The windows give every part of the profile floor but the val(e31 - P)
     term of D0, which for fixed (d, e21, e32) is a ball of e31:
@@ -261,12 +278,13 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
     t31 test is a second ball (``gamma.t31_ball`` of the product e21 e32,
     formed once per pair).  Two balls are nested or disjoint, so ``radius``
     is that of the one met.  ``diagonal``, a predicate on d, skips the other
-    diagonals.  The budget counts the candidates of the whole windows.
+    diagonals.  The budget counts the candidates of the whole windows, or
+    with ``whole`` false only their (e21, e32) candidates, the pairs walked.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
-    if _candidates((ws for _d, ws in windows), q) > budget:
-        raise BudgetExceeded(f"enumeration needs > {budget} candidates")
-    tails = {}  # free e31 coefficients by their number
+    if _candidates((ws if whole else ws[::2] for _d, ws in windows), q) > budget:
+        raise BudgetExceeded(f"enumeration needs > {budget} candidates" if whole
+                             else f"counting needs > {budget} (e21, e32) candidates")
     for d, (w21, (lo, hi), w32) in windows:
         if diagonal is not None and not diagonal(d):
             continue
@@ -288,10 +306,7 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = 5_000_000, gamma=None, diagon
             s = min(max(rad, lo), hi)  # e31 is free from this exponent up
             head = [0] * (s - lo)
             head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
-            n = hi - s
-            if n not in tails:
-                tails[n] = list(itertools.product(range(q), repeat=n))
-            yield d, e21, e32, P, _pair_profile(d, e21, e32), rad, lo, head, tails[n]
+            yield d, e21, e32, P, _pair_profile(d, e21, e32), rad, lo, head, hi
 
 
 def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
@@ -308,16 +323,14 @@ def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
     (kp, kp) for (q-2) q^(hi-kp-1); (r, kp) and (kp, r) for (q-1) q^(hi-r-1)
     each, kp < r < hi; (inf, kp) and (kp, inf) once; or (inf, inf) once when
     there is no kp.  The budget counts the (e21, e32) candidates of the
-    windows.  Ec is a function of the profile, so each becomes a family once.
+    windows, and no tail is built.  Ec is a function of the profile, so each
+    becomes a family once.
     """
-    if _candidates((_entry_windows(f, d)[::2] for d in f.lattice_points()), q) > 5_000_000:
-        raise BudgetExceeded("counting needs > 5000000 (e21, e32) candidates")
     nu = f.nu
     by_profile = Counter()
-    for d, _e21, _e32, P, (p0, p1, p2, p3, p4, p5), _r, lo, head, tails in _iter_pairs(
-            f, q, INF, gamma):
+    for d, _e21, _e32, P, (p0, p1, p2, p3, p4, p5), _r, lo, head, hi in _iter_pairs(
+            f, q, gamma=gamma, whole=False):
         s = lo + len(head)
-        hi = s + len(tails[0])
         t0 = d[0] + d[2]
         fixed = _entry(lo, head)
         # D0 = min(a0, w) - t0 and D3 = min(a3, u) - nu, with bP and b0 in the caps
@@ -366,18 +379,19 @@ def _meet(x, y):
     return x if x[1] >= y[1] else y
 
 
-def iter_points(f: GTFamily, field: PrimeField, budget: int = 5_000_000):
+def iter_points(f: GTFamily, field: PrimeField, budget: int = _BUDGET):
     """Stream the F_q-points of the truncated affine Grassmannian of f.
 
     Entries are exact polynomials, so the field's precision is never read.
     """
-    for d, e21, e32, _P, _pair, _r, lo, head, tails in _iter_pairs(f, field.p, budget):
-        for t in tails:
+    tails = _Tails(field.p)
+    for d, e21, e32, _P, _pair, _r, lo, head, hi in _iter_pairs(f, field.p, budget):
+        for t in tails[hi - lo - len(head)]:
             yield GrassPoint(field, d, (e21, _entry(lo, (*head, *t)), e32))
 
 
 def enumerate_points(f: GTFamily, field: PrimeField,
-                     budget: int = 5_000_000) -> List[GrassPoint]:
+                     budget: int = _BUDGET) -> List[GrassPoint]:
     """All F_q-points of the truncated affine Grassmannian of f, sorted."""
     return sorted(iter_points(f, field, budget), key=lambda x: (x.d, x.entries))
 

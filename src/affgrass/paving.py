@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _ec_counts, _iter_pairs, _window_entries, iter_points
+from .grass import GrassPoint, _Tails, _ec_counts, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
@@ -68,10 +68,11 @@ class ContractingCell:
         facets = [CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2)]
         M = f.support
         pts: Set[GrassPoint] = set()
-        for d, e21, e32, P, pair, r, lo, head, tails in _iter_pairs(
+        tails = _Tails(q)
+        for d, e21, e32, P, pair, r, lo, head, hi in _iter_pairs(
                 f, q, diagonal=lambda d: (2 not in facets or d[2] == M[2])
                 and (5 not in facets or d[1] + d[2] == M[5])):
-            free = bool(tails[0])  # whether e31 has a free coefficient
+            free = hi > lo + len(head)  # whether e31 has a free coefficient
             pr = P[1][r - P[0]] if 0 <= r - P[0] < len(P[1]) else 0  # P's term at r
             cut = set()  # the values the first free coefficient may not take
             for k in facets:
@@ -85,7 +86,7 @@ class ContractingCell:
                     break
             else:
                 pts.update(GrassPoint(field, d, (e21, _entry(lo, (*head, *t)), e32))
-                           for t in tails if not (cut and t[0] in cut))
+                           for t in tails[hi - lo - len(head)] if not (cut and t[0] in cut))
         return pts
 
 
@@ -277,7 +278,12 @@ def is_gmv(f: GTFamily) -> bool:
     attained twice.  A twist is MV when its k1 == min(k3, k5), and it sends the odd
     edges to the odd ones or to the even ones, which are the odd ones plus one delta
     (the hexagon closes: k0 - k3 = k4 - k1 = k2 - k5)."""
-    a, b, _c = sorted(f.edge_lengths()[1::2])
+    return _is_gmv(f.nu, f.support)
+
+
+def _is_gmv(nu: int, m: Sequence[int]) -> bool:
+    """``is_gmv`` of the family with support m, read off the support alone."""
+    a, b, _c = sorted(edge_lengths(nu, m)[1::2])
     return a == b
 
 
@@ -307,8 +313,7 @@ def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
         m = queue.pop()
         if any(all(a <= b for a, b in zip(m, r)) for r in found):
             continue
-        odd = sorted(edge_lengths(nu, m)[1::2])
-        if odd[0] == odd[1]:  # is_gmv on the support alone
+        if _is_gmv(nu, m):
             found = {r for r in found if not all(a <= b for a, b in zip(r, m))}
             found.add(m)
             continue

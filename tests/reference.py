@@ -31,8 +31,8 @@ from collections import Counter
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
                              RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _entry_windows, _iter_pairs, _profile, _window_entries,
-                            dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
+from affgrass.grass import (GrassPoint, _Tails, _entry_windows, _iter_pairs, _profile,
+                            _window_entries, dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
 from affgrass.moment import PoincarePoly
@@ -519,8 +519,9 @@ def _iter_entries(f, q, budget=5_000_000, gamma=None):
     of f; with a ``springer.RegularDiagonal`` gamma, for those that
     ``gamma.admits``: every tail of each ``grass._iter_pairs`` head, and its
     profile computed from the point alone."""
-    for d, e21, e32, _P, _pair, _r, lo, head, tails in _iter_pairs(f, q, budget, gamma):
-        for t in tails:
+    tails = _Tails(q)
+    for d, e21, e32, _P, _pair, _r, lo, head, hi in _iter_pairs(f, q, budget, gamma):
+        for t in tails[hi - lo - len(head)]:
             e31 = _entry(lo, (*head, *t))
             yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
 
@@ -529,9 +530,10 @@ def ec_counts_by_points(f, q, gamma=None):
     """``grass._ec_counts`` point by point: the D-profile of every tail of
     each ``grass._iter_pairs`` head, from the pair's P and pair profile,
     counted, and each profile turned into its Ec family once."""
+    tails = _Tails(q)
     by_profile = Counter(_profile(d, e21, _entry(lo, (*head, *t)), e32, q, P, pair)
-                         for d, e21, e32, P, pair, _r, lo, head, tails
-                         in _iter_pairs(f, q, gamma=gamma) for t in tails)
+                         for d, e21, e32, P, pair, _r, lo, head, hi
+                         in _iter_pairs(f, q, gamma=gamma) for t in tails[hi - lo - len(head)])
     return Counter({family_from_support([-v for v in prof], f.nu): n
                     for prof, n in by_profile.items()})
 

@@ -561,6 +561,24 @@ def test_counter_budget_counts_pair_candidates(monkeypatch):
         _ec_counts(W, 3)
 
 
+def test_counter_builds_no_tail_on_a_long_segment(monkeypatch):
+    # the segment from (0, 0, 0) to (20, 0, -20) walks 21 pairs, each with
+    # an empty e21 and e32 window and up to 20 free e31 coefficients: 3^20
+    # tails, more than the listing's budget allows and too many to build
+    seg = family_from_support((20, 0, 0, 20, 0, 0), 0)
+    with pytest.raises(BudgetExceeded):
+        next(iter_points(seg, F3))
+
+    def no_tails(tails, n):
+        raise AssertionError(f"the counter built the tails of length {n}")
+
+    monkeypatch.setattr(grass._Tails, "__missing__", no_tails)
+    # the diagonal (a, 0, -b) holds 1 point for b = a, else (q - 1) q^(a - b - 1)
+    assert _ec_counts(seg, 3) == Counter({
+        family_from_support((a, 0, -b, a, 0, -b), 0): 1 if a == b else 2 * 3 ** (a - b - 1)
+        for a in range(21) for b in range(a + 1)})
+
+
 def test_delta_bounds_D_with_equality_somewhere():
     rng = random.Random(22)
     fam = MVPolytope.from_datum(LusztigDatum("121", (1, 0, 1))).family

@@ -521,20 +521,21 @@ def test_empty_facet_cut_never_tightened(monkeypatch):
 
 def test_gmv_facet_cut_ends_walk_at_first_state(monkeypatch):
     tested = []
+    is_gmv_support = paving._is_gmv
 
-    def is_gmv_logged(fam):
-        tested.append(fam.support)
-        return is_gmv(fam)
+    def is_gmv_logged(nu, m):
+        tested.append(m)
+        return is_gmv_support(nu, m)
 
-    monkeypatch.setattr(paving, "is_gmv", is_gmv_logged)
+    monkeypatch.setattr(paving, "_is_gmv", is_gmv_logged)
     for n in ((1, 0, 1), (1, 1, 1)):
         f = MVPolytope.from_datum(LusztigDatum("121", n)).family
         for v in f.vertices:
-            del tested[:]
             cuts = [tighten_support(f.support[:ci] + (pairing(v, S) - 1,) + f.support[ci + 1:],
                                     f.nu) for ci, S in enumerate(CHAMBERS)
                     if pairing(v, S) - 1 + f.support[5 - ci] >= f.nu]
             assert all(is_gmv(family_from_support(m, f.nu)) for m in cuts)
+            del tested[:]
             got = max_gmv_inside(f, v)
             # each cut is tested at most once (not at all below another GMV cut)
             assert len(tested) == len(set(tested)) and set(tested) <= set(cuts)
