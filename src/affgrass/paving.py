@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import (BudgetExceeded, NormalPositionRequired, PavingVerificationFailed,
+from .errors import (NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
 from .grass import GrassPoint, _Tails, _ec_counts, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
@@ -22,7 +22,7 @@ from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import Edge, PoincarePoly, skeleton
 from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
-                       edge_lengths, family_from_support, pairing, sub_cw, tighten_support)
+                       family_from_support, pairing, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -274,17 +274,14 @@ def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan
 # ---------------------------------------------------------------------------
 
 def is_gmv(f: GTFamily) -> bool:
-    """Whether ``canonicalize`` finds an MV twist of f: the least of k1, k3, k5 is
-    attained twice.  A twist is MV when its k1 == min(k3, k5), and it sends the odd
-    edges to the odd ones or to the even ones, which are the odd ones plus one delta
-    (the hexagon closes: k0 - k3 = k4 - k1 = k2 - k5)."""
-    return _is_gmv(f.nu, f.support)
-
-
-def _is_gmv(nu: int, m: Sequence[int]) -> bool:
-    """``is_gmv`` of the family with support m, read off the support alone."""
-    a, b, _c = sorted(edge_lengths(nu, m)[1::2])
-    return a == b
+    """Whether ``canonicalize`` finds an MV twist of f: its largest width M_x + M_{x^c} - nu
+    is attained twice.  A twist is MV when its k1 == min(k3, k5), and it sends the odd edges
+    to the odd ones or to the even ones, which are the odd ones plus one delta; the odd edges
+    (k3, k1, k5) are A - w for A = M1 + M2 + M3 - nu, so the least is attained twice exactly
+    when the largest width is."""
+    M = f.support
+    _a, b, c = sorted(M[x] + M[5 - x] for x in range(3))
+    return b == c
 
 
 def gmv_dimension(f: GTFamily) -> int:
@@ -292,41 +289,41 @@ def gmv_dimension(f: GTFamily) -> int:
     return sum(f.support) - 2 * f.nu - max(f.support[j] + f.support[5 - j] for j in range(3))
 
 
-_WALK_BUDGET = 200_000  # states of one max_gmv_inside walk
-
-
 def max_gmv_inside(f: GTFamily, avoid: Optional[Coweight]) -> List[GTFamily]:
-    """Maximal generalized MV polytopes inside f, not containing ``avoid``.
+    """Maximal generalized MV polytopes inside f, not containing ``avoid``, in closed form.
 
-    For ``avoid`` in f, a family inside f misses it exactly when some M_S < <avoid, S>: the walk
-    starts at each facet cut M_S = <avoid, S> - 1 that leaves a point, tightened (else at f).
-    A step lowers m_S by 1 and tightens the rest, unless m_S + m_{S^c} = nu; GMV families end it.
+    For ``avoid`` in f, a family inside f misses it exactly when some M_S < <avoid, S>: the
+    starts are the facet cuts M_S = <avoid, S> - 1 that leave a point, tightened (else f).
+    A start m has widths w_y = m_y + m_{y^c} - nu, U = m1 + m2 + m3 - nu and
+    L = m12 + m13 + m23 - 2 nu.  Its largest width w_x is cut by c to the second largest, t,
+    in every split: m_x drops by s and m_{x^c} by c - s.  A split with s > U or c - s > L
+    bounds no point; the others, tightened, are the candidates, and the maximal ones the
+    pieces.  Proof: a family is GMV exactly when its largest width is attained twice
+    (``is_gmv``).  A GMV g <= m attains it at two coordinates, where w(g) <= w(m), so every
+    w_y(g) <= t; then c <= (m_x - g_x) + (m_{x^c} - g_{x^c}), some split keeps g below, and
+    g, being tight, stays below its tightening.  Tightening maps each width w to
+    min(w, L) + min(w, U) - w (the candidate's L and U), nondecreasing on [0, max(L, U)],
+    and L + U, the sum of the widths, is at least 2 t: each candidate is GMV.
     """
     M, nu = f.support, f.nu
-    queue = [M]
+    starts = [M]
     if avoid is not None and f.contains_point(avoid):
-        queue = [tighten_support(M[:ci] + (cut,) + M[ci + 1:], nu) for ci, cut in
-                 enumerate(pairing(avoid, S) - 1 for S in CHAMBERS) if cut + M[5 - ci] >= nu]
-    seen = set(queue)
-    found: Set[Tuple[int, ...]] = set()  # an antichain: no support below another
-    while queue:
-        m = queue.pop()
-        if any(all(a <= b for a, b in zip(m, r)) for r in found):
-            continue
-        if _is_gmv(nu, m):
-            found = {r for r in found if not all(a <= b for a, b in zip(r, m))}
-            found.add(m)
-            continue
-        for ci in range(6):
-            if m[ci] + m[5 - ci] == nu:  # S^c = 5 - ci; the facet is the whole polytope
-                continue
-            m2 = tighten_support(m[:ci] + (m[ci] - 1,) + m[ci + 1:], nu)
-            if m2 not in seen:
-                seen.add(m2)
-                if len(seen) > _WALK_BUDGET:
-                    raise BudgetExceeded("support tightening walk exceeded its budget")
-                queue.append(m2)
-    return [family_from_support(m, nu) for m in sorted(found)]
+        starts = [tighten_support(M[:ci] + (cut,) + M[ci + 1:], nu) for ci, cut in
+                  enumerate(pairing(avoid, S) - 1 for S in CHAMBERS) if cut + M[5 - ci] >= nu]
+    found = set()
+    for m in starts:
+        w = [m[x] + m[5 - x] - nu for x in range(3)]
+        x = w.index(max(w))
+        c = w[x] - sorted(w)[1]  # 0 for a GMV start, its own one piece
+        for s in range(max(0, c - (sum(m[3:]) - 2 * nu)), min(c, sum(m[:3]) - nu) + 1):
+            g = list(m)
+            g[x], g[5 - x] = m[x] - s, m[5 - x] - c + s
+            found.add(tighten_support(g, nu))
+    kept: List[Tuple[int, ...]] = []  # a support above another has a larger sum
+    for m in sorted(found, key=sum, reverse=True):
+        if not any(all(a <= b for a, b in zip(m, r)) for r in kept):
+            kept.append(m)
+    return [family_from_support(m, nu) for m in sorted(kept)]
 
 
 # ---------------------------------------------------------------------------

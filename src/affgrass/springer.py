@@ -222,10 +222,12 @@ def criterion_oracle(P: MVPolytope, gamma: RegularDiagonal) -> Tuple[bool, ...]:
     """Brute force, per chamber b in BORELS order: whether the cell C_b, the
     points of the truncation whose Ec has P's vertex b, has q^(l12+l23+l13)
     Springer F_q-points, q = gamma.field.p; one count by Ec serves all six."""
-    q, f = gamma.field.p, P.family
-    counts = _ec_counts(f, q, gamma)
-    return tuple(sum(n for fx, n in counts.items() if fx.vertex(b) == f.vertex(b))
-                 == q ** sum(criterion_l_values(P.datum121.n, b, gamma.c)) for b in range(6))
+    q, f, cells = gamma.field.p, P.family, [0] * 6
+    for fx, n in _ec_counts(f, q, gamma).items():  # each family's vertices read once
+        for b, v, w in zip(range(6), fx.vertices, f.vertices):
+            cells[b] += n if v == w else 0
+    return tuple(cells[b] == q ** sum(criterion_l_values(P.datum121.n, b, gamma.c))
+                 for b in range(6))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ and Springer balls, products in place of the t31 ball, three products per
 pair in place of one by the t31 ball's cached rho, the points of one
 contracting cell in place of the Springer points of the whole truncation
 sorted by Ec, the vertex scores of ``canonicalize`` in place of
-its twist search on the support, one walk that tests every state against the
-avoided point in place of the facet cuts, a maximal-element pass over every
-GMV support found in place of the antichain the walk keeps, every point of
+its twist search on the support, one walk on tight supports that tests every
+state against the avoided point and ends in a maximal-element pass, in place
+of the width cuts of the facet cuts, every point of
 the truncation filtered by its profile in place of the facet cut of a
 contracting cell, two vertex paths and two Lusztig data in place of the
 support of an MV polytope and the braid test on its edge lengths, every point
@@ -37,7 +37,7 @@ from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry
                               _val_diff, eps, one, zero)
 from affgrass.moment import PoincarePoly
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
-from affgrass.paving import _WALK_BUDGET, is_gmv
+from affgrass.paving import is_gmv
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
                                add_cw, contains, coroot, family_from_support, iota_family,
                                pairing, perm_inv, perm_mul, scale_cw, sub_cw, tighten_support)
@@ -662,9 +662,12 @@ def _maximal(pieces):
     return sorted(out, key=lambda P: P.support)
 
 
+_WALK_BUDGET = 200_000  # states of one support walk
+
+
 def max_gmv_inside_walk(f, avoid):
-    """``paving.max_gmv_inside`` as one walk from f that tests every state
-    against ``avoid``, in place of the walks from the facet cuts."""
+    """``paving.max_gmv_inside`` as one walk from f: lower one support number by 1
+    and tighten, and stop at the GMV states that miss ``avoid``."""
     seen = {f.support}
     queue = [f.support]
     found = {}

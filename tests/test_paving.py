@@ -494,6 +494,20 @@ def test_max_gmv_inside_matches_walk_on_pave_calls(monkeypatch):
             [P.support for P in max_gmv_inside_walk(f, avoid)], (f.support, avoid)
 
 
+def test_max_gmv_inside_matches_walk_on_grid():
+    # the closed form against the support walk: every family of the grid with
+    # avoid None, and every lattice point of each family with nu = 0 and
+    # support in {-1..2}^6
+    fams = _grid_families()
+    assert [[P.support for P in max_gmv_inside(f, None)] for f in fams] == \
+        [[P.support for P in max_gmv_inside_walk(f, None)] for f in fams]
+    cases = [(f, v) for f in fams if f.nu == 0 and min(f.support) >= -1 and max(f.support) <= 2
+             for v in f.lattice_points()]
+    assert len(cases) == 2627
+    for f, v in cases:
+        assert max_gmv_inside(f, v) == max_gmv_inside_walk(f, v), (f.support, f.nu, v)
+
+
 def test_max_gmv_inside_avoid_outside_is_plain_walk():
     for f in [f for f, avoid in _walk_cases() if avoid is None]:
         v = f.vertex(0)
@@ -519,15 +533,7 @@ def test_empty_facet_cut_never_tightened(monkeypatch):
     assert skipped > 0
 
 
-def test_gmv_facet_cut_ends_walk_at_first_state(monkeypatch):
-    tested = []
-    is_gmv_support = paving._is_gmv
-
-    def is_gmv_logged(nu, m):
-        tested.append(m)
-        return is_gmv_support(nu, m)
-
-    monkeypatch.setattr(paving, "_is_gmv", is_gmv_logged)
+def test_gmv_facet_cut_ends_walk_at_first_state():
     for n in ((1, 0, 1), (1, 1, 1)):
         f = MVPolytope.from_datum(LusztigDatum("121", n)).family
         for v in f.vertices:
@@ -535,8 +541,5 @@ def test_gmv_facet_cut_ends_walk_at_first_state(monkeypatch):
                                     f.nu) for ci, S in enumerate(CHAMBERS)
                     if pairing(v, S) - 1 + f.support[5 - ci] >= f.nu]
             assert all(is_gmv(family_from_support(m, f.nu)) for m in cuts)
-            del tested[:]
             got = max_gmv_inside(f, v)
-            # each cut is tested at most once (not at all below another GMV cut)
-            assert len(tested) == len(set(tested)) and set(tested) <= set(cuts)
             assert got == _maximal(family_from_support(m, f.nu) for m in cuts)
