@@ -54,6 +54,24 @@ def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
     return MomentGraph(tuple(verts), tuple(edges))
 
 
+def union_degree(v: Coweight, pieces: Sequence[GTFamily], springer_c=None) -> int:
+    """The number of edges at v in the union of the pieces' ``skeleton`` graphs.
+
+    An edge of a skeleton has both ends in its piece, so only the pieces that contain v
+    count.  With lo_i = v_i - nu + M_{i^c} and hi_i = M_i - v_i, the box of such a piece
+    reaches min(lo_i, hi_j) steps down root (i, j) and min(hi_i, lo_j) steps up; the union
+    has the largest reach of each of the six, cut by the Springer valuation of the root."""
+    c = (math.inf,) * 3 if springer_c is None else springer_c
+    reach = [0] * 6  # down along each root, then up
+    for M, nu in ((f.support, f.nu) for f in pieces if f.contains_point(v)):
+        lo = (v[0] - nu + M[5], v[1] - nu + M[4], v[2] - nu + M[3])
+        hi = (M[0] - v[0], M[1] - v[1], M[2] - v[2])
+        for r, (_a, i, j, _ci, _line) in enumerate(_ROOT_BOX):
+            down, up = min(lo[i], hi[j]), min(hi[i], lo[j])
+            reach[r], reach[r + 3] = max(reach[r], down), max(reach[r + 3], up)
+    return sum(min(k, c[box[4]]) for k, box in zip(reach, _ROOT_BOX * 2))
+
+
 @dataclass(frozen=True)
 class PoincarePoly:
     """Coefficients b_0, b_2, b_4, ... of a formal Poincare polynomial."""
@@ -169,16 +187,11 @@ def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
 
 
 def to_dot(g: MomentGraph) -> str:
-    lines = ["graph skeleton {"]
-    for v in g.vertices:
-        name = "v" + "_".join(str(c).replace("-", "m") for c in v)
-        lines.append(f'  {name} [label="{v}"];')
-    for (u, v, a, k) in g.edges:
-        nu = "v" + "_".join(str(c).replace("-", "m") for c in u)
-        nv = "v" + "_".join(str(c).replace("-", "m") for c in v)
-        lines.append(f'  {nu} -- {nv} [label="a{a[0]}{a[1]}, k={k}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    def name(v):
+        return "v" + "_".join(str(c).replace("-", "m") for c in v)
+    return "\n".join(["graph skeleton {", *(f'  {name(v)} [label="{v}"];' for v in g.vertices),
+                      *(f'  {name(u)} -- {name(v)} [label="a{a[0]}{a[1]}, k={k}"];'
+                        for (u, v, a, k) in g.edges), "}"])
 
 
 def graph_to_json(g: MomentGraph):

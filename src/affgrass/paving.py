@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -19,7 +18,7 @@ from .errors import (NormalPositionRequired, PavingVerificationFailed,
 from .grass import GrassPoint, _Tails, _ec_counts, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
-from .moment import Edge, PoincarePoly, skeleton
+from .moment import PoincarePoly, union_degree
 from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
                        family_from_support, pairing, sub_cw, tighten_support)
@@ -340,33 +339,23 @@ def _mv_cell_fn(P: GTFamily, b: int) -> Tuple[int, bool]:
 def _pave(family: GTFamily, cell_fn: CellFn,
           forced: Optional[Sequence[Coweight]] = None,
           springer_c=None) -> List[PavingStep]:
+    """The greedy plan: each round takes the best candidate (active piece, chamber) whose
+    vertex lies in no other active piece, ranked by the piece's dimension (larger first),
+    then the vertex's weight (``union_degree`` over the actives), then the vertex, then the
+    chamber, then the support.  A round with a ``forced`` vertex ranks only its corners."""
     actives = max_gmv_inside(family, None)
-    forced = list(forced) if forced else []
-    fi = 0
+    forced = list(forced or ())
     steps: List[PavingStep] = []
-    # every piece lies on family's nu fiber and springer_c is fixed, so a
-    # piece's skeleton is a function of its support
-    edges_of: Dict[Tuple[int, ...], Tuple[Edge, ...]] = {}
     while actives:
-        edge_union = set()
-        for P in actives:
-            if P.support not in edges_of:
-                edges_of[P.support] = skeleton(P, springer_c=springer_c).edges
-            edge_union.update(edges_of[P.support])
-        cur_wt = Counter(v for e in edge_union for v in e[:2])
-
-        if fi < len(forced):
-            v = forced[fi]
-            fi += 1
-            cands = [(P, b) for P in actives for b in range(6) if P.vertex(b) == v]
-            if not cands:
-                raise PavingVerificationFailed(
-                    f"designated vertex {v} is not a corner of any active polytope "
-                    f"(actives: {[P.vertices for P in actives]})")
-        else:
-            cands = [(P, b) for P in actives for b in range(6)]
+        v = forced.pop(0) if forced else None  # the designated vertex of this round
+        cands = [(P, b) for P in actives for b in range(6) if v is None or P.vertex(b) == v]
+        if not cands:
+            raise PavingVerificationFailed(
+                f"designated vertex {v} is not a corner of any active polytope "
+                f"(actives: {[P.vertices for P in actives]})")
         dims = {P.support: gmv_dimension(P) for P in dict.fromkeys(P for P, _b in cands)}
-        cands.sort(key=lambda pb: (-dims[pb[0].support], cur_wt[pb[0].vertex(pb[1])],
+        wts = {u: union_degree(u, actives, springer_c) for u in {P.vertex(b) for P, b in cands}}
+        cands.sort(key=lambda pb: (-dims[pb[0].support], wts[pb[0].vertex(pb[1])],
                                    pb[0].vertex(pb[1]), pb[1], pb[0].support))
 
         def other(P, b):  # an active piece but P that contains P's vertex b, or None
@@ -389,11 +378,9 @@ def _pave(family: GTFamily, cell_fn: CellFn,
         rest = [Q for Q in actives if Q.support != P.support]
         new = [N for N in max_gmv_inside(P, v) if not any(contains(Q, N) for Q in rest)]
         actives = sorted(rest + new, key=lambda R: R.support)
-    want = set(family.lattice_points())
-    got = [s.vertex for s in steps]
-    if len(set(got)) != len(got) or set(got) != want:
-        raise PavingVerificationFailed(
-            f"paving steps visit {sorted(got)} but the fixed points are {sorted(want)}")
+    got, want = sorted(s.vertex for s in steps), family.lattice_points()  # both sorted
+    if got != want:
+        raise PavingVerificationFailed(f"paving steps visit {got} but the fixed points are {want}")
     return steps
 
 

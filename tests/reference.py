@@ -22,7 +22,9 @@ support of an MV polytope and the braid test on its edge lengths, every point
 of the pair walker with its profile read off the point in place of the tails
 each library loop expands, the profile of every point in place of the e31
 classes the counter counts, passes to a fixed point in place of the one-pass
-support tightening), or a plain definition no library path needs.
+support tightening, the union of the pieces' skeleton graphs in place of the
+reaches of their boxes at one vertex), or a plain definition no library path
+needs.
 """
 import itertools
 import math
@@ -35,7 +37,7 @@ from affgrass.grass import (GrassPoint, _Tails, _entry_windows, _iter_pairs, _pr
                             _window_entries, dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
-from affgrass.moment import PoincarePoly
+from affgrass.moment import MomentGraph, PoincarePoly, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import is_gmv
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
@@ -730,6 +732,18 @@ def incident(g, v):
 
 def wt(g, v):
     return len(incident(g, v))
+
+
+def skeleton_union(pieces, springer_c=None):
+    """The union of the pieces' ``skeleton`` graphs (the Springer one if given)."""
+    gs = [skeleton(P, springer_c=springer_c) for P in pieces]
+    return MomentGraph(tuple({u for g in gs for u in g.vertices}),
+                       tuple({e for g in gs for e in g.edges}))
+
+
+def union_degree_by_skeleton(v, pieces, springer_c=None):
+    """``moment.union_degree`` as ``wt`` on the union of the pieces' skeletons."""
+    return wt(skeleton_union(pieces, springer_c), v)
 
 
 def orient(g, order):

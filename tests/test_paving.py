@@ -27,7 +27,8 @@ from affgrass.springer import synthesize_gamma, truncated_paving
 from reference import (_iter_entries, _maximal, canonicalize_by_scores, cell_points_by_matrices,
                        contracting_cell_by_filter, curve_point, gmv_dimension_canonical,
                        is_gmv_canonical, is_mv_family, max_gmv_inside_by_lattice_points,
-                       max_gmv_inside_walk, translate_point)
+                       max_gmv_inside_walk, skeleton_union, translate_point,
+                       union_degree_by_skeleton, wt)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -281,7 +282,8 @@ def test_greedy_takes_best_feasible_candidate():
 
 # (vertex, borel, dim, support) of each step of the greedy plans of the data
 # where some step takes a lower-ranked candidate: on these the ranking, and so
-# the order the engine keeps its pieces in, decides the plan
+# the order the engine keeps its pieces in, decides the plan; P(5,5,5) to
+# P(10,10,10) are the largest plans tier-1 builds
 PINNED_PLANS = json.loads((Path(__file__).parent / "data" / "greedy_plans.json").read_text())
 
 
@@ -492,6 +494,54 @@ def test_max_gmv_inside_matches_walk_on_pave_calls(monkeypatch):
     for f, avoid in calls:
         assert [P.support for P in real(f, avoid)] == \
             [P.support for P in max_gmv_inside_walk(f, avoid)], (f.support, avoid)
+
+
+def test_union_degree_matches_skeleton_union(monkeypatch):
+    # every weight _pave reads is the degree in the union of the actives'
+    # skeletons: on the 153-datum sweep, then on the Springer plans of three
+    # patterns (built, not counted)
+    real = paving.union_degree
+    calls = []
+    unions = {}  # one union per round: its calls share the actives
+
+    def checked(v, pieces, springer_c=None):
+        calls.append(springer_c)
+        key = (tuple(P.support for P in pieces), pieces[0].nu, springer_c)
+        if key not in unions:
+            unions[key] = skeleton_union(pieces, springer_c)
+        got = real(v, pieces, springer_c)
+        assert got == wt(unions[key], v), (v, key)
+        return got
+
+    monkeypatch.setattr(paving, "union_degree", checked)
+    for fam in ([MVPolytope.from_datum(LusztigDatum("121", n)).family
+                 for n in itertools.product(range(5), repeat=3)]
+                + [weyl_family((a, b, 0)) for a in range(7) for b in range(a + 1)]):
+        _pave(fam, _mv_cell_fn)
+    n_sweep = len(calls)
+    for pattern in ((1, 1, 1), (2, 1, 1), (2, 2, 2)):
+        gam = synthesize_gamma(pattern, PrimeField(3), random.Random(8))
+        for j in _alternating_words(2 * pattern[1]):
+            truncated_paving(gam, j, verify_qs=())
+    assert (n_sweep, len(calls) - n_sweep) == (23452, 317)
+    assert all(c is not None for c in calls[n_sweep:])
+    # seeded sets of 1 to 5 GMV pieces of one family, at a lattice point of
+    # the family, each with springer_c None and with a triple in {0..3}^3
+    rng = random.Random(28)
+    shared = Counter()  # cases by the number of pieces that contain v
+    for _ in range(1500):
+        n = tuple(rng.randrange(4) for _ in range(3))
+        f = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        pts = f.lattice_points()
+        pool = max_gmv_inside(f, None) + [P for u in rng.sample(pts, min(3, len(pts)))
+                                          for P in max_gmv_inside(f, u)]
+        pieces = rng.sample(pool, min(len(pool), rng.randint(1, 5)))
+        v = rng.choice(pts)
+        for c in (None, tuple(rng.randrange(4) for _ in range(3))):
+            assert real(v, pieces, c) == union_degree_by_skeleton(v, pieces, c), \
+                (v, [P.support for P in pieces], c)
+        shared[min(2, sum(P.contains_point(v) for P in pieces))] += 1
+    assert sorted(shared.items()) == [(0, 202), (1, 528), (2, 770)]
 
 
 def test_max_gmv_inside_matches_walk_on_grid():
