@@ -156,9 +156,7 @@ def ec(x: GrassPoint) -> GTFamily:
 
 
 def member(x: GrassPoint, f: GTFamily) -> bool:
-    if x.nu != f.nu:
-        return False
-    return all(dv >= -m for dv, m in zip(dprofile(x), f.support))
+    return x.nu == f.nu and all(dv >= -m for dv, m in zip(dprofile(x), f.support))
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +266,22 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal
     of the truncation of f and each (e21, e32) of the windows whose e31 ball
     meets the e31 window [lo, hi): the e31 of those points are the fixed
     ``head``, coefficients from lo, followed by every coefficient list on
-    [lo + len(head), hi) (``_Tails``); ``pair`` is ``_pair_profile``.
+    [lo + len(head), hi) (``_Tails``); ``pair`` is ``_pair_profile``, its
+    e21 half (D0, D4) formed once per e21 and its e32 half (D1, D3) per e32.
 
     The windows give every part of the profile floor but the val(e31 - P)
     term of D0, which for fixed (d, e21, e32) is a ball of e31:
-    val(e31 - P) >= d1 + d3 - M0, with P = e21 e32 eps^-d2 the uncut centre.
-    With a ``springer.RegularDiagonal`` gamma, the t21 and t32 tests of
-    ``gamma.admits`` raise the low ends of the e21 and e32 windows, and its
-    t31 test is a second ball (``gamma.t31_ball`` of the product e21 e32,
-    formed once per pair).  Two balls are nested or disjoint, so ``radius``
-    is that of the one met.  ``diagonal``, a predicate on d, skips the other
-    diagonals.  The budget counts the candidates of the whole windows, or
-    with ``whole`` false only their (e21, e32) candidates, the pairs walked.
+    val(e31 - P) >= r0 = d1 + d3 - M0, with P = e21 e32 eps^-d2 the uncut
+    centre.  With a ``springer.RegularDiagonal`` gamma, the t21 and t32 tests
+    of ``gamma.admits`` raise the low ends of the e21 and e32 windows, and its
+    t31 test is a second ball (``gamma.t31_ball``), val(e31 - C) >= r2 =
+    d3 - c13 with C = P r12 / r13.  As P - C = P (g2 - g3) / (g1 - g3), they
+    meet exactly when val(P) + c23 - c13 >= min(r0, r2), or P = 0; ``radius``
+    is the larger radius, C is formed only when it is r2, and a pair whose
+    t31 ball is None (a truncated gamma) is dropped.  ``diagonal``, a
+    predicate on d, skips the other diagonals.  The budget counts the
+    candidates of the whole windows, or with ``whole`` false only their
+    (e21, e32) candidates, the pairs walked.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if _candidates((ws if whole else ws[::2] for _d, ws in windows), q) > budget:
@@ -289,29 +291,37 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal
         if diagonal is not None and not diagonal(d):
             continue
         d1, d2, d3 = d
+        r0 = rad = d1 + d3 - f.support[0]
+        reach = -INF  # the least val(P) at which the two balls meet
         if gamma is not None:
-            c12, c23, _c13 = gamma.c
+            c12, c23, c13 = gamma.c
             w21, w32 = (max(w21[0], d2 - c12), d2), (max(w32[0], d3 - c23), d3)
-        for e21, e32 in itertools.product(*_window_entries(q, (w21, w32))):
-            prod = _mul(e21, e32, q) if e21[1] and e32[1] else ZERO_ENTRY
-            P = (prod[0] - d2, prod[1])
-            ball = (P, d1 + d3 - f.support[0])
-            if gamma is not None:
-                ball = _meet(ball, gamma.t31_ball(d, prod))
-                if ball is None:
+            reach, rad = min(r0, d3 - c13) + c13 - c23, max(r0, d3 - c13)
+        e21s, e32s = _window_entries(q, (w21, w32))
+        halves = [(e32, _pair_profile(d, ZERO_ENTRY, e32)) for e32 in e32s]
+        for e21 in e21s:
+            a = _pair_profile(d, e21, ZERO_ENTRY)
+            for e32, b in halves:
+                vP = e21[0] + e32[0] - d2 if e21[1] and e32[1] else INF
+                if vP < reach:
                     continue
-            centre, rad = _below(*ball), ball[1]
-            if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
-                continue
-            s = min(max(rad, lo), hi)  # e31 is free from this exponent up
-            head = [0] * (s - lo)
-            head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
-            yield d, e21, e32, P, _pair_profile(d, e21, e32), rad, lo, head, hi
+                prod = _mul(e21, e32, q) if vP < INF else ZERO_ENTRY
+                P = (prod[0] - d2, prod[1])
+                if gamma is not None and (t31 := gamma.t31_ball(d, prod, rad > r0)) is None:
+                    continue
+                centre = _below(*(t31 if rad > r0 else (P, r0)))
+                if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
+                    continue
+                s = min(max(rad, lo), hi)  # e31 is free from this exponent up
+                head = [0] * (s - lo)
+                head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
+                yield d, e21, e32, P, (a[0], b[1], a[2], b[3], a[4], a[5]), rad, lo, head, hi
 
 
-def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
-    """The Ec families of the F_q-points of the truncation of f, or of its
-    Springer points with gamma, counted by e31 class, not point by point.
+def _ec_supports(f: GTFamily, q: int, gamma=None) -> Counter:
+    """The Ec supports, negated D-profiles, of the F_q-points of the truncation
+    of f, or of its Springer points with gamma, counted by e31 class, not point
+    by point.
 
     A pair's e31 are its head on [lo, s) and every tail on [s, hi); their
     profiles differ only in D0 = min(pair[0], val(e31 - P) - d1 - d3) and
@@ -323,8 +333,7 @@ def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
     (kp, kp) for (q-2) q^(hi-kp-1); (r, kp) and (kp, r) for (q-1) q^(hi-r-1)
     each, kp < r < hi; (inf, kp) and (kp, inf) once; or (inf, inf) once when
     there is no kp.  The budget counts the (e21, e32) candidates of the
-    windows, and no tail is built.  Ec is a function of the profile, so each
-    becomes a family once.
+    windows, and no tail is built.
     """
     nu = f.nu
     by_profile = Counter()
@@ -359,24 +368,18 @@ def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
             by_profile[min(a0, r) - t0, p1, p2, at3, p4, p5] += n
         by_profile[at0, p1, p2, a3 - nu, p4, p5] += 1
         by_profile[a0 - t0, p1, p2, at3, p4, p5] += 1
-    return Counter({family_from_support([-v for v in prof], nu): n
-                    for prof, n in by_profile.items()})
+    return Counter({tuple(-v for v in prof): n for prof, n in by_profile.items()})
+
+
+def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
+    """``_ec_supports`` by Ec family, each support made a family once; the pairs
+    counted are those whose D0 and t31 balls meet, val(P) + c23 - c13 >= min(r0, r2)."""
+    return Counter({family_from_support(M, f.nu): n for M, n in _ec_supports(f, q, gamma).items()})
 
 
 def _below(e: Entry, r) -> Entry:
     """The terms of e with exponent below r."""
     return _entry(e[0], e[1][:max(0, r - e[0])])
-
-
-def _meet(x, y):
-    """The intersection of two balls (centre, radius) of Laurent polynomials,
-    or None: the smaller ball if its centre lies in the larger one."""
-    if y is None:
-        return None
-    r = min(x[1], y[1])
-    if _below(x[0], r) != _below(y[0], r):
-        return None
-    return x if x[1] >= y[1] else y
 
 
 def iter_points(f: GTFamily, field: PrimeField, budget: int = _BUDGET):

@@ -15,13 +15,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _Tails, _ec_counts, _iter_pairs, _window_entries, iter_points
+from .grass import GrassPoint, _Tails, _ec_supports, _iter_pairs, _window_entries, iter_points
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import PoincarePoly, union_degree
 from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
-                       family_from_support, pairing, sub_cw, tighten_support)
+                       edge_lengths, family_from_support, pairing, sub_cw, tighten_support)
 
 # ---------------------------------------------------------------------------
 # contracting cells (explicit coordinates, normal position n1 >= n3 >= n2)
@@ -36,6 +36,8 @@ _CELL_SHAPES = {
     4: (False, ((2, 1, lambda n: 0), (2, 3, lambda n: n[0] - n[2]), (3, 1, lambda n: 0))),
     5: (True, ((1, 3, lambda n: 0), (2, 1, lambda n: 0), (2, 3, lambda n: n[0] - n[2]))),
 }
+# per Borel w, the chambers {w1} and {w1, w2}, whose support numbers fix the vertex of w
+_CORNER_FACETS = tuple(tuple(CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2)) for w in BORELS)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,7 @@ class ContractingCell:
         len(head), the first free coefficient is at that exponent.  Each test
         fixes the pair's verdict or excludes one value of that coefficient.
         """
-        f, w, q = self.polytope.family, BORELS[self.borel], field.p
-        facets = [CHAMBER_INDEX[frozenset(w[:k])] for k in (1, 2)]
+        f, facets, q = self.polytope.family, _CORNER_FACETS[self.borel], field.p
         M = f.support
         pts: Set[GrassPoint] = set()
         tails = _Tails(q)
@@ -157,13 +158,7 @@ class IwahoriCell:
 
 def iwahori_cell(a: Coweight, lam: Coweight, lamp: Coweight) -> IwahoriCell:
     """The cell Sch(lam) cap I_a eps^{lamp} K/K of the non-standard paving."""
-    if lam[0] >= lam[1] == lam[2]:
-        def extra(i, j):
-            return lam[2] - lamp[j]
-    elif lam[0] == lam[1] >= lam[2]:
-        def extra(i, j):
-            return -lam[0] + lamp[i]
-    else:
+    if not (lam[0] >= lam[1] == lam[2] or lam[0] == lam[1] >= lam[2]):
         raise ShapeMismatch(f"{lam} has neither shape (a,b,b) nor (a,a,b)")
     windows = []
     for i in range(3):
@@ -171,7 +166,8 @@ def iwahori_cell(a: Coweight, lam: Coweight, lamp: Coweight) -> IwahoriCell:
             if i == j:
                 continue
             base = a[i] - a[j] + (1 if i > j else 0)
-            windows.append((i + 1, j + 1, max(base, extra(i, j)), lamp[i] - lamp[j]))
+            extra = lam[2] - lamp[j] if lam[1] == lam[2] else lamp[i] - lam[0]
+            windows.append((i + 1, j + 1, max(base, extra), lamp[i] - lamp[j]))
     dim = sum(max(0, hi - lo) for (_r, _c, lo, hi) in windows)
     return IwahoriCell(a, lam, lamp, tuple(windows), dim)
 
@@ -387,18 +383,24 @@ def _pave(family: GTFamily, cell_fn: CellFn,
 def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
                   checks: Sequence[Tuple[PrimeField, object]]) -> dict:
     """Count each step's cell over every (field, gamma) of ``checks``, the
-    Springer points with a gamma, else all; each must have q^dim points."""
+    Springer points with a gamma, else all; each must have q^dim points.  An Ec
+    support M goes to the lowest-index step containing it among those at its
+    corners: vertex b of M is v exactly when M_S = <v, S> at ``_CORNER_FACETS[b]``."""
     record = {"per_q": [], "ok": True}
-    by_corner: Dict[Tuple[Coweight, int], List[int]] = {}  # step indices, ascending
+    by_corner: Dict[Tuple[int, int, int], List[int]] = {}  # step indices, ascending
     for i, st in enumerate(steps):
-        by_corner.setdefault((st.vertex, st.borel), []).append(i)
+        key = (st.borel, *(pairing(st.vertex, CHAMBERS[k]) for k in _CORNER_FACETS[st.borel]))
+        by_corner.setdefault(key, []).append(i)
     for field, gamma in checks:
         q = field.p
         counts = [0] * len(steps)
-        for fx, n in _ec_counts(family, q, gamma).items():
-            i = min((i for b, v in enumerate(fx.vertices) for i in by_corner.get((v, b), ())
-                     if contains(steps[i].polytope, fx)), default=None)
-            if i is None:
+        for M, n in _ec_supports(family, q, gamma).items():
+            fits = (i for b, (k1, k2) in enumerate(_CORNER_FACETS)
+                    for i in by_corner.get((b, M[k1], M[k2]), ())
+                    if all(m <= s for m, s in zip(M, steps[i].polytope.support)))
+            i = min(fits, default=None) if min(edge_lengths(family.nu, M)) >= 0 else None
+            if i is None:  # a negative edge raises InconsistentFamily here
+                fx = family_from_support(M, family.nu)
                 raise PavingVerificationFailed(
                     f"{n} points with Ec {fx.vertices} match no paving step")
             counts[i] += n

@@ -36,12 +36,7 @@ def ultrametric(c: Pattern) -> bool:
 
 def pattern_realizable(c: Pattern, p: int) -> bool:
     """Over F_2 the minimum cannot be attained three times (units are 1)."""
-    if not ultrametric(c):
-        return False
-    m = min(c)
-    if sum(1 for x in c if x == m) == 3 and p == 2:
-        return False
-    return True
+    return ultrametric(c) and not (p == 2 and list(c).count(min(c)) == 3)
 
 
 @dataclass(frozen=True)
@@ -106,14 +101,17 @@ class RegularDiagonal:
         many as ``t31_ball`` has asked for so far."""
         return []
 
-    def t31_ball(self, d: Coweight, prod):
+    def t31_ball(self, d: Coweight, prod, centre: bool = True):
         """The e31 whose t31 term vanishes below top with e21 and e32 of
         product ``prod``, as a ball (centre, radius), or None when there are
         none.  It is val(e31 - prod rho eps^-(d2+c13)) >= d3 - c13 with
         rho = r12 / (r13 eps^-c13), the centre known below the radius: rho is
         read to top - x terms, expanded once per gamma to the longest length
         asked.  A truncated gamma must know r12 and r13 that far, a test on
-        prod alone, or no e31 is known to pass."""
+        prod alone, or no e31 is known to pass.  Its centre C = P r12 / r13,
+        P = prod eps^-d2, is P (g2 - g3) / (g1 - g3) off the D0 centre P, so
+        ``grass._iter_pairs`` meets the balls by val(P) + c23 - c13 and asks for
+        C (``centre`` true, else it is None) only when it lists this ball."""
         _d1, d2, d3 = d
         c12, _c23, c13 = self.c
         top = d2 + d3
@@ -123,6 +121,8 @@ class RegularDiagonal:
         (r12, s12), (r13, s13) = self._roots
         if min(s12 - c12, s13 - c13) < top - x:
             return None
+        if not centre:
+            return None, d3 - c13
         p, rho = self.field.p, self._rho
         if len(rho) < top - x:
             rho[:] = _mul(r12, (0, _inv(r13[1], top - x, p)), p, c12 + top - x)[1]
@@ -302,7 +302,7 @@ def _cap_order(big: GTFamily, small: GTFamily) -> List[Coweight]:
         raise PavingVerificationFailed(f"receding facets share {len(corner)} cap corners")
     v0 = corner[0]
     seq_a, seq_b = (_ends_inward(sorted(sorted(set(on_facet[ci]) - {v0}), reverse=True,
-                                        key=lambda v: _lattice_dist(v, v0)))
+                                        key=lambda v: max(abs(a - b) for a, b in zip(v, v0))))
                     for ci in (ca, cb))
     return [v0] + [v for pair in itertools.zip_longest(seq_a, seq_b)
                    for v in pair if v is not None]
@@ -311,10 +311,6 @@ def _cap_order(big: GTFamily, small: GTFamily) -> List[Coweight]:
 def _ends_inward(pts: List[Coweight]) -> List[Coweight]:
     """First, last, second, second to last, ... of pts."""
     return [pts[k // 2] if k % 2 == 0 else pts[-1 - k // 2] for k in range(len(pts))]
-
-
-def _lattice_dist(u: Coweight, v: Coweight) -> int:
-    return max(abs(a - b) for a, b in zip(u, v))
 
 
 def _chain_words(j: Sequence[int], n2: int) -> List[Tuple[int, ...]]:
@@ -350,10 +346,8 @@ def truncated_paving(gamma: RegularDiagonal, j: Sequence[int],
     for big, small in zip(polys, polys[1:]):
         forced.extend(_cap_order(big, small))
 
-    def cell_fn(fam: GTFamily, b: int):
-        return springer_cell_data(fam, b, gamma)
-
-    steps = _pave(polys[0], cell_fn, forced=forced, springer_c=gamma.c)
+    steps = _pave(polys[0], lambda fam, b: springer_cell_data(fam, b, gamma), forced=forced,
+                  springer_c=gamma.c)
     if verify_qs is None:
         verify_qs = tuple(q for q in (2, 3, 5) if pattern_realizable(gamma.c, q))[:2]
     checks = [(field, synthesize_gamma(gamma.c, field, rng or random.Random(0)))

@@ -10,7 +10,9 @@ tightening, a box scan in place of the closed-form lattice points, one
 orientation at a time and the full scan of all vertex sets in place of the
 bounded subset scan, every candidate of the entry windows in place of the D0
 and Springer balls, products in place of the t31 ball, three products per
-pair in place of one by the t31 ball's cached rho, the points of one
+pair in place of one by the t31 ball's cached rho, the two balls of a pair
+met by comparing their centres' normal forms in place of the valuation of
+their difference, the points of one
 contracting cell in place of the Springer points of the whole truncation
 sorted by Ec, the vertex scores of ``canonicalize`` in place of
 its twist search on the support, one walk on tight supports that tests every
@@ -33,8 +35,9 @@ from collections import Counter
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
                              RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _Tails, _entry_windows, _iter_pairs, _profile,
-                            _window_entries, dprofile, mat, mat_diag_eps, point_from_y, y_inverse)
+from affgrass.grass import (GrassPoint, _Tails, _below, _entry_windows, _iter_pairs,
+                            _pair_profile, _profile, _window_entries, dprofile, mat,
+                            mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
 from affgrass.moment import MomentGraph, PoincarePoly, skeleton
@@ -526,6 +529,45 @@ def _iter_entries(f, q, budget=5_000_000, gamma=None):
         for t in tails[hi - lo - len(head)]:
             e31 = _entry(lo, (*head, *t))
             yield d, e21, e31, e32, _profile(d, e21, e31, e32, q)
+
+
+def _meet(x, y):
+    """The intersection of two balls (centre, radius) of Laurent polynomials,
+    or None: the smaller ball if its centre lies in the larger one."""
+    if y is None:
+        return None
+    r = min(x[1], y[1])
+    if _below(x[0], r) != _below(y[0], r):
+        return None
+    return x if x[1] >= y[1] else y
+
+
+def iter_pairs_by_normal_forms(f, q, gamma=None):
+    """``grass._iter_pairs`` with the D0 and t31 balls met by comparing the
+    normal forms of their centres below the smaller radius (two ultrametric
+    balls are nested or disjoint), the t31 centre formed for every pair, and
+    each pair profile by ``_pair_profile``."""
+    for d in f.lattice_points():
+        w21, (lo, hi), w32 = _entry_windows(f, d)
+        d1, d2, d3 = d
+        if gamma is not None:
+            c12, c23, _c13 = gamma.c
+            w21, w32 = (max(w21[0], d2 - c12), d2), (max(w32[0], d3 - c23), d3)
+        for e21, e32 in itertools.product(*_window_entries(q, (w21, w32))):
+            prod = _mul(e21, e32, q) if e21[1] and e32[1] else ZERO_ENTRY
+            P = (prod[0] - d2, prod[1])
+            ball = (P, d1 + d3 - f.support[0])
+            if gamma is not None:
+                ball = _meet(ball, gamma.t31_ball(d, prod))
+                if ball is None:
+                    continue
+            centre, rad = _below(*ball), ball[1]
+            if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
+                continue
+            s = min(max(rad, lo), hi)
+            head = [0] * (s - lo)
+            head[centre[0] - lo:centre[0] - lo + len(centre[1])] = centre[1]
+            yield d, e21, e32, P, _pair_profile(d, e21, e32), rad, lo, head, hi
 
 
 def ec_counts_by_points(f, q, gamma=None):

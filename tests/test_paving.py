@@ -269,6 +269,26 @@ def test_greedy_plan_fields():
     assert js["method"] == "greedy" and js["verified"]["per_q"]
 
 
+def test_verify_steps_failure_messages():
+    # a plan with one step removed leaves points that no step takes: the first
+    # such Ec family is named by its vertices; a step whose dim is off by one
+    # is named with its count
+    fam = MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1))).family
+    steps = _pave(fam, _mv_cell_fn)
+    for k, n, ec_vertices in (
+            (0, 2, ((-1, 1, 0), (-1, 1, 0), (-3, 1, 2), (-3, 1, 2), (-3, 1, 2), (-1, 1, 0))),
+            (3, 2, ((0, 0, 0), (0, 0, 0), (-2, 0, 2), (-2, 0, 2), (-2, 0, 2), (0, 0, 0))),
+            (9, 1, ((0, 0, 0),) * 6)):
+        with pytest.raises(PavingVerificationFailed) as err:
+            paving._verify_steps(steps[:k] + steps[k + 1:], fam, [(F2, None)])
+        assert str(err.value) == f"{n} points with Ec {ec_vertices} match no paving step"
+    bad = list(steps)
+    bad[2] = paving.PavingStep(bad[2].vertex, bad[2].borel, bad[2].dim + 1, bad[2].polytope)
+    with pytest.raises(PavingVerificationFailed) as err:
+        paving._verify_steps(bad, fam, [(F3, None)])
+    assert str(err.value) == "cell at (-2, 2, 0) (chamber 4) counts 81 over F_3, wants 3^5"
+
+
 def test_greedy_takes_best_feasible_candidate():
     # on these data the best-ranked vertex lies in a second active piece at
     # some step (step 5 on P(3,3,3)); a lower-ranked candidate paves instead

@@ -8,9 +8,9 @@ from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_
                                  _ultrametric_box)
 from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
                              PavingVerificationFailed)
-from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _window_entries,
-                            canonicalize_point, ec, enumerate_points, iter_points, mat,
-                            mat_diag_eps, sample_point)
+from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_pairs,
+                            _window_entries, canonicalize_point, ec, enumerate_points,
+                            iter_points, mat, mat_diag_eps, sample_point)
 from affgrass.laurent import (ZERO_ENTRY, LaurentSeries, PrimeField, _mul, eps, one,
                               series_from_json, val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
@@ -24,8 +24,9 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                synthesize_gamma, truncated_paving, ultrametric)
 
 from reference import (_iter_entries, admits_by_products, criterion_oracle_on_cells,
-                       ec_counts_by_points, exact, iter_entries_windows, mat_identity, mat_inv,
-                       mat_mul, member_springer_matrix, normalize_gmv_by_families,
+                       ec_counts_by_points, exact, iter_entries_windows,
+                       iter_pairs_by_normal_forms, mat_identity, mat_inv, mat_mul,
+                       member_springer_matrix, normalize_gmv_by_families,
                        t31_ball_by_products, translate_point)
 
 F2 = PrimeField(2, 64)
@@ -470,11 +471,10 @@ def test_t31_ball_matches_three_products():
     assert (pairs, nones) == (35050, 1008)
 
 
-def test_counter_matches_point_oracle_on_grid():
-    # n in {0..3}^3 over F_2, and n1 + n2 + n3 <= 6 over F_3, each with no
-    # gamma, one gamma per realizable pattern in {0..3}^3 and the truncated
-    # gammas
-    cases = 0
+def _counter_grid():
+    """(n, q, family, gamma): n in {0..3}^3 over F_2, and n1 + n2 + n3 <= 6
+    over F_3, each with no gamma, one gamma per realizable pattern in
+    {0..3}^3 and the truncated gammas."""
     for q in (2, 3):
         field, rng = PrimeField(q), random.Random(80 + q)
         gams = [None] + [synthesize_gamma(c, field, rng)
@@ -487,10 +487,52 @@ def test_counter_matches_point_oracle_on_grid():
                 continue
             fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
             for gam in gams:
-                cases += 1
-                assert dict(_ec_counts(fam, q, gam)) == dict(ec_counts_by_points(fam, q, gam)), \
-                    (n, q, gam and gam.c)
+                yield n, q, fam, gam
+
+
+def test_counter_matches_point_oracle_on_grid():
+    cases = 0
+    for n, q, fam, gam in _counter_grid():
+        cases += 1
+        assert dict(_ec_counts(fam, q, gam)) == dict(ec_counts_by_points(fam, q, gam)), \
+            (n, q, gam and gam.c)
     assert cases == 64 * 20 + 54 * 29
+
+
+def test_pair_walker_matches_normal_form_meet_on_grid():
+    # ec_counts_by_points walks _iter_pairs itself, so it cannot catch a wrong
+    # ball rule: the valuation meet must yield what comparing centres does
+    cases = pairs = 0
+    for n, q, fam, gam in _counter_grid():
+        got = list(_iter_pairs(fam, q, gamma=gam))
+        assert got == list(iter_pairs_by_normal_forms(fam, q, gam)), (n, q, gam and gam.c)
+        cases, pairs = cases + 1, pairs + len(got)
+    assert (cases, pairs) == (64 * 20 + 54 * 29, 220681)
+
+
+def test_truncated_gamma_drops_pairs_under_the_d0_ball():
+    # pattern (1, 3, 1) with g1 = eps + O(eps^2): where the D0 ball lies
+    # inside the t31 ball (r0 >= r2) and the balls meet, top - x can be 2,
+    # beyond what the roots are known to, so the pair is dropped though the
+    # walker lists the D0 ball; n in {0..3}^3 over F_2
+    gam = RegularDiagonal.from_series((LaurentSeries(F2, 1, [1], 2), zero(F2),
+                                       LaurentSeries(F2, 3, [1])))
+    c12, c23, c13 = gam.c
+    assert gam.c == (1, 3, 1)
+    dropped = 0
+    for n in itertools.product(range(4), repeat=3):
+        fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        got = list(_iter_pairs(fam, 2, gamma=gam))
+        assert got == list(iter_pairs_by_normal_forms(fam, 2, gam)), n
+        for d in fam.lattice_points():
+            w21, _w31, w32 = _entry_windows(fam, d)
+            r0, r2 = d[0] + d[2] - fam.support[0], d[2] - c13
+            for e21, e32 in itertools.product(*_window_entries(2, (
+                    (max(w21[0], d[1] - c12), d[1]), (max(w32[0], d[2] - c23), d[2])))):
+                prod = _mul(e21, e32, 2) if e21[1] and e32[1] else ZERO_ENTRY
+                meet = not prod[1] or prod[0] - d[1] + c23 - c13 >= r2
+                dropped += r0 >= r2 and meet and gam.t31_ball(d, prod) is None
+    assert dropped == 136
 
 
 def test_admits_matches_products_on_cells():
