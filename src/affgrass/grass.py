@@ -321,7 +321,8 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal
 def _ec_supports(f: GTFamily, q: int, gamma=None) -> Counter:
     """The Ec supports, negated D-profiles, of the F_q-points of the truncation
     of f, or of its Springer points with gamma, counted by e31 class, not point
-    by point.
+    by point.  With gamma the pairs counted are those whose D0 and t31 balls
+    meet, val(P) + c23 - c13 >= min(r0, r2).
 
     A pair's e31 are its head on [lo, s) and every tail on [s, hi); their
     profiles differ only in D0 = min(pair[0], val(e31 - P) - d1 - d3) and
@@ -369,12 +370,6 @@ def _ec_supports(f: GTFamily, q: int, gamma=None) -> Counter:
         by_profile[at0, p1, p2, a3 - nu, p4, p5] += 1
         by_profile[a0 - t0, p1, p2, at3, p4, p5] += 1
     return Counter({tuple(-v for v in prof): n for prof, n in by_profile.items()})
-
-
-def _ec_counts(f: GTFamily, q: int, gamma=None) -> Counter:
-    """``_ec_supports`` by Ec family, each support made a family once; the pairs
-    counted are those whose D0 and t31 balls meet, val(P) + c23 - c13 >= min(r0, r2)."""
-    return Counter({family_from_support(M, f.nu): n for M, n in _ec_supports(f, q, gamma).items()})
 
 
 def _below(e: Entry, r) -> Entry:

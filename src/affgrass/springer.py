@@ -2,10 +2,10 @@
 
 Membership (t31 by the ball ``t31_ball``: the pair's product e21 e32 times
 rho = r12 / (r13 eps^-c13), which each gamma expands once), dimension, the
-fundamental-domain truncation, the affine-cell criterion with explicit
-per-chamber orbit counts, its brute-force oracle on the Springer-point counter
-``grass._ec_counts``, which counts the points by e31 class, and the pavings of
-the crystal-truncated fibers with the boundary vertex orders.
+fundamental-domain truncation, the affine-cell criterion from one row per
+chamber, its brute-force oracle on the Springer-point counter
+``grass._ec_supports``, which counts the points by e31 class, and the
+pavings of the crystal-truncated fibers with the boundary vertex orders.
 """
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed, PrecisionLoss)
-from .grass import GrassPoint, _below, _ec_counts
+from .grass import GrassPoint, _below, _ec_supports
 from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, random_with_val,
                       val, zero)
 from .mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, is_alternating, mv_edges, ZERO
-from .paving import PavingPlan, _fields, _pave, _verify_steps, is_normal_position
+from .paving import _CORNER_FACETS, PavingPlan, _fields, _pave, _verify_steps, is_normal_position
 from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, iota_family, pairing,
                        perm_inv, perm_mul)
 
@@ -176,38 +176,45 @@ def fundamental_domain(gamma: RegularDiagonal) -> GTFamily:
 # the affine-cell criterion
 # ---------------------------------------------------------------------------
 
+# the Springer slice of C_b, a row per chamber b in BORELS order: from n and c, the
+# caps on (l12, l23, l13), l_ij = min(c_ij, cap), and the largest affine l12 + l23 + l13
+_SLICE_ROWS = (
+    lambda n1, n2, n3, c12, c23, c13: ((n1, n2, n2 + n3), n2 + n3 + c12),
+    lambda n1, n2, n3, c12, c23, c13: ((n1 + n2, n2, n3), n1 + n2 + c23),
+    lambda n1, n2, n3, c12, c23, c13: ((n1 + n2 - n3, n2 + n3, n3), n2 + n3 + c12),
+    lambda n1, n2, n3, c12, c23, c13: ((n1 + n2 - n3, n3, n2 + n3), n2 + n3 + c12),
+    lambda n1, n2, n3, c12, c23, c13: ((n1 + n2, n3, n2), n1 + n2 + c13),
+    lambda n1, n2, n3, c12, c23, c13: ((n1, n2 + n3, n2), n2 + n3 + c12),
+)
+
+
 def criterion_l_values(n: Tuple[int, int, int], b: int, c: Pattern):
     """Orbit counts (l12, l23, l13) in the chamber-b contracting cell."""
-    n1, n2, n3 = n
-    c12, c23, c13 = c
-    table = {
-        0: (min(n1, c12), min(n2, c23), min(n2 + n3, c13)),
-        5: (min(n1, c12), min(n2 + n3, c23), min(n2, c13)),
-        1: (min(n1 + n2, c12), min(n2, c23), min(n3, c13)),
-        2: (min(n1 + n2 - n3, c12), min(n2 + n3, c23), min(n3, c13)),
-        3: (min(n1 + n2 - n3, c12), min(n3, c23), min(n2 + n3, c13)),
-        4: (min(n1 + n2, c12), min(n3, c23), min(n2, c13)),
-    }
-    return table[b]
+    return tuple(map(min, _SLICE_ROWS[b](*n, *c)[0], c))
 
 
 def criterion_bound(n: Tuple[int, int, int], b: int, c: Pattern) -> int:
-    n1, n2, n3 = n
-    c12, c23, c13 = c
-    if b in (0, 5, 2, 3):
-        return n2 + n3 + c12
-    if b == 1:
-        return n1 + n2 + c23
-    return n1 + n2 + c13
+    """The largest l12 + l23 + l13 for which the chamber-b slice is affine."""
+    return _SLICE_ROWS[b](*n, *c)[1]
+
+
+def _slice_verdict(n: Tuple[int, int, int], b: int, c: Pattern) -> Tuple[int, bool]:
+    """(dimension, affine?) of the chamber-b Springer slice."""
+    dim = sum(criterion_l_values(n, b, c))
+    return dim, dim <= criterion_bound(n, b, c)
+
+
+def _normal_n(P: MVPolytope) -> Tuple[int, int, int]:
+    """P's 121 datum, which must be in normal position."""
+    if not is_normal_position(P.datum121):
+        raise NormalPositionRequired(f"datum {P.datum121.n} needs n1 >= n3 >= n2")
+    return P.datum121.n
 
 
 def criterion(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
     """Whether the Springer slice of the chamber-b contracting cell is affine,
     read off P's datum: a normal-position P is its own normal form."""
-    n = P.datum121.n
-    if not is_normal_position(P.datum121):
-        raise NormalPositionRequired(f"datum {n} needs n1 >= n3 >= n2")
-    return sum(criterion_l_values(n, b, gamma.c)) <= criterion_bound(n, b, gamma.c)
+    return _slice_verdict(_normal_n(P), b, gamma.c)[1]
 
 
 def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
@@ -221,13 +228,14 @@ def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
 def criterion_oracle(P: MVPolytope, gamma: RegularDiagonal) -> Tuple[bool, ...]:
     """Brute force, per chamber b in BORELS order: whether the cell C_b, the
     points of the truncation whose Ec has P's vertex b, has q^(l12+l23+l13)
-    Springer F_q-points, q = gamma.field.p; one count by Ec serves all six."""
-    q, f, cells = gamma.field.p, P.family, [0] * 6
-    for fx, n in _ec_counts(f, q, gamma).items():  # each family's vertices read once
-        for b, v, w in zip(range(6), fx.vertices, f.vertices):
-            cells[b] += n if v == w else 0
-    return tuple(cells[b] == q ** sum(criterion_l_values(P.datum121.n, b, gamma.c))
-                 for b in range(6))
+    Springer F_q-points, q = gamma.field.p.  One count by Ec support serves
+    all six: a support has P's vertex b exactly when it equals P's support at
+    the two chambers ``paving._CORNER_FACETS[b]``."""
+    n, q, M0, cells = _normal_n(P), gamma.field.p, P.family.support, [0] * 6
+    for M, k in _ec_supports(P.family, q, gamma).items():
+        for b, (i, j) in enumerate(_CORNER_FACETS):
+            cells[b] += k if M[i] == M0[i] and M[j] == M0[j] else 0
+    return tuple(cells[b] == q ** sum(criterion_l_values(n, b, gamma.c)) for b in range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +256,9 @@ def _normalize_gmv(f: GTFamily):
 def springer_cell_data(f: GTFamily, b: int, gamma: RegularDiagonal):
     """(dimension, affine?) for the Springer slice of C_b of a generalized MV family."""
     delta, w, d = _normalize_gmv(f)
-    bb = b
-    if delta:
-        bb = BORELS.index(perm_mul(BORELS[bb], W0))
+    bb = BORELS.index(perm_mul(BORELS[b], W0)) if delta else b
     bb = BORELS.index(perm_mul(perm_inv(w), BORELS[bb]))
-    cw = _transport_pattern(gamma.c, w)
-    n = d.n
-    ls = criterion_l_values(n, bb, cw)
-    return sum(ls), sum(ls) <= criterion_bound(n, bb, cw)
+    return _slice_verdict(d.n, bb, _transport_pattern(gamma.c, w))
 
 
 def _transport_pattern(c: Pattern, w: Perm) -> Pattern:

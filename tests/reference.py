@@ -25,8 +25,10 @@ of the pair walker with its profile read off the point in place of the tails
 each library loop expands, the profile of every point in place of the e31
 classes the counter counts, passes to a fixed point in place of the one-pass
 support tightening, the union of the pieces' skeleton graphs in place of the
-reaches of their boxes at one vertex), or a plain definition no library path
-needs.
+reaches of their boxes at one vertex, each counted Ec support made its
+family and its six vertices compared in place of two support numbers per
+corner, a table of all six chambers' orbit counts and a bound by cases in
+place of one row per chamber), or a plain definition no library path needs.
 """
 import itertools
 import math
@@ -35,8 +37,8 @@ from collections import Counter
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
                              RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _Tails, _below, _entry_windows, _iter_pairs,
-                            _pair_profile, _profile, _window_entries, dprofile, mat,
+from affgrass.grass import (GrassPoint, _Tails, _below, _ec_supports, _entry_windows,
+                            _iter_pairs, _pair_profile, _profile, _window_entries, dprofile, mat,
                             mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
@@ -480,6 +482,47 @@ def t31_ball_by_products(gamma, d, e21, e32):
     return (lead - d2 - c13, cs), d3 - c13
 
 
+def criterion_l_values_by_table(n, b, c):
+    """``springer.criterion_l_values`` from a table of all six chambers'
+    orbit counts, in place of the one row of chamber b."""
+    n1, n2, n3 = n
+    c12, c23, c13 = c
+    table = {
+        0: (min(n1, c12), min(n2, c23), min(n2 + n3, c13)),
+        5: (min(n1, c12), min(n2 + n3, c23), min(n2, c13)),
+        1: (min(n1 + n2, c12), min(n2, c23), min(n3, c13)),
+        2: (min(n1 + n2 - n3, c12), min(n2 + n3, c23), min(n3, c13)),
+        3: (min(n1 + n2 - n3, c12), min(n3, c23), min(n2 + n3, c13)),
+        4: (min(n1 + n2, c12), min(n3, c23), min(n2, c13)),
+    }
+    return table[b]
+
+
+def criterion_bound_by_cases(n, b, c):
+    """``springer.criterion_bound`` by cases on the chamber, in place of the
+    one row of chamber b."""
+    n1, n2, n3 = n
+    c12, c23, c13 = c
+    if b in (0, 5, 2, 3):
+        return n2 + n3 + c12
+    if b == 1:
+        return n1 + n2 + c23
+    return n1 + n2 + c13
+
+
+def criterion_oracle_by_families(P, gamma):
+    """``springer.criterion_oracle`` with each counted Ec support made its
+    family and all six vertices compared with P's, in place of the two
+    support numbers at each corner; it also answers off normal position."""
+    q, f, cells = gamma.field.p, P.family, [0] * 6
+    for M, n in _ec_supports(f, q, gamma).items():
+        fx = family_from_support(M, f.nu)
+        for b, v, w in zip(range(6), fx.vertices, f.vertices):
+            cells[b] += n if v == w else 0
+    return tuple(cells[b] == q ** sum(criterion_l_values(P.datum121.n, b, gamma.c))
+                 for b in range(6))
+
+
 def criterion_oracle_on_cells(P, b, gamma, points):
     """Verdict b of ``criterion_oracle`` on ``points``, the F_q-points of the
     explicit coordinates of ``contracting_cell(P, b)``, each tested by
@@ -571,15 +614,14 @@ def iter_pairs_by_normal_forms(f, q, gamma=None):
 
 
 def ec_counts_by_points(f, q, gamma=None):
-    """``grass._ec_counts`` point by point: the D-profile of every tail of
+    """``grass._ec_supports`` point by point: the D-profile of every tail of
     each ``grass._iter_pairs`` head, from the pair's P and pair profile,
-    counted, and each profile turned into its Ec family once."""
+    counted, and each profile negated into its Ec support once."""
     tails = _Tails(q)
     by_profile = Counter(_profile(d, e21, _entry(lo, (*head, *t)), e32, q, P, pair)
                          for d, e21, e32, P, pair, _r, lo, head, hi
                          in _iter_pairs(f, q, gamma=gamma) for t in tails[hi - lo - len(head)])
-    return Counter({family_from_support([-v for v in prof], f.nu): n
-                    for prof, n in by_profile.items()})
+    return Counter({tuple(-v for v in prof): n for prof, n in by_profile.items()})
 
 
 def iter_entries_windows(f, q, budget=5_000_000):

@@ -7,7 +7,7 @@ import pytest
 from affgrass.errors import (AffgrassError, BudgetExceeded, GaussFailure,
                              PreconditionViolated, PrecisionLoss, SingularMatrix)
 from affgrass import grass
-from affgrass.grass import (GrassPoint, _candidates, _ec_counts, _entry_windows, _window_entries,
+from affgrass.grass import (GrassPoint, _candidates, _ec_supports, _entry_windows, _window_entries,
                             canonicalize_point, dprofile, ec, enumerate_points, iter_points,
                             mat, mat_diag_eps, member, point_from_y, sample_point, transition,
                             y_inverse)
@@ -17,7 +17,8 @@ from affgrass.laurent import (LaurentSeries, PrimeField, _entry, eps, one, rando
 from affgrass.mvcomb import LusztigDatum, MVPolytope
 from affgrass.paving import (_cell_points, contracting_cell, iwahori_cell, mv_as_intersection,
                              schubert_anchored_family)
-from affgrass.rootdata import BORELS, contains, family_from_support, pairing, weyl_family
+from affgrass.rootdata import (BORELS, contains, edge_lengths, family_from_support, pairing,
+                               weyl_family)
 
 from reference import (D, Delta, _iter_entries, agrees, canonicalize_point_series, decompose_u0,
                        dprofile_matrix, eta_w0, eta_w0_inv, exact, gauss_plus,
@@ -198,9 +199,9 @@ def test_d0_ball_matches_window_loop(q):
         assert Counter(iter_points(fam, field)) == \
             Counter(GrassPoint(field, d, (e21, e31, e32))
                     for d, e21, e31, e32, _prof in want.elements()), n
-        assert _ec_counts(fam, q) == \
-            Counter(family_from_support([-v for v in prof], fam.nu)
-                    for *_pt, prof in want.elements()), n
+        supports = Counter(tuple(-v for v in prof) for *_pt, prof in want.elements())
+        assert _ec_supports(fam, q) == supports, n
+        assert all(min(edge_lengths(fam.nu, M)) >= 0 for M in supports), n
 
 
 def test_ec_examples():
@@ -548,17 +549,19 @@ def test_counter_budget_counts_pair_candidates(monkeypatch):
     # P(5,5,5) over F_2 has 13,114,475 whole-window candidates
     with pytest.raises(BudgetExceeded):
         next(iter_points(P555, F2))
-    assert sum(_ec_counts(P555, 2).values()) == 4_762_283
+    supports = _ec_supports(P555, 2)
+    assert sum(supports.values()) == 4_762_283
+    assert all(min(edge_lengths(P555.nu, M)) >= 0 for M in supports)
     with pytest.raises(BudgetExceeded):
-        _ec_counts(P888, 2)
+        _ec_supports(P888, 2)
     # the guard allows 5,000,000 pair candidates and no more
     W = weyl_family((2, 0, -1))
-    want = _ec_counts(W, 3)
+    want = _ec_supports(W, 3)
     monkeypatch.setattr(grass, "_candidates", lambda windows, q: 5_000_000)
-    assert _ec_counts(W, 3) == want
+    assert _ec_supports(W, 3) == want
     monkeypatch.setattr(grass, "_candidates", lambda windows, q: 5_000_001)
     with pytest.raises(BudgetExceeded):
-        _ec_counts(W, 3)
+        _ec_supports(W, 3)
 
 
 def test_counter_builds_no_tail_on_a_long_segment(monkeypatch):
@@ -574,8 +577,8 @@ def test_counter_builds_no_tail_on_a_long_segment(monkeypatch):
 
     monkeypatch.setattr(grass._Tails, "__missing__", no_tails)
     # the diagonal (a, 0, -b) holds 1 point for b = a, else (q - 1) q^(a - b - 1)
-    assert _ec_counts(seg, 3) == Counter({
-        family_from_support((a, 0, -b, a, 0, -b), 0): 1 if a == b else 2 * 3 ** (a - b - 1)
+    assert _ec_supports(seg, 3) == Counter({
+        (a, 0, -b, a, 0, -b): 1 if a == b else 2 * 3 ** (a - b - 1)
         for a in range(21) for b in range(a + 1)})
 
 

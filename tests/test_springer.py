@@ -8,14 +8,14 @@ from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_
                                  _ultrametric_box)
 from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
                              PavingVerificationFailed)
-from affgrass.grass import (GrassPoint, _ec_counts, _entry_windows, _iter_pairs,
+from affgrass.grass import (GrassPoint, _ec_supports, _entry_windows, _iter_pairs,
                             _window_entries, canonicalize_point, ec, enumerate_points,
                             iter_points, mat, mat_diag_eps, sample_point)
 from affgrass.laurent import (ZERO_ENTRY, LaurentSeries, PrimeField, _mul, eps, one,
                               series_from_json, val, zero)
 from affgrass.mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, braid
 from affgrass.paving import _cell_points, contracting_cell, greedy_paving, max_gmv_inside
-from affgrass.rootdata import GTFamily, contains, family_from_support
+from affgrass.rootdata import GTFamily, contains, edge_lengths, family_from_support
 from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_oracle, criterion_raw_case1,
                                criterion_bound, fundamental_domain,
@@ -23,8 +23,9 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                pattern_realizable, springer_cell_data, springer_dim,
                                synthesize_gamma, truncated_paving, ultrametric)
 
-from reference import (_iter_entries, admits_by_products, criterion_oracle_on_cells,
-                       ec_counts_by_points, exact, iter_entries_windows,
+from reference import (_iter_entries, admits_by_products, criterion_bound_by_cases,
+                       criterion_l_values_by_table, criterion_oracle_by_families,
+                       criterion_oracle_on_cells, ec_counts_by_points, exact, iter_entries_windows,
                        iter_pairs_by_normal_forms, mat_identity, mat_inv, mat_mul,
                        member_springer_matrix, normalize_gmv_by_families,
                        t31_ball_by_products, translate_point)
@@ -190,10 +191,53 @@ def test_criterion_reads_the_datum():
         for b in range(6):
             for gam in gams:
                 assert criterion(P, b, gam) == springer_cell_data(P.family, b, gam)[1]
+    # off normal position the l-values do not apply: both refuse, in one message
     for n in itertools.product(range(3), repeat=3):
         if not n[0] >= n[2] >= n[1]:
-            with pytest.raises(NormalPositionRequired):
-                criterion(MVPolytope.from_datum(LusztigDatum("121", n)), 0, gams[0])
+            P = MVPolytope.from_datum(LusztigDatum("121", n))
+            with pytest.raises(NormalPositionRequired) as by_datum:
+                criterion(P, 0, gams[0])
+            with pytest.raises(NormalPositionRequired) as by_oracle:
+                criterion_oracle(P, gams[0])
+            assert str(by_oracle.value) == str(by_datum.value), n
+
+
+def test_slice_rows_match_table_and_cases():
+    # the one row of chamber b gives the orbit counts of the table of all six
+    # chambers and the bound by cases: every n and c in {0..5}^3, every b
+    box = list(itertools.product(range(6), repeat=3))
+    for n in box:
+        for c in box:
+            for b in range(6):
+                assert criterion_l_values(n, b, c) == criterion_l_values_by_table(n, b, c), \
+                    (n, b, c)
+                assert criterion_bound(n, b, c) == criterion_bound_by_cases(n, b, c), (n, b, c)
+
+
+def test_criterion_oracle_matches_family_scan():
+    # two support numbers per corner give a support to the chambers whose
+    # vertex it shares with P, as its family's six vertices do: every normal
+    # datum in {0..3}^3 over F_2, and over F_3 those with n1 + 2 n2 + n3 <= 6
+    # (668 cases), with one gamma per realizable pattern in {0..3}^3; and the
+    # braid-presented P(3, 1, 2) and the translated P(4, 0, 2) by the same rule
+    cases = 0
+    for q in (2, 3):
+        field, rng = PrimeField(q), random.Random(90 + q)
+        gams = [synthesize_gamma(c, field, rng) for c in itertools.product(range(4), repeat=3)
+                if pattern_realizable(c, q)]
+        polys = [MVPolytope.from_datum(LusztigDatum("121", n))
+                 for n in itertools.product(range(4), repeat=3) if n[0] >= n[2] >= n[1]]
+        polys += [MVPolytope.from_datum(braid(LusztigDatum("121", (3, 1, 2)))),
+                  MVPolytope.from_datum(LusztigDatum("121", (4, 0, 2)), base=(2, -1, 5))]
+        for P in polys:
+            n = P.datum121.n
+            if q == 3 and n[0] + 2 * n[1] + n[2] > 6:
+                continue
+            for gam in gams:
+                cases += 1
+                assert criterion_oracle(P, gam) == criterion_oracle_by_families(P, gam), \
+                    (n, q, gam.c)
+    assert cases == 668 + 2 * 18 + 22
 
 
 def test_normalize_gmv_matches_families():
@@ -376,9 +420,12 @@ def _admitted_by_windows(fam, q, gam):
     return Counter(x for x in iter_entries_windows(fam, q) if admits_by_products(gam, *x[:4]))
 
 
-def _families(points, nu):
-    """The Ec families of (d, e21, e31, e32, profile) points, counted."""
-    return Counter(family_from_support([-v for v in prof], nu) for *_pt, prof in points.elements())
+def _supports(points, nu):
+    """The Ec supports of (d, e21, e31, e32, profile) points, counted; each
+    has non-negative edge lengths on the nu fiber, as an Ec family must."""
+    got = Counter(tuple(-v for v in prof) for *_pt, prof in points.elements())
+    assert all(min(edge_lengths(nu, M)) >= 0 for M in got)
+    return got
 
 
 @pytest.mark.parametrize("n1, n2", SPRINGER_FAMILIES)
@@ -391,7 +438,7 @@ def test_springer_balls_match_window_loop(n1, n2):
             fam = apply_crystal_word(j, P0).family
             want = _admitted_by_windows(fam, 3, gam)
             assert Counter(_iter_entries(fam, 3, gamma=gam)) == want, (seed, j)
-            assert _ec_counts(fam, 3, gam) == _families(want, fam.nu), (seed, j)
+            assert _ec_supports(fam, 3, gam) == _supports(want, fam.nu), (seed, j)
 
 
 # (rel12, rel13, Springer points of the fundamental domain over F_3)
@@ -417,7 +464,7 @@ def test_truncated_gamma_must_reach_top(rel12, rel13, total):
     got, want = Counter(_iter_entries(fam, 3, gamma=gam)), _admitted_by_windows(fam, 3, gam)
     assert got == want
     assert sum(got.values()) == total
-    assert _ec_counts(fam, 3, gam) == _families(want, fam.nu)
+    assert _ec_supports(fam, 3, gam) == _supports(want, fam.nu)
     for x in iter_entries_windows(fam, 3):
         assert gam.admits(*x[:4]) == admits_by_products(gam, *x[:4]), x
 
@@ -494,8 +541,9 @@ def test_counter_matches_point_oracle_on_grid():
     cases = 0
     for n, q, fam, gam in _counter_grid():
         cases += 1
-        assert dict(_ec_counts(fam, q, gam)) == dict(ec_counts_by_points(fam, q, gam)), \
-            (n, q, gam and gam.c)
+        want = ec_counts_by_points(fam, q, gam)
+        assert dict(_ec_supports(fam, q, gam)) == dict(want), (n, q, gam and gam.c)
+        assert all(min(edge_lengths(fam.nu, M)) >= 0 for M in want), (n, q, gam and gam.c)
     assert cases == 64 * 20 + 54 * 29
 
 
@@ -566,7 +614,7 @@ def test_springer_counts_match_cell_oracle():
                 gam = synthesize_gamma(c, PrimeField(q), rng)
                 if q == 3 and n[0] + 2 * n[1] + n[2] > 4:
                     continue
-                counts = _ec_counts(P.family, q, gam)
+                counts = _ec_supports(P.family, q, gam)
                 oracle = criterion_oracle(P, gam)
                 for b in range(6):
                     pairs += 1
@@ -575,7 +623,8 @@ def test_springer_counts_match_cell_oracle():
                         cells[b, q] = _cell_points(PrimeField(q), cell.diag, cell.windows,
                                                    cell.inverted)
                     v = P.family.vertex(b)
-                    got = sum(k for fx, k in counts.items() if fx.vertex(b) == v)
+                    got = sum(k for M, k in counts.items()
+                              if family_from_support(M, P.family.nu).vertex(b) == v)
                     want = sum(1 for x in cells[b, q] if admits_by_products(gam, x.d, *x.entries))
                     assert got == want, (n, c, b, q)
                     assert oracle[b] == criterion_oracle_on_cells(P, b, gam, cells[b, q])
