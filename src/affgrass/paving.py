@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (NormalPositionRequired, PavingVerificationFailed,
                      PreconditionViolated, ShapeMismatch)
-from .grass import GrassPoint, _Tails, _ec_supports, _iter_pairs, _window_entries, iter_points
+from .grass import GrassPoint, _Tails, _ec_supports, _iter_pairs, _window_entries
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import PoincarePoly, union_degree
@@ -235,32 +235,30 @@ def _fields(qs: Sequence[int]) -> List[PrimeField]:
 
 
 def paving_121(d: LusztigDatum, verify_qs: Sequence[int] = (2, 3)) -> PavingPlan:
-    """Paving of the MV truncation by Iwahori cells of its bounding Schubert
-    variety, one cell per lattice point."""
+    """Paving of the MV truncation X by Iwahori cells of its bounding Schubert variety, one
+    cell per lattice point, verified by ``_verify_steps``.  Steps and polytope are in the
+    ``schubert_anchored_family`` anchoring, not that of ``MVPolytope.from_datum(d)``, and
+    every step keeps ``borel`` None.
+
+    The cell at lambda' is counted at the chamber b(lambda'), the Borel that sorts
+    lambda' - a (a = ``shift``) in decreasing order, ties to the smaller index.  Its window
+    (i, j) is nonempty only when (lambda' - a)_i - (lambda' - a)_j >= 1 + [i > j], so i
+    precedes j in b(lambda'): u lies in U_b(lambda'), the cell in the semi-infinite orbit
+    of lambda' at b(lambda'), and each of its points has Ec vertex lambda' there
+    (Kamnitzer).  Soundness rests on three facts, not on this rule: the cells are disjoint
+    (distinct I_a-orbits), lie in X, and have q^dim points each (their coordinates are
+    injective).  So when every step counts q^dim, their sum is |X(F_q)| and the cells
+    cover X; the lowest-index rule only decides whether a correct plan passes."""
     lam1, shift, _lam2 = mv_as_intersection(d)
     family = schubert_anchored_family(d)
     cells = [iwahori_cell(shift, lam1, lamp) for lamp in family.lattice_points()]
     cells.sort(key=lambda c: (-c.dim, c.vertex))
+
+    def chamber(v):  # b(v); the stable sort keeps ties in index order
+        return BORELS.index(tuple(sorted((1, 2, 3), key=lambda i: shift[i - 1] - v[i - 1])))
+    chambered = [PavingStep(c.vertex, chamber(c.vertex), c.dim, family) for c in cells]
+    record = _verify_steps(chambered, family, [(field, None) for field in _fields(verify_qs)])
     steps = tuple(PavingStep(c.vertex, None, c.dim, family) for c in cells)
-    record = {"per_q": [], "ok": True}
-    for field in _fields(verify_qs):
-        q = field.p
-        pts = set(iter_points(family, field))
-        seen: Set[GrassPoint] = set()
-        by_cell = []
-        for c in cells:
-            cpts = c.enumerate(field)
-            if len(cpts) != q ** c.dim:
-                raise PavingVerificationFailed(
-                    f"iwahori cell at {c.vertex} has {len(cpts)} points, wants {q}^{c.dim}")
-            if cpts & seen:
-                raise PavingVerificationFailed(f"iwahori cells overlap at {c.vertex}")
-            seen |= cpts
-            by_cell.append(len(cpts))
-        if seen != pts:
-            raise PavingVerificationFailed(
-                f"iwahori cells cover {len(seen)} points, truncation has {len(pts)}")
-        record["per_q"].append({"q": q, "total": len(pts), "by_step": by_cell})
     return PavingPlan("iwahori", family, steps, record)
 
 

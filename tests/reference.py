@@ -28,23 +28,25 @@ support tightening, the union of the pieces' skeleton graphs in place of the
 reaches of their boxes at one vertex, each counted Ec support made its
 family and its six vertices compared in place of two support numbers per
 corner, a table of all six chambers' orbit counts and a bound by cases in
-place of one row per chamber), or a plain definition no library path needs.
+place of one row per chamber, every point of the truncation and of each
+Iwahori cell listed in place of the Ec supports counted per corner), or a
+plain definition no library path needs.
 """
 import itertools
 import math
 from collections import Counter
 
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
-                             NormalPositionRequired, NotMV, PreconditionViolated, PrecisionLoss,
-                             RetryExhausted, SingularMatrix)
+                             NormalPositionRequired, NotMV, PavingVerificationFailed,
+                             PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
 from affgrass.grass import (GrassPoint, _Tails, _below, _ec_supports, _entry_windows,
-                            _iter_pairs, _pair_profile, _profile, _window_entries, dprofile, mat,
-                            mat_diag_eps, point_from_y, y_inverse)
+                            _iter_pairs, _pair_profile, _profile, _window_entries, dprofile,
+                            iter_points, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
 from affgrass.moment import MomentGraph, PoincarePoly, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
-from affgrass.paving import is_gmv
+from affgrass.paving import is_gmv, iwahori_cell, mv_as_intersection, schubert_anchored_family
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
                                add_cw, contains, coroot, family_from_support, iota_family,
                                pairing, perm_inv, perm_mul, scale_cw, sub_cw, tighten_support)
@@ -648,6 +650,38 @@ def contracting_cell_by_filter(cell, field):
     return {GrassPoint(field, d, (e21, e31, e32))
             for d, e21, e31, e32, prof in _iter_entries(f, field.p)
             if prof[i] == mi and prof[j] == mj}
+
+
+def paving_121_by_listing(d, verify_qs=(2, 3)):
+    """The record of ``paving.paving_121`` by listing points: every point of the
+    truncation in a set, and every Iwahori cell listed against it (q^dim points
+    each, no two meeting, together the whole set), in place of the Ec supports
+    counted per corner.  Returns the record and, per field, the cells' point sets
+    in step order."""
+    lam1, shift, _lam2 = mv_as_intersection(d)
+    family = schubert_anchored_family(d)
+    cells = sorted((iwahori_cell(shift, lam1, v) for v in family.lattice_points()),
+                   key=lambda c: (-c.dim, c.vertex))
+    record, listed = {"per_q": [], "ok": True}, []
+    for q in verify_qs:
+        field = PrimeField(q)
+        pts = set(iter_points(family, field))
+        seen = set()
+        by_cell = []
+        listed.append([c.enumerate(field) for c in cells])
+        for c, cpts in zip(cells, listed[-1]):
+            if len(cpts) != q ** c.dim:
+                raise PavingVerificationFailed(
+                    f"iwahori cell at {c.vertex} has {len(cpts)} points, wants {q}^{c.dim}")
+            if cpts & seen:
+                raise PavingVerificationFailed(f"iwahori cells overlap at {c.vertex}")
+            seen |= cpts
+            by_cell.append(len(cpts))
+        if seen != pts:
+            raise PavingVerificationFailed(
+                f"iwahori cells cover {len(seen)} points, truncation has {len(pts)}")
+        record["per_q"].append({"q": q, "total": len(pts), "by_step": by_cell})
+    return record, listed
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,14 @@ from affgrass.paving import (ContractingCell, _cell_points, _mv_cell_fn, _pave,
                              mv_as_intersection, paving_121,
                              schubert_anchored_family)
 from affgrass.rootdata import (BORELS, CHAMBERS, GTFamily, contains, family_from_support,
-                               pairing, perm_inv, scale_cw, tighten_support, weyl_family)
+                               pairing, perm_inv, scale_cw, sub_cw, tighten_support, weyl_family)
 from affgrass.springer import synthesize_gamma, truncated_paving
 
 from reference import (_iter_entries, _maximal, canonicalize_by_scores, cell_points_by_matrices,
                        contracting_cell_by_filter, curve_point, gmv_dimension_canonical,
                        is_gmv_canonical, is_mv_family, max_gmv_inside_by_lattice_points,
-                       max_gmv_inside_walk, skeleton_union, translate_point,
-                       union_degree_by_skeleton, wt)
+                       max_gmv_inside_walk, paving_121_by_listing, skeleton_union,
+                       translate_point, union_degree_by_skeleton, wt)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -109,6 +110,47 @@ def test_paving_121_example_dims():
     assert [r["total"] for r in plan2.verified["per_q"]] == [7, 13]
     with pytest.raises(NormalPositionRequired):
         paving_121(LusztigDatum("121", (0, 1, 0)))
+
+
+def test_paving_121_counts_match_listing_and_the_rule_names_each_points_cell():
+    # normal data in {0..3}^3 over F_2 and in {0..2}^3 over F_3: the counted record
+    # equals the listing oracle's, and each point of each Iwahori cell goes, by the
+    # rule of _verify_steps (the lowest-index step whose vertex the point's Ec has at
+    # that step's chamber), to its own cell; the step at v has the chamber w that
+    # sorts v - a decreasingly, ties to the smaller index
+    def chamber(shift, v):
+        x = sub_cw(v, shift)
+        return next(b for b, w in enumerate(BORELS) if all(
+            (x[i - 1], -i) > (x[j - 1], -j) for i, j in zip(w, w[1:])))
+    points = 0
+    for q, top in ((2, 3), (3, 2)):
+        for n in itertools.product(range(top + 1), repeat=3):
+            if not n[0] >= n[2] >= n[1]:
+                continue
+            d = LusztigDatum("121", n)
+            plan = paving_121(d, verify_qs=(q,))
+            record, (cells,) = paving_121_by_listing(d, (q,))
+            assert plan.verified == record
+            assert {s.borel for s in plan.steps} == {None}
+            shift = mv_as_intersection(d)[1]
+            chambers = [chamber(shift, s.vertex) for s in plan.steps]
+            for k, cell in enumerate(cells):
+                for x in cell:
+                    E = ec(x)
+                    assert min(i for i, (t, b) in enumerate(zip(plan.steps, chambers))
+                               if E.vertex(b) == t.vertex) == k
+                    points += 1
+    assert points == 43928
+    # every other chamber for the top cell of P(2,1,1) fails the count
+    d = LusztigDatum("121", (2, 1, 1))
+    plan = paving_121(d, verify_qs=(2,))
+    shift = mv_as_intersection(d)[1]
+    steps = [replace(s, borel=chamber(shift, s.vertex)) for s in plan.steps]
+    paving._verify_steps(steps, plan.polytope, [(F2, None)])
+    for b in set(range(6)) - {steps[0].borel}:
+        with pytest.raises(PavingVerificationFailed):
+            paving._verify_steps([replace(steps[0], borel=b)] + steps[1:], plan.polytope,
+                                 [(F2, None)])
 
 
 def test_contracting_cell_windows():
