@@ -16,12 +16,12 @@ from .grass import (ec, enumerate_points, member, point_from_y, sample_point,
 from .laurent import PrimeField, random_with_val, val
 from .moment import compare, min_formal_poincare, skeleton
 from .mvcomb import (LusztigDatum, MVPolytope, apply_crystal_word, braid, canonicalize,
-                     coweight, dimension)
-from .paving import _cell_points, contracting_cell, greedy_paving, is_normal_position, paving_121
+                     coweight, dimension, is_normal_position)
+from .paving import _cell_points, contracting_cell, greedy_paving, paving_121
 from .rootdata import weyl_family
 from .springer import (_slice_verdict, criterion, criterion_oracle, criterion_raw_case1,
                        pattern_realizable, springer_dim, synthesize_gamma, truncated_paving,
-                       ultrametric)
+                       ultrametric, verification_primes)
 
 BIG_PRIME = 10007
 
@@ -129,11 +129,7 @@ def check_polytope_canonicalization(seed: int = 7) -> Dict:
 
 
 def _normal_data(top: int = 2):
-    out = []
-    for n in itertools.product(range(top + 1), repeat=3):
-        if n[0] >= n[2] >= n[1]:
-            out.append(n)
-    return out
+    return [n for n in itertools.product(range(top + 1), repeat=3) if is_normal_position(n)]
 
 
 def check_contracting_cells(seed: int = 7) -> Dict:
@@ -164,18 +160,15 @@ PURITY_WEYL = [(1, 0, 0), (1, 1, 0)]
 def check_purity_bridge(seed: int = 7) -> Dict:
     """Greedy paving counts, the Iwahori paving, and the formal minimum agree."""
     t0 = time.time()
-    families = []
-    for n in PURITY_DATA:
-        families.append((f"P{n}", MVPolytope.from_datum(LusztigDatum("121", n)).family,
-                         LusztigDatum("121", n)))
-    for lam in PURITY_WEYL:
-        families.append((f"Weyl{lam}", weyl_family(lam), None))
+    families = [(f"P{n}", MVPolytope.from_datum(LusztigDatum("121", n)).family, n)
+                for n in PURITY_DATA]
+    families += [(f"Weyl{lam}", weyl_family(lam), None) for lam in PURITY_WEYL]
     bad = []
-    for name, fam, d in families:
+    for name, fam, n in families:
         plan = greedy_paving(fam, verify_qs=(2, 3))
         poly = plan.poincare()
-        if d is not None and is_normal_position(d):
-            ipoly = paving_121(d, verify_qs=(2, 3)).poincare()
+        if n is not None and is_normal_position(n):
+            ipoly = paving_121(LusztigDatum("121", n), verify_qs=(2, 3)).poincare()
             if compare(poly, ipoly) != 0:
                 bad.append((name, "iwahori", str(poly), str(ipoly)))
         if len(fam.lattice_points()) <= 12:
@@ -238,9 +231,8 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
     plans = 0
     for (n1, n2) in SPRINGER_FAMILIES:
         c = (n1, n2, n2)
-        qs = tuple(q for q in (2, 3, 5) if pattern_realizable(c, q))[:2]
-        field = PrimeField(qs[0])
-        gam = synthesize_gamma(c, field, rng)
+        qs = verification_primes(c)
+        gam = synthesize_gamma(c, PrimeField(qs[0]), rng)
         P0 = MVPolytope.from_datum(LusztigDatum("121", c))
         for j in _alternating_words(2 * n2):
             try:
@@ -260,8 +252,7 @@ def check_truncated_pavings(seed: int = 7) -> Dict:
                                      base_greedy.verified["per_q"]):
                     if rec["total"] != brec["total"]:
                         bad.append(((n1, n2), j, "Springer condition not vacuous"))
-        over = truncated_paving(gam, _alternating_words(2 * n2 + 1)[-1], verify_qs=qs,
-                                rng=rng)
+        over = truncated_paving(gam, _alternating_words(2 * n2 + 1)[-1], rng=rng)
         if over.steps:
             bad.append(((n1, n2), "overlong", "expected empty plan"))
     return _result(8, "truncated Springer fibers pave and count", not bad,

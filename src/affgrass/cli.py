@@ -14,9 +14,9 @@ import sys
 
 from .acceptance import run_suite
 from .errors import AffgrassError, PavingVerificationFailed
-from .grass import enumerate_points
+from .grass import _BUDGET, enumerate_points
 from .laurent import PrimeField, series_from_json
-from .moment import graph_to_json, min_formal_poincare, skeleton, to_dot
+from .moment import _SCAN_BUDGET, graph_to_json, min_formal_poincare, skeleton, to_dot
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, braid,
                      coweight, crystal_E, crystal_F, dimension, is_alternating)
 from .paving import PavingPlan, PavingStep, greedy_paving, paving_121
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("points", help="enumerate F_q points of a truncation")
     p.add_argument("--polytope", required=True)
     p.add_argument("--prime", type=int, default=2)
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=int, default=_BUDGET)
     p.set_defaults(fn=cmd_points)
 
     p = sub.add_parser("graph", help="moment graph; DOT and JSON export")
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("betti", help="minimum formal Poincare polynomial")
     p.add_argument("--polytope", required=True)
-    p.add_argument("--budget", type=int, default=1 << 18)
+    p.add_argument("--budget", type=int, default=_SCAN_BUDGET)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("pave", help="paving plan with point-count verification")

@@ -328,7 +328,7 @@ def _ec_supports(f: GTFamily, q: int, gamma=None) -> Counter:
     profiles differ only in D0 = min(pair[0], val(e31 - P) - d1 - d3) and
     D3 = min(pair[3], val(e31) - nu), with val(e31) = min(b0, u) and
     val(e31 - P) = min(bP, w): b0 is the head's first term, bP the first
-    exponent off [s, hi) where P differs from the head, and u, w are where
+    exponent below s where P differs from the head, and u, w are where
     the tail first differs from 0 and from P.  With kp the first term of P in
     [s, hi), (u, w) is (r, r) for (q-1) q^(hi-r-1) tails, s <= r < kp; then
     (kp, kp) for (q-2) q^(hi-kp-1); (r, kp) and (kp, r) for (q-1) q^(hi-r-1)
@@ -346,14 +346,13 @@ def _ec_supports(f: GTFamily, q: int, gamma=None) -> Counter:
         # D0 = min(a0, w) - t0 and D3 = min(a3, u) - nu, with bP and b0 in the caps
         a0, a3, kp = p0 + t0, min(p3 + nu, fixed[0] if fixed[1] else INF), INF
         dl, dc = _add(P, fixed, q, -1)  # P less the fixed part: P itself on [s, hi)
+        # P = e21 e32 eps^-d2 stops at d3 - 2 < hi, so its first term from s is kp
         for k, c in enumerate(dc, dl):
             if c:
-                if s <= k < hi:
-                    kp = min(kp, k)
-                else:
-                    a0 = min(a0, k)
-                    if k >= hi:
-                        break
+                if k >= s:
+                    kp = k
+                    break
+                a0 = min(a0, k)
         for r in range(s, min(kp, hi)):
             by_profile[min(a0, r) - t0, p1, p2, min(a3, r) - nu, p4, p5] += \
                 (q - 1) * q ** (hi - r - 1)

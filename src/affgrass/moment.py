@@ -31,6 +31,7 @@ class MomentGraph:
 # per positive root (i, j): 0-based i and j, the CHAMBERS index of {i}^c, and the
 # slot of the Springer triple (c12, c23, c13)
 _ROOT_BOX = (((1, 2), 0, 1, 5, 0), ((1, 3), 0, 2, 5, 2), ((2, 3), 1, 2, 4, 1))
+_SCAN_BUDGET = 1 << 18  # vertex sets, 2^n, one order scan may meet
 
 
 def skeleton(f: GTFamily, springer_c=None) -> MomentGraph:
@@ -113,7 +114,7 @@ def compare(p: PoincarePoly, q: PoincarePoly) -> int:
     return 0
 
 
-def min_formal_poincare(g: MomentGraph, budget: int = 1 << 18):
+def min_formal_poincare(g: MomentGraph, budget: int = _SCAN_BUDGET):
     """Exact minimum of the formal Poincare polynomial over all total orders,
     with a witness order; for one order it is ``formal_betti`` in
     ``tests/reference.py``, the out-degrees of the induced orientation.

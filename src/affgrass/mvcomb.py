@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .errors import NotMV, PreconditionViolated
+from .errors import NormalPositionRequired, NotMV, PreconditionViolated
 from .rootdata import (_WEYL_SOURCE, CANON_ORDER, GTFamily, Coweight, Perm, add_cw, edge_lengths,
                        perm_inv, sub_cw)
 
@@ -31,12 +31,34 @@ def braid(d: LusztigDatum) -> LusztigDatum:
                         (n2 + n3 - a, a, n1 + n2 - a))
 
 
+def n121(d: LusztigDatum) -> Tuple[int, int, int]:
+    """The 121 datum's edge lengths of d: its own, or its braid move's for a 212 datum."""
+    return d.n if d.word == "121" else braid(d).n
+
+
+def n121_from_edges(k: Sequence[int]) -> Tuple[int, int, int]:
+    """The 121 datum (k5, k4, k3) of the MV polytope with edge lengths k."""
+    return k[5], k[4], k[3]
+
+
+def is_normal_position(n: Tuple[int, int, int]) -> bool:
+    """Whether a 121 datum n is in normal position, n1 >= n3 >= n2."""
+    return n[0] >= n[2] >= n[1]
+
+
+def normal_n121(d: LusztigDatum) -> Tuple[int, int, int]:
+    """``n121(d)``, which the cells and pavings built from a datum need in normal position."""
+    if not is_normal_position(n := n121(d)):
+        raise NormalPositionRequired(f"121 datum {n} needs n1 >= n3 >= n2")
+    return n
+
+
 def vertices_of(d: LusztigDatum, base: Coweight) -> GTFamily:
     """The family of the MV polytope with this datum whose w0-side vertex is
     ``base``: with (n1, n2, n3) the 121 datum and m3 = n1 + n2 - min(n1, n3),
     each support number is read at base, lambda_s1 = base + n3 a23 + n2 a13,
     lambda_e = lambda_s1 + n1 a12 or lambda_s2 = base + m3 a12 + min(n1, n3) a13."""
-    n1, n2, n3 = d.n if d.word == "121" else braid(d).n
+    n1, n2, n3 = n121(d)
     m3 = n1 + n2 - min(n1, n3)
     b1, b2, b3 = base
     return GTFamily(b1 + b2 + b3, (b1 + n1 + n2, b2 + n3, b3, b1 + b2 + n2 + n3, b1 + b3 + m3,
@@ -68,7 +90,7 @@ class MVPolytope:
 
     @classmethod
     def from_datum(cls, d: LusztigDatum, base: Optional[Coweight] = None) -> "MVPolytope":
-        d121 = d if d.word == "121" else braid(d)
+        d121 = LusztigDatum("121", n121(d))
         if base is None:
             base = _base_keeping_top(d121, (0, 0, 0))
         return cls(base, d121, braid(d121), vertices_of(d121, base))
@@ -76,7 +98,7 @@ class MVPolytope:
     @classmethod
     def from_family(cls, f: GTFamily) -> "MVPolytope":
         k = f.edge_lengths()
-        return cls(f.vertex(3), LusztigDatum("121", (k[5], k[4], k[3])),
+        return cls(f.vertex(3), LusztigDatum("121", n121_from_edges(k)),
                    LusztigDatum("212", k[:3]), f)
 
 
@@ -140,7 +162,7 @@ def crystal_E(i: int, P: MVPolytope) -> CrystalResult:
 
 
 def _base_keeping_top(d: LusztigDatum, top: Coweight) -> Coweight:
-    n1, n2, n3 = (d if d.word == "121" else braid(d)).n
+    n1, n2, n3 = n121(d)
     return add_cw(top, (-(n1 + n2), n1 - n3, n2 + n3))
 
 

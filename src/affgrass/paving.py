@@ -13,13 +13,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import (NormalPositionRequired, PavingVerificationFailed,
-                     PreconditionViolated, ShapeMismatch)
+from .errors import PavingVerificationFailed, PreconditionViolated, ShapeMismatch
 from .grass import GrassPoint, _Tails, _ec_supports, _iter_pairs, _window_entries
 from .hermite import hermite_entries, unipotent_inverse
 from .laurent import ONE_ENTRY, ZERO_ENTRY, PrimeField, _entry
 from .moment import PoincarePoly, union_degree
-from .mvcomb import LusztigDatum, MVPolytope, braid, vertices_of
+from .mvcomb import LusztigDatum, MVPolytope, dimension, n121, normal_n121, vertices_of
 from .rootdata import (BORELS, CHAMBER_INDEX, CHAMBERS, Coweight, GTFamily, contains,
                        edge_lengths, family_from_support, pairing, sub_cw, tighten_support)
 
@@ -112,19 +111,12 @@ def _cell_points(field: PrimeField, diag: Coweight,
     return pts
 
 
-def is_normal_position(d: LusztigDatum) -> bool:
-    n = d.n if d.word == "121" else braid(d).n
-    return n[0] >= n[2] >= n[1]
-
-
 def contracting_cell(P: MVPolytope, b: int) -> ContractingCell:
-    if not is_normal_position(P.datum121):
-        raise NormalPositionRequired(f"datum {P.datum121.n} needs n1 >= n3 >= n2")
-    n = P.datum121.n
+    n = normal_n121(P.datum121)
     lam = P.family.vertex(b)
     # entry bounds are stated in the two-triangle anchoring; conjugate by
     # the translation taking that anchor to the actual one
-    ref = schubert_anchored_family(LusztigDatum("121", n))
+    ref = schubert_anchored_family(P.datum121)
     chi = sub_cw(lam, ref.vertex(b))
     inverted, shape = _CELL_SHAPES[b]
     windows = []
@@ -133,10 +125,9 @@ def contracting_cell(P: MVPolytope, b: int) -> ContractingCell:
         hi = lam[r - 1] - lam[c - 1]
         windows.append((r, c, lo, hi))
     dim = sum(max(0, hi - lo) for (_r, _c, lo, hi) in windows)
-    if dim != n[0] + 2 * n[1] + n[2]:
-        raise PavingVerificationFailed(
-            f"chamber-{b} cell windows give dimension {dim}, "
-            f"wants n1 + 2 n2 + n3 = {n[0] + 2 * n[1] + n[2]}")
+    if dim != dimension(P):
+        raise PavingVerificationFailed(f"chamber-{b} cell windows give dimension {dim}, "
+                                       f"wants n1 + 2 n2 + n3 = {dimension(P)}")
     return ContractingCell(P, b, dim, lam, inverted, tuple(windows))
 
 
@@ -178,9 +169,7 @@ def mv_as_intersection(d: LusztigDatum):
     Stated in the anchoring where the polytope is the intersection of its two
     bounding Schubert triangles.
     """
-    if not is_normal_position(d):
-        raise NormalPositionRequired(f"datum {d.n} needs n1 >= n3 >= n2")
-    n = d.n if d.word == "121" else braid(d).n
+    n = normal_n121(d)
     lam1 = (n[0] + n[1], -n[1], -n[1])
     shift = (n[0] - n[2], n[0] - n[2], 0)
     lam2 = (n[2], n[2], -n[0] - n[1])
@@ -189,8 +178,8 @@ def mv_as_intersection(d: LusztigDatum):
 
 def schubert_anchored_family(d: LusztigDatum) -> GTFamily:
     """The MV polytope anchored inside its two bounding Schubert triangles."""
-    n = d.n if d.word == "121" else braid(d).n
-    return vertices_of(LusztigDatum("121", n), (-n[1], n[0] - n[2], n[2]))
+    n = n121(d)
+    return vertices_of(d, (-n[1], n[0] - n[2], n[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +382,16 @@ def _verify_steps(steps: Sequence[PavingStep], family: GTFamily,
         q = field.p
         counts = [0] * len(steps)
         for M, n in _ec_supports(family, q, gamma).items():
-            fits = (i for b, (k1, k2) in enumerate(_CORNER_FACETS)
-                    for i in by_corner.get((b, M[k1], M[k2]), ())
-                    if all(m <= s for m, s in zip(M, steps[i].polytope.support)))
+            near = [i for b, (k1, k2) in enumerate(_CORNER_FACETS)
+                    for i in by_corner.get((b, M[k1], M[k2]), ())]
+            fits = (i for i in near if all(m <= s for m, s in zip(M, steps[i].polytope.support)))
             i = min(fits, default=None) if min(edge_lengths(family.nu, M)) >= 0 else None
             if i is None:  # a negative edge raises InconsistentFamily here
                 fx = family_from_support(M, family.nu)
+                at = ", ".join(f"{steps[j].vertex} (chamber {steps[j].borel})" for j in near)
                 raise PavingVerificationFailed(
-                    f"{n} points with Ec {fx.vertices} match no paving step")
+                    f"{n} points over F_{q} with Ec {fx.vertices} match no paving step; "
+                    f"steps at its corners: {at or 'none'}")
             counts[i] += n
         for st, cnt in zip(steps, counts):
             if cnt != q ** st.dim:

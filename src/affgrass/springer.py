@@ -20,8 +20,9 @@ from .errors import (NormalPositionRequired, PatternMismatch,
 from .grass import GrassPoint, _below, _ec_supports
 from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, random_with_val,
                       val, zero)
-from .mvcomb import LusztigDatum, MVPolytope, apply_crystal_word, is_alternating, mv_edges, ZERO
-from .paving import _CORNER_FACETS, PavingPlan, _fields, _pave, _verify_steps, is_normal_position
+from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, is_alternating,
+                     is_normal_position, mv_edges, n121_from_edges, normal_n121)
+from .paving import _CORNER_FACETS, PavingPlan, _fields, _pave, _verify_steps
 from .rootdata import (BORELS, CHAMBERS, W0, Coweight, GTFamily, Perm, iota_family, pairing,
                        perm_inv, perm_mul)
 
@@ -37,6 +38,11 @@ def ultrametric(c: Pattern) -> bool:
 def pattern_realizable(c: Pattern, p: int) -> bool:
     """Over F_2 the minimum cannot be attained three times (units are 1)."""
     return ultrametric(c) and not (p == 2 and list(c).count(min(c)) == 3)
+
+
+def verification_primes(c: Pattern) -> Tuple[int, ...]:
+    """The default fields of c's point counts: the first two of 2, 3, 5 realizing c."""
+    return tuple(q for q in (2, 3, 5) if pattern_realizable(c, q))[:2]
 
 
 @dataclass(frozen=True)
@@ -204,17 +210,10 @@ def _slice_verdict(n: Tuple[int, int, int], b: int, c: Pattern) -> Tuple[int, bo
     return dim, dim <= criterion_bound(n, b, c)
 
 
-def _normal_n(P: MVPolytope) -> Tuple[int, int, int]:
-    """P's 121 datum, which must be in normal position."""
-    if not is_normal_position(P.datum121):
-        raise NormalPositionRequired(f"datum {P.datum121.n} needs n1 >= n3 >= n2")
-    return P.datum121.n
-
-
 def criterion(P: MVPolytope, b: int, gamma: RegularDiagonal) -> bool:
     """Whether the Springer slice of the chamber-b contracting cell is affine,
     read off P's datum: a normal-position P is its own normal form."""
-    return _slice_verdict(_normal_n(P), b, gamma.c)[1]
+    return _slice_verdict(normal_n121(P.datum121), b, gamma.c)[1]
 
 
 def criterion_raw_case1(n: Tuple[int, int, int], c: Pattern) -> bool:
@@ -231,7 +230,7 @@ def criterion_oracle(P: MVPolytope, gamma: RegularDiagonal) -> Tuple[bool, ...]:
     Springer F_q-points, q = gamma.field.p.  One count by Ec support serves
     all six: a support has P's vertex b exactly when it equals P's support at
     the two chambers ``paving._CORNER_FACETS[b]``."""
-    n, q, M0, cells = _normal_n(P), gamma.field.p, P.family.support, [0] * 6
+    n, q, M0, cells = normal_n121(P.datum121), gamma.field.p, P.family.support, [0] * 6
     for M, k in _ec_supports(P.family, q, gamma).items():
         for b, (i, j) in enumerate(_CORNER_FACETS):
             cells[b] += k if M[i] == M0[i] and M[j] == M0[j] else 0
@@ -248,8 +247,8 @@ def _normalize_gmv(f: GTFamily):
         g0 = iota_family(f) if delta else f
         for w in BORELS:
             k = mv_edges(g0, w)
-            if k is not None and k[5] >= k[3] >= k[4]:
-                return delta, w, LusztigDatum("121", (k[5], k[4], k[3]))
+            if k is not None and is_normal_position(n := n121_from_edges(k)):
+                return delta, w, LusztigDatum("121", n)
     raise NormalPositionRequired(f"{f.vertices} has no normal-position presentation")
 
 
@@ -287,20 +286,16 @@ def _cap_order(big: GTFamily, small: GTFamily) -> List[Coweight]:
     if not moved or len(moved) > 2:
         raise PavingVerificationFailed(
             f"{len(moved)} facets recede in one crystal step; expected 1 or 2")
-    on_facet = {ci: sorted(v for v in cap if pairing(v, CHAMBERS[ci]) == Mb[ci])
-                for ci in moved}
+    on_facet = {ci: [v for v in cap if pairing(v, CHAMBERS[ci]) == Mb[ci]] for ci in moved}
     for v in cap:
         if not any(v in pts for pts in on_facet.values()):
             raise PavingVerificationFailed(f"stripped vertex {v} lies on no receding facet")
     if len(moved) == 1:
-        pts = on_facet[moved[0]]
-        # start from the w0-side end when the w0 vertex is one of the two ends
-        if pts and pts[-1] == big.vertex(3) and pts[0] != big.vertex(3):
-            pts = pts[::-1]
-        return _ends_inward(pts)
+        # cap keeps the sorted order of the lattice points, whose least is the w0
+        # vertex (nu - M23, M23 - M3, M3): on the facet, it comes first
+        return _ends_inward(on_facet[moved[0]])
     ca, cb = moved
-    corner = [v for v in cap if pairing(v, CHAMBERS[ca]) == Mb[ca]
-              and pairing(v, CHAMBERS[cb]) == Mb[cb]]
+    corner = [v for v in on_facet[ca] if v in on_facet[cb]]
     if len(corner) != 1:
         raise PavingVerificationFailed(f"receding facets share {len(corner)} cap corners")
     v0 = corner[0]
@@ -352,7 +347,7 @@ def truncated_paving(gamma: RegularDiagonal, j: Sequence[int],
     steps = _pave(polys[0], lambda fam, b: springer_cell_data(fam, b, gamma), forced=forced,
                   springer_c=gamma.c)
     if verify_qs is None:
-        verify_qs = tuple(q for q in (2, 3, 5) if pattern_realizable(gamma.c, q))[:2]
+        verify_qs = verification_primes(gamma.c)
     checks = [(field, synthesize_gamma(gamma.c, field, rng or random.Random(0)))
               for field in _fields(verify_qs)]
     verified = _verify_steps(steps, polys[0], checks)

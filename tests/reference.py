@@ -39,12 +39,12 @@ from collections import Counter
 from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, InconsistentFamily,
                              NormalPositionRequired, NotMV, PavingVerificationFailed,
                              PreconditionViolated, PrecisionLoss, RetryExhausted, SingularMatrix)
-from affgrass.grass import (GrassPoint, _Tails, _below, _ec_supports, _entry_windows,
+from affgrass.grass import (_BUDGET, GrassPoint, _Tails, _below, _ec_supports, _entry_windows,
                             _iter_pairs, _pair_profile, _profile, _window_entries, dprofile,
                             iter_points, mat, mat_diag_eps, point_from_y, y_inverse)
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
                               _val_diff, eps, one, zero)
-from affgrass.moment import MomentGraph, PoincarePoly, skeleton
+from affgrass.moment import _SCAN_BUDGET, MomentGraph, PoincarePoly, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import is_gmv, iwahori_cell, mv_as_intersection, schubert_anchored_family
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
@@ -564,7 +564,7 @@ def cell_points_by_matrices(field, diag, windows, inverted=False):
 # truncation points on the whole entry windows
 # ---------------------------------------------------------------------------
 
-def _iter_entries(f, q, budget=5_000_000, gamma=None):
+def _iter_entries(f, q, budget=_BUDGET, gamma=None):
     """Yield (d, e21, e31, e32, profile) for every F_q-point of the truncation
     of f; with a ``springer.RegularDiagonal`` gamma, for those that
     ``gamma.admits``: every tail of each ``grass._iter_pairs`` head, and its
@@ -626,7 +626,7 @@ def ec_counts_by_points(f, q, gamma=None):
     return Counter({tuple(-v for v in prof): n for prof, n in by_profile.items()})
 
 
-def iter_entries_windows(f, q, budget=5_000_000):
+def iter_entries_windows(f, q, budget=_BUDGET):
     """``_iter_entries`` without gamma as every candidate of the entry
     windows whose D-profile passes the floor."""
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
@@ -883,7 +883,7 @@ def formal_betti(g, order):
     return PoincarePoly.from_dims(list(out.values()))
 
 
-def min_formal_poincare_full_scan(g, budget=1 << 18):
+def min_formal_poincare_full_scan(g, budget=_SCAN_BUDGET):
     """The formal minimum by the dynamic program over all 2^n sets of placed
     vertices, in ascending mask order, with the counts as tuples highest
     degree first (so tuple < is compare)."""

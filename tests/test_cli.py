@@ -2,18 +2,36 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from affgrass.cli import main
 
 README_CLI = Path(__file__).parent / "data" / "readme_cli"
 
 
-def run(*args, flags=()):
+def python_m(*args, flags=()):
+    """The command in a fresh interpreter: ``python [flags] -m affgrass args``."""
     return subprocess.run([sys.executable, *flags, "-m", "affgrass", *args],
                           capture_output=True, text=True)
 
 
-def test_polytope_command():
+@pytest.fixture
+def run(capsys):
+    """The command through ``cli.main`` in this process, its exit code and
+    output read as from ``python_m``."""
+    def call(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+        out = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out.out, stderr=out.err)
+    return call
+
+
+def test_polytope_command(run):
     r = run("polytope", "--word", "121", "--n", "2,1,1", "--base=-1,1,1")
     assert r.returncode == 0
     out = json.loads(r.stdout)
@@ -23,24 +41,24 @@ def test_polytope_command():
     assert out["dimension"] == 5
 
 
-def test_polytope_single_point():
+def test_polytope_single_point(run):
     r = run("polytope", "--word", "121", "--n", "0,0,0")
     out = json.loads(r.stdout)
     assert out["lattice_points"] == [[0, 0, 0]]
 
 
-def test_polytope_apply_crystal():
+def test_polytope_apply_crystal(run):
     r = run("polytope", "--word", "121", "--n", "2,1,0", "--apply", "E2")
     out = json.loads(r.stdout)
     assert out["word121"] == [1, 1, 0]
 
 
-def test_braid_command():
+def test_braid_command(run):
     r = run("braid", "--word", "121", "--n", "2,1,0")
     assert json.loads(r.stdout) == {"word": "212", "n": [1, 0, 3]}
 
 
-def test_points_graph_betti(tmp_path):
+def test_points_graph_betti(tmp_path, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [1, 0, 0]}))
     r = run("points", "--polytope", str(poly), "--prime", "2")
@@ -52,7 +70,7 @@ def test_points_graph_betti(tmp_path):
     assert json.loads(r.stdout)["min_poincare"] == [1, 1]
 
 
-def test_pave_command(tmp_path):
+def test_pave_command(tmp_path, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
     r = run("pave", "--polytope", str(poly), "--verify-q", "2,3")
@@ -65,7 +83,7 @@ def test_pave_command(tmp_path):
 @pytest.mark.parametrize("base, nu, vertices", [
     (None, 0, [[0, 0, 0], [-1, 1, 0], [-1, 0, 1]]),
     ([5, 5, 5], 15, [[6, 5, 4], [5, 6, 4], [5, 5, 5]])])
-def test_pave_iwahori_plan_lies_on_the_named_polytope(tmp_path, base, nu, vertices):
+def test_pave_iwahori_plan_lies_on_the_named_polytope(tmp_path, base, nu, vertices, run):
     # the Iwahori plan is built in the anchoring of the two Schubert
     # triangles, then translated onto the polytope the file names
     data = {"word": "121", "n": [1, 0, 1]}
@@ -83,23 +101,33 @@ def test_pave_iwahori_plan_lies_on_the_named_polytope(tmp_path, base, nu, vertic
 
 
 @pytest.mark.parametrize("qs, want", [("2,2", [2]), ("3,2,3", [3, 2])])
-def test_pave_verifies_each_modulus_once(tmp_path, qs, want):
+def test_pave_verifies_each_modulus_once(tmp_path, qs, want, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
     r = run("pave", "--polytope", str(poly), "--verify-q", qs)
     assert [rec["q"] for rec in json.loads(r.stdout)["verified"]["per_q"]] == want
 
 
+def test_pave_iwahori_names_the_121_datum(tmp_path, run):
+    # the 212 datum (1, 0, 0) reads n1 >= n3 >= n2 as written, but its 121 datum
+    # (0, 0, 1), which the paving reads, does not: the error names that one
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"word": "212", "n": [1, 0, 0]}))
+    r = run("pave", "--polytope", str(poly), "--method", "iwahori")
+    assert r.returncode == 2 and not r.stdout
+    assert r.stderr == "error: 121 datum (0, 0, 1) needs n1 >= n3 >= n2\n"
+
+
 @pytest.mark.parametrize("q", ["4", "0", "1"])
 @pytest.mark.parametrize("method", ["greedy", "iwahori"])
-def test_pave_rejects_nonprime_verify_q(tmp_path, method, q):
+def test_pave_rejects_nonprime_verify_q(tmp_path, method, q, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [2, 1, 1]}))
     r = run("pave", "--polytope", str(poly), "--method", method, "--verify-q", f"2,{q}")
     assert r.returncode == 2 and f"modulus {q} is not prime" in r.stderr and not r.stdout
 
 
-def test_springer_command(tmp_path):
+def test_springer_command(tmp_path, run):
     gam = tmp_path / "g.json"
     gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))
     r = run("springer", "--gamma", str(gam), "--truncate", "j=12",
@@ -108,7 +136,7 @@ def test_springer_command(tmp_path):
     assert out["verified"]["per_q"][0]["total"] == 19
 
 
-def test_check_fast_deterministic(tmp_path):
+def test_check_fast_deterministic(tmp_path, run):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     r1 = run("check", "--suite", "fast", "--seed", "7", "--out", str(a))
     r2 = run("check", "--suite", "fast", "--seed", "7", "--out", str(b))
@@ -117,14 +145,15 @@ def test_check_fast_deterministic(tmp_path):
 
 
 def test_domain_error_exit_code():
-    r = run("braid", "--word", "121", "--n", "1,-1,0")
+    # the one domain error run as ``python -m affgrass``: the exit code leaves the process
+    r = python_m("braid", "--word", "121", "--n", "1,-1,0")
     assert r.returncode == 2
 
 
 _BORELS = ("123", "132", "312", "321", "231", "213")
 
 
-def test_inconsistent_polytope_message(tmp_path):
+def test_inconsistent_polytope_message(tmp_path, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"nu": 1, "vertices": {
         k: [0, 1, 0] if k == "213" else [1, 0, 0] for k in _BORELS}}))
@@ -162,7 +191,7 @@ _SERIES = {"lead": 0, "coeffs": [1], "prec": "exact"}
     ("springer", "--gamma", {"series": [dict(_SERIES, coeffs="ab"), _SERIES, _SERIES]}),
     ("springer", "--gamma", {"series": [dict(_SERIES, prec="x"), _SERIES, _SERIES]}),
 ])
-def test_malformed_input_exit_code(tmp_path, cmd, flag, data):
+def test_malformed_input_exit_code(tmp_path, cmd, flag, data, run):
     f = tmp_path / "in.json"
     f.write_text(json.dumps(data))
     r = run(cmd, flag, str(f))
@@ -222,7 +251,7 @@ def test_unknown_root_valuation_names_the_root(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [("pave", "--prime", "5"), ("pave", "--seed", "3"),
                                   ("braid", "--word", "121", "--n", "2,1,0", "--prime", "5")])
-def test_options_only_where_read(tmp_path, args):
+def test_options_only_where_read(tmp_path, args, run):
     # --prime belongs to points and springer, --seed to springer and check
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
@@ -231,7 +260,7 @@ def test_options_only_where_read(tmp_path, args):
 
 
 @pytest.mark.parametrize("c", ["1,1", "1,1,1,1"])
-def test_graph_springer_c_wants_three_values(tmp_path, c):
+def test_graph_springer_c_wants_three_values(tmp_path, c, run):
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"word": "121", "n": [2, 1, 1]}))
     r = run("graph", "--polytope", str(poly), "--springer-c", c)
@@ -247,7 +276,7 @@ def test_graph_springer_c_wants_three_values(tmp_path, c):
     (("braid", "--word", "121", "--n", "1,2"), "--n"),
     (("crystal", "--word", "121", "--n", "1,0,1,7", "--j", "1"), "--n"),
 ])
-def test_crystal_input_is_checked(args, flag):
+def test_crystal_input_is_checked(args, flag, run):
     # a bad crystal operator, crystal word, base or datum is a domain error,
     # never a silently wrong answer or a traceback
     r = run(*args)
@@ -262,7 +291,7 @@ def test_crystal_input_is_checked(args, flag):
     (("springer", "--truncate", "j=12", "--verify-q", "2,x"), "--verify-q"),
     (("pave", "--verify-q", "2,,3"), "--verify-q"),
 ])
-def test_option_error_names_the_flag(tmp_path, args, flag):
+def test_option_error_names_the_flag(tmp_path, args, flag, run):
     poly, gam = tmp_path / "p.json", tmp_path / "g.json"
     poly.write_text(json.dumps({"word": "121", "n": [1, 0, 1]}))
     gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))
@@ -280,7 +309,7 @@ def test_same_output_under_optimize(tmp_path):
     gam.write_text(json.dumps({"pattern": [2, 1, 1], "prime": 3}))
     for args in (("pave", "--polytope", str(poly)),
                  ("springer", "--gamma", str(gam), "--truncate", "j=")):
-        plain, opt = run(*args), run(*args, flags=("-O",))
+        plain, opt = python_m(*args), python_m(*args, flags=("-O",))
         assert plain.returncode == opt.returncode == 0
         assert json.loads(opt.stdout) == json.loads(plain.stdout)
 

@@ -84,6 +84,9 @@ def test_mv_as_intersection_data():
         ((3, -1, -1), (1, 1, 0), (1, 1, -3))
     with pytest.raises(NormalPositionRequired):
         mv_as_intersection(LusztigDatum("121", (0, 1, 0)))
+    # a 212 datum is refused by its 121 datum, which the message names
+    with pytest.raises(NormalPositionRequired, match=r"^121 datum \(0, 0, 1\) needs"):
+        mv_as_intersection(LusztigDatum("212", (1, 0, 0)))
 
 
 def test_mv_as_intersection_pointwise():
@@ -110,6 +113,8 @@ def test_paving_121_example_dims():
     assert [r["total"] for r in plan2.verified["per_q"]] == [7, 13]
     with pytest.raises(NormalPositionRequired):
         paving_121(LusztigDatum("121", (0, 1, 0)))
+    with pytest.raises(NormalPositionRequired, match=r"^121 datum \(0, 0, 1\) needs"):
+        paving_121(LusztigDatum("212", (1, 0, 0)))
 
 
 def test_paving_121_counts_match_listing_and_the_rule_names_each_points_cell():
@@ -313,17 +318,22 @@ def test_greedy_plan_fields():
 
 def test_verify_steps_failure_messages():
     # a plan with one step removed leaves points that no step takes: the first
-    # such Ec family is named by its vertices; a step whose dim is off by one
-    # is named with its count
+    # such Ec family is named by its vertices, with the field and the steps at
+    # its corners (without step 3, the step at (0, 0, 0) in chamber 0 sits at a
+    # corner of the lost support but does not contain it); a step whose dim is
+    # off by one is named with its count
     fam = MVPolytope.from_datum(LusztigDatum("121", (2, 1, 1))).family
     steps = _pave(fam, _mv_cell_fn)
-    for k, n, ec_vertices in (
-            (0, 2, ((-1, 1, 0), (-1, 1, 0), (-3, 1, 2), (-3, 1, 2), (-3, 1, 2), (-1, 1, 0))),
-            (3, 2, ((0, 0, 0), (0, 0, 0), (-2, 0, 2), (-2, 0, 2), (-2, 0, 2), (0, 0, 0))),
-            (9, 1, ((0, 0, 0),) * 6)):
+    for k, n, ec_vertices, corners in (
+            (0, 2, ((-1, 1, 0), (-1, 1, 0), (-3, 1, 2), (-3, 1, 2), (-3, 1, 2), (-1, 1, 0)),
+             "none"),
+            (3, 2, ((0, 0, 0), (0, 0, 0), (-2, 0, 2), (-2, 0, 2), (-2, 0, 2), (0, 0, 0)),
+             "(0, 0, 0) (chamber 0)"),
+            (9, 1, ((0, 0, 0),) * 6, "none")):
         with pytest.raises(PavingVerificationFailed) as err:
             paving._verify_steps(steps[:k] + steps[k + 1:], fam, [(F2, None)])
-        assert str(err.value) == f"{n} points with Ec {ec_vertices} match no paving step"
+        assert str(err.value) == (f"{n} points over F_2 with Ec {ec_vertices} match no paving "
+                                  f"step; steps at its corners: {corners}")
     bad = list(steps)
     bad[2] = paving.PavingStep(bad[2].vertex, bad[2].borel, bad[2].dim + 1, bad[2].polytope)
     with pytest.raises(PavingVerificationFailed) as err:

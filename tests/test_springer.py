@@ -6,8 +6,8 @@ import pytest
 
 from affgrass.acceptance import (SPRINGER_FAMILIES, _alternating_words, _normal_data,
                                  _ultrametric_box)
-from affgrass.errors import (BudgetExceeded, NormalPositionRequired, PatternMismatch,
-                             PavingVerificationFailed)
+from affgrass.errors import (BudgetExceeded, InconsistentFamily, NormalPositionRequired,
+                             PatternMismatch, PavingVerificationFailed)
 from affgrass.grass import (GrassPoint, _ec_supports, _entry_windows, _iter_pairs,
                             _window_entries, canonicalize_point, ec, enumerate_points,
                             iter_points, mat, mat_diag_eps, sample_point)
@@ -21,7 +21,8 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                criterion_bound, fundamental_domain,
                                _normalize_gmv, member_springer,
                                pattern_realizable, springer_cell_data, springer_dim,
-                               synthesize_gamma, truncated_paving, ultrametric)
+                               synthesize_gamma, truncated_paving, ultrametric,
+                               verification_primes)
 
 from reference import (_iter_entries, admits_by_products, criterion_bound_by_cases,
                        criterion_l_values_by_table, criterion_oracle_by_families,
@@ -41,6 +42,7 @@ def test_ultrametric_and_realizability():
     assert pattern_realizable((2, 1, 1), 2)
     assert not pattern_realizable((1, 1, 1), 2)
     assert pattern_realizable((1, 1, 1), 3)
+    assert verification_primes((2, 1, 1)) == (2, 3) and verification_primes((1, 1, 1)) == (3, 5)
     with pytest.raises(PatternMismatch):
         synthesize_gamma((1, 1, 1), F2, random.Random(0))
 
@@ -296,6 +298,22 @@ def test_truncated_paving_full_domain():
     assert max(s.dim for s in plan.steps) == springer_dim(gam) == 4
     for rec in plan.verified["per_q"]:
         assert rec["total"] == sum(rec["q"] ** s.dim for s in plan.steps)
+
+
+def test_w0_vertex_is_the_least_lattice_point():
+    # _cap_order walks a lone receding facet from its least lattice point, the
+    # w0 vertex (nu - M23, M23 - M3, M3) whenever that vertex lies on the facet:
+    # on every consistent family with support in {-2..3}^6 and nu in {-2..2}
+    fams = 0
+    for nu in range(-2, 3):
+        for M in itertools.product(range(-2, 4), repeat=6):
+            try:
+                f = GTFamily(nu, M)
+            except InconsistentFamily:
+                continue
+            fams += 1
+            assert f.lattice_points()[0] == f.vertex(3) == (nu - M[5], M[5] - M[2], M[2]), M
+    assert fams == 14890
 
 
 def test_truncated_rejects_non_alternating():
