@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import DivisionByZero, PrecisionLoss
+from .errors import DivisionByZero, PrecisionLoss, PreconditionViolated
 
 INF = math.inf
 
@@ -166,11 +166,10 @@ class LaurentSeries:
     def __init__(self, field: PrimeField, lead: int, coeffs: Iterable[int],
                  prec: Optional[int] = None):
         p = field.p
-        cs = [c % p for c in coeffs]
         if prec is not None:
-            # keep only coefficients below the absolute precision
-            cs = cs[:max(0, prec - lead)]
-        lead, cs = _entry(lead, cs)
+            # keep only coefficients below the absolute precision, then reduce those
+            coeffs = islice(coeffs, max(0, prec - lead))
+        lead, cs = _entry(lead, [c % p for c in coeffs])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "coeffs", cs)
@@ -314,11 +313,31 @@ def random_with_val(field: PrimeField, n: int, rng: random.Random,
     """Uniform series with valuation exactly n (nonzero lead coefficient).
 
     With ``exact`` the result is a random Laurent polynomial with ``tail``
-    extra coefficients; otherwise it is truncated at the field precision.
+    extra coefficients (6 by default, never negative); otherwise it is
+    truncated at the field precision.
+
+    The coefficients are the values of ``rng.randrange(1, p)`` for the lead
+    and then ``rng.randrange(p)`` for each later one, and ``rng`` is left in
+    the state those calls leave it in.  They are drawn as CPython's
+    ``Random._randbelow_with_getrandbits`` draws them (checked on CPython
+    3.10, 3.11 and 3.13): ``getrandbits(k)`` with k the bit length of the
+    range, retried until it falls in the range.
     """
     if not exact and field.prec <= n:
         raise PrecisionLoss(f"working precision {field.prec} too small for valuation {n}")
+    if tail is not None and tail < 0:
+        raise PreconditionViolated(f"tail {tail} is negative")
     length = (tail if tail is not None else 6) + 1 if exact else field.prec - n
-    cs = [rng.randrange(1, field.p)]
-    cs.extend(rng.randrange(field.p) for _ in range(length - 1))
+    p, getrandbits = field.p, rng.getrandbits
+    k = (p - 1).bit_length()
+    r = getrandbits(k)
+    while r >= p - 1:
+        r = getrandbits(k)
+    cs = [r + 1]
+    k = p.bit_length()
+    for _ in range(length - 1):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        cs.append(r)
     return LaurentSeries(field, n, cs, None if exact else field.prec)

@@ -3,7 +3,9 @@
 No library code calls these: each is the slow, direct form of something the
 library computes another way (series matrices, the series Hermite form and
 chamber minors in place of the integer kernels, term-by-term series products
-and inverses in place of the packed product and the Newton inverse, vertices
+and inverses in place of the packed product and the Newton inverse, series
+coefficients all reduced before the cut and drawn by ``randrange`` in place
+of the cut before the reduction and the ``getrandbits`` draw, vertices
 in place of supports, a Gauss decomposition in place of the closed form of
 the BFZ map, the inverse of that map, lattice points in place of support
 tightening, a box scan in place of the closed-form lattice points, one
@@ -127,6 +129,26 @@ def inv_schoolbook(a):
             s += a.coeffs[j] * out[k - j]
         out[k] = (-c0inv * s) % p
     return LaurentSeries(a.field, -v, out, absprec - 2 * v)
+
+
+def series_by_reduce_then_cut(field, lead, coeffs, prec=None):
+    """The (lead, coeffs, prec) of ``LaurentSeries(field, lead, coeffs, prec)``:
+    every coefficient taken mod p, then those at or past prec dropped."""
+    cs = [c % field.p for c in coeffs]
+    if prec is not None:
+        cs = cs[:max(0, prec - lead)]
+    return _entry(lead, cs) + (prec,)
+
+
+def random_with_val_by_randrange(field, n, rng, exact=False, tail=None):
+    """``random_with_val`` drawn by ``randrange``: the lead from [1, p), each
+    later coefficient from [0, p)."""
+    if not exact and field.prec <= n:
+        raise PrecisionLoss(f"working precision {field.prec} too small for valuation {n}")
+    length = (tail if tail is not None else 6) + 1 if exact else field.prec - n
+    cs = [rng.randrange(1, field.p)]
+    cs.extend(rng.randrange(field.p) for _ in range(length - 1))
+    return LaurentSeries(field, n, cs, None if exact else field.prec)
 
 # ---------------------------------------------------------------------------
 # series matrix plumbing and chamber minors

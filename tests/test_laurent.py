@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from affgrass.errors import DivisionByZero, PrecisionLoss
+from affgrass.errors import DivisionByZero, PrecisionLoss, PreconditionViolated
 from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _SHORT, _add, _entry,
                               _inv, _mul, eps, one, random_with_val, series_from_json, val, zero)
 
-from reference import agrees, coeff, exact, inv_schoolbook, mul_schoolbook
+from reference import (agrees, coeff, exact, inv_schoolbook, mul_schoolbook,
+                       random_with_val_by_randrange, series_by_reduce_then_cut)
 
 F2 = PrimeField(2, 16)
 F5 = PrimeField(5, 32)
@@ -61,6 +62,29 @@ def test_random_with_val():
 def test_random_with_val_needs_room():
     with pytest.raises(PrecisionLoss):
         random_with_val(F2, 20, random.Random(0))
+
+
+def test_random_with_val_negative_tail_raises():
+    for tail in (-1, -3):
+        with pytest.raises(PreconditionViolated, match="tail"):
+            random_with_val(F5, 2, random.Random(0), exact=True, tail=tail)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 17, 257, 10007, 65537, 4294967311])
+def test_random_with_val_follows_randrange_stream(p):
+    # same series and same generator state as randrange(1, p), randrange(p), ...
+    # randrange spends one bit more than the range needs where it is a power
+    # of two: the lead at p = 2^m + 1 (3, 5, 17, 257, 65537), and at p = 2,
+    # whose lead also takes fewer bits than the later coefficients;
+    # 4294967311 > 2^32 takes two 32-bit words per draw
+    ours, theirs = random.Random(f"draw:{p}"), random.Random(f"draw:{p}")
+    cases = [(PrimeField(p, prec), n, False, None)
+             for prec in (1, 8, 64) for n in range(-3, prec)]
+    cases += [(PrimeField(p, 8), n, True, tail) for tail in range(9) for n in range(-3, 8)]
+    for field, n, exact_, tail in cases:
+        x = random_with_val(field, n, ours, exact_, tail)
+        assert x == random_with_val_by_randrange(field, n, theirs, exact_, tail)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_ultrametric_bulk():
@@ -124,6 +148,33 @@ def test_json_round_trip():
 
 def _fields(x):
     return x.lead, x.coeffs, x.prec
+
+
+def test_constructor_cuts_before_reducing():
+    # the kept coefficients are reduced after the cut, as if all were reduced first
+    p = 7
+    field = PrimeField(p, 16)
+    cases = [
+        (0, (8, -1, 14, -15, 100), None),   # >= p and negative, exact
+        (-2, (8, -1, 14, -15, 100), 1),     # the same cut after three terms
+        (0, (7, 0, 3, -7, 14), 5),          # leading and trailing multiples of p
+        (1, (3, 4, 0, 0, 5, 6), 4),         # trailing zeros only after the cut
+        (2, (0, 14, 1, 0, 0, 2), 5),        # a zero lead and zeros before the cut
+        (3, (1, 2), 3),                     # prec at the lead: a truncated zero
+        (3, (1, 2), 0),                     # prec below the lead
+        (-1, (), 4),                        # no coefficients
+        (0, (-p,) * 70, 64),                # long, all zero mod p
+    ]
+    for lead, cs, prec in cases:
+        want = series_by_reduce_then_cut(field, lead, cs, prec)
+        for given in (cs, list(cs), (c for c in cs)):
+            assert _fields(LaurentSeries(field, lead, given, prec)) == want
+
+    def cut_at(k):
+        yield from range(1, k + 1)
+        raise AssertionError("a coefficient past the precision was read")
+    assert _fields(LaurentSeries(field, 2, cut_at(3), 5)) == (2, (1, 2, 3), 5)
+    assert _fields(LaurentSeries(field, 2, cut_at(0), 1)) == (0, (), 1)
 
 
 def _series(field, rng, length, truncated, top=None):
