@@ -11,7 +11,7 @@ import time
 from typing import Dict
 
 from .errors import GaussFailure, NotMV, PrecisionLoss
-from .grass import (ec, enumerate_points, member, point_from_y, sample_point,
+from .grass import (_cut_parameters, ec, enumerate_points, member, point_from_y, sample_point,
                     transition)
 from .laurent import PrimeField, random_with_val, val
 from .moment import compare, min_formal_poincare, skeleton
@@ -64,6 +64,7 @@ def check_tropicalization(seed: int = 7) -> Dict:
             # aim at the cancellation stratum, reachable only on this diagonal
             tail = random_with_val(field, n[0] + 1 + rng.randrange(3), rng)
             ts[2] = -ts[0] + tail
+        ts = _cut_parameters(ts)
         s = ts[0] + ts[2]
         samples += 1
         if s.nonzero and s.lead == min(n[0], n[2]):

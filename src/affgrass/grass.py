@@ -183,13 +183,24 @@ def y_inverse(word: str, ts: Sequence[LaurentSeries]) -> Matrix:
 
 
 def transition(word: str, ts: Sequence[LaurentSeries]) -> Tuple[LaurentSeries, ...]:
-    """Parameters t' with y_word(t) = y_word'(t'): the subtraction-free 3-move."""
+    """t' with y_word(t) = y_word'(t'), word' the other word: the same 3-move both ways."""
+    if word not in ("121", "212"):
+        raise PreconditionViolated(f"reduced word must be 121 or 212, got {word!r}")
     t1, t2, t3 = ts
     s = t1 + t3
     if not s.nonzero:
         raise DivisionByZero("t1 + t3 vanishes; the transition is undefined here")
     sinv = s.inv()
     return (t2 * t3 * sinv, s, t1 * t2 * sinv)
+
+
+def _cut_parameters(ts: Sequence[LaurentSeries]) -> List[LaurentSeries]:
+    """BFZ parameters cut to relative precision sum |val t_i| + 2, exact ones too:
+    they keep the valuations of ``transition`` and give each entry of
+    ``point_from_y`` to its B_k wherever the whole ones do, from short series."""
+    rel = sum(abs(t.lead) for t in ts if t.nonzero) + 2
+    return [LaurentSeries(t.field, t.lead, t.coeffs, min(t._prec_inf(), t.lead + rel))
+            if t.nonzero else t for t in ts]
 
 
 def point_from_y(word: str, ts: Sequence[LaurentSeries]) -> GrassPoint:
@@ -201,14 +212,8 @@ def point_from_y(word: str, ts: Sequence[LaurentSeries]) -> GrassPoint:
     B_k = -min_{i<=k} val(y_ik), that is B_0 = 0 and B_1 = max(0, -val g01)
     (y01 = -g01, its valuation bounded below by effval).  Each row is cut
     there, and a truncated entry that stops short raises ``PrecisionLoss``.
-    Parameters cut to relative precision sum |val t_i| + 2 still give every
-    entry to its B_k wherever the whole parameters do, so they are cut first:
-    no long series is formed, and exact parameters are cut too, so the
-    field's working precision is never read.
     """
-    rel = sum(abs(t.lead) for t in ts if t.nonzero) + 2
-    ts = [LaurentSeries(t.field, t.lead, t.coeffs, min(t._prec_inf(), t.lead + rel))
-          if t.nonzero else t for t in ts]
+    ts = _cut_parameters(ts)
     g = y_inverse(word, ts)
     tops = (0, max(0, -g[0][1].effval()))
     rows = [[ONE_ENTRY if r == c else ZERO_ENTRY for c in range(3)] for r in range(3)]
@@ -277,11 +282,12 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal
     t31 test is a second ball (``gamma.t31_ball``), val(e31 - C) >= r2 =
     d3 - c13 with C = P r12 / r13.  As P - C = P (g2 - g3) / (g1 - g3), they
     meet exactly when val(P) + c23 - c13 >= min(r0, r2), or P = 0; ``radius``
-    is the larger radius, C is formed only when it is r2, and a pair whose
-    t31 ball is None (a truncated gamma) is dropped.  ``diagonal``, a
-    predicate on d, skips the other diagonals.  The budget counts the
-    candidates of the whole windows, or with ``whole`` false only their
-    (e21, e32) candidates, the pairs walked.
+    is the larger radius, and the t31 ball is asked for only when it is r2
+    (None, for a truncated gamma, drops the pair): else val(P - C) >= r2 puts
+    the D0 ball in every completion's.  ``diagonal``, a predicate on d, skips
+    the other diagonals.  The budget counts the candidates of the whole
+    windows, or with ``whole`` false only their (e21, e32) candidates, the
+    pairs walked.
     """
     windows = [(d, _entry_windows(f, d)) for d in f.lattice_points()]
     if _candidates((ws if whole else ws[::2] for _d, ws in windows), q) > budget:
@@ -307,9 +313,10 @@ def _iter_pairs(f: GTFamily, q: int, budget: int = _BUDGET, gamma=None, diagonal
                     continue
                 prod = _mul(e21, e32, q) if vP < INF else ZERO_ENTRY
                 P = (prod[0] - d2, prod[1])
-                if gamma is not None and (t31 := gamma.t31_ball(d, prod, rad > r0)) is None:
+                ball = gamma.t31_ball(d, prod) if rad > r0 else (P, r0)
+                if ball is None:
                     continue
-                centre = _below(*(t31 if rad > r0 else (P, r0)))
+                centre = _below(*ball)
                 if centre[1] and (centre[0] < lo or centre[0] + len(centre[1]) > hi):
                     continue
                 s = min(max(rad, lo), hi)  # e31 is free from this exponent up

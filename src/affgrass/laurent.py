@@ -31,18 +31,7 @@ ONE_ENTRY: Entry = (0, (1,))
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % k for k in range(3, math.isqrt(n) + 1, 2))
 
 
 _SHORT = 8  # below this many terms the plain loops are faster

@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (NormalPositionRequired, PatternMismatch,
                      PavingVerificationFailed, PrecisionLoss)
 from .grass import GrassPoint, _below, _ec_supports
-from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _inv, _mul, random_with_val,
-                      val, zero)
+from .laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _add, _inv, _mul,
+                      random_with_val, val, zero)
 from .mvcomb import (ZERO, LusztigDatum, MVPolytope, apply_crystal_word, is_alternating,
                      is_normal_position, mv_edges, n121_from_edges, normal_n121)
 from .paving import _CORNER_FACETS, PavingPlan, _fields, _pave, _verify_steps
@@ -47,7 +47,8 @@ def verification_primes(c: Pattern) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RegularDiagonal:
-    """A regular gamma in t(O) with its root-valuation triple."""
+    """A regular gamma in t(O) with its root-valuation triple; a truncated one means
+    all its completions, the exact gammas that agree with it where it is known."""
 
     gamma: Tuple[LaurentSeries, LaurentSeries, LaurentSeries]
     c: Pattern
@@ -76,10 +77,16 @@ class RegularDiagonal:
 
     @cached_property
     def _roots(self):
-        """g1 - g2 and g1 - g3 as ((lead, coeffs), absolute precision)."""
-        g1, g2, g3 = self.gamma
-        return tuple(((r.lead, r.coeffs), INF if r.prec is None else r.prec)
-                     for r in (g1 - g2, g1 - g3))
+        """(r12, r13, slack): g1 - g2 and g1 - g3 as entries off the known terms
+        of the g_i (the completion whose unknown terms are 0), and the exponent
+        below which every completion has the same r12 / r13 = 1 - r23 / r13,
+        and at which it takes every value in F_q: a completion delta moves it
+        by (delta2 r13 - delta1 r23 - delta3 r12) / (r13 r13'), so with p_i the
+        precision of g_i, slack = min(p1 + c23, p2 + c13, p3 + c12) - 2 c13."""
+        (p1, g1), (p2, g2), (p3, g3) = ((g._prec_inf(), (g.lead, g.coeffs)) for g in self.gamma)
+        c12, c23, c13 = self.c
+        slack = min(p1 + c23, p2 + c13, p3 + c12) - 2 * c13
+        return _add(g1, g2, self.field.p, -1), _add(g1, g3, self.field.p, -1), slack
 
     def admits(self, d: Coweight, e21, e31, e32) -> bool:
         """Ad(h)^-1 gamma integral for the point h = L eps^d with lower entries
@@ -103,32 +110,28 @@ class RegularDiagonal:
 
     @cached_property
     def _rho(self) -> list:
-        """The coefficients of rho = r12 / (r13 eps^-c13) from its lead c12, as
-        many as ``t31_ball`` has asked for so far."""
+        """rho = r12 / (r13 eps^-c13) from its lead c12, as far as ``t31_ball`` asked."""
         return []
 
-    def t31_ball(self, d: Coweight, prod, centre: bool = True):
-        """The e31 whose t31 term vanishes below top with e21 and e32 of
-        product ``prod``, as a ball (centre, radius), or None when there are
-        none.  It is val(e31 - prod rho eps^-(d2+c13)) >= d3 - c13 with
-        rho = r12 / (r13 eps^-c13), the centre known below the radius: rho is
-        read to top - x terms, expanded once per gamma to the longest length
-        asked.  A truncated gamma must know r12 and r13 that far, a test on
-        prod alone, or no e31 is known to pass.  Its centre C = P r12 / r13,
-        P = prod eps^-d2, is P (g2 - g3) / (g1 - g3) off the D0 centre P, so
-        ``grass._iter_pairs`` meets the balls by val(P) + c23 - c13 and asks for
-        C (``centre`` true, else it is None) only when it lists this ball."""
+    def t31_ball(self, d: Coweight, prod):
+        """The e31 whose t31 term vanishes below top, with e21 and e32 of product
+        ``prod``, for every completion of gamma: a ball (centre, radius), or
+        None.  It is val(e31 - C) >= d3 - c13, C = P r12 / r13, P = prod eps^-d2,
+        known below the radius as P rho eps^-c13, rho = r12 / (r13 eps^-c13)
+        read to top - x terms and expanded once per gamma.  The completions' C
+        agree below val(P) + slack (``_roots``) and there take all of F_q, so it
+        is None when val(P) + slack < d3 - c13.  As P - C = P (g2 - g3) /
+        (g1 - g3), ``grass._iter_pairs`` meets the balls by val(P) + c23 - c13,
+        and asks for this one only when it lists it."""
         _d1, d2, d3 = d
         c12, _c23, c13 = self.c
         top = d2 + d3
         x = prod[0] + c12 if prod[1] else INF
         if x >= top:
             return ZERO_ENTRY, d3 - c13
-        (r12, s12), (r13, s13) = self._roots
-        if min(s12 - c12, s13 - c13) < top - x:
+        r12, r13, slack = self._roots
+        if prod[0] - d2 + slack < d3 - c13:
             return None
-        if not centre:
-            return None, d3 - c13
         p, rho = self.field.p, self._rho
         if len(rho) < top - x:
             rho[:] = _mul(r12, (0, _inv(r13[1], top - x, p)), p, c12 + top - x)[1]

@@ -31,9 +31,12 @@ reaches of their boxes at one vertex, each counted Ec support made its
 family and its six vertices compared in place of two support numbers per
 corner, a table of all six chambers' orbit counts and a bound by cases in
 place of one row per chamber, every point of the truncation and of each
-Iwahori cell listed in place of the Ec supports counted per corner), or a
+Iwahori cell listed in place of the Ec supports counted per corner, every
+completion of a truncated gamma, its unknown coefficients up to the
+exponents that can reach top, in place of its one precision number), or a
 plain definition no library path needs.
 """
+import functools
 import itertools
 import math
 from collections import Counter
@@ -44,15 +47,15 @@ from affgrass.errors import (BudgetExceeded, DivisionByZero, GaussFailure, Incon
 from affgrass.grass import (_BUDGET, GrassPoint, _Tails, _below, _ec_supports, _entry_windows,
                             _iter_pairs, _pair_profile, _profile, _window_entries, dprofile,
                             iter_points, mat, mat_diag_eps, point_from_y, y_inverse)
-from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _entry, _inv, _mul,
-                              _val_diff, eps, one, zero)
+from affgrass.laurent import (INF, ZERO_ENTRY, LaurentSeries, PrimeField, _add, _entry, _inv,
+                              _mul, _val_diff, eps, one, zero)
 from affgrass.moment import _SCAN_BUDGET, MomentGraph, PoincarePoly, skeleton
 from affgrass.mvcomb import LusztigDatum, MVPolytope, braid, dimension
 from affgrass.paving import is_gmv, iwahori_cell, mv_as_intersection, schubert_anchored_family
 from affgrass.rootdata import (BORELS, CANON_ORDER, CHAMBER_INDEX, CHAMBERS, W0, GTFamily,
                                add_cw, contains, coroot, family_from_support, iota_family,
                                pairing, perm_inv, perm_mul, scale_cw, sub_cw, tighten_support)
-from affgrass.springer import criterion_l_values
+from affgrass.springer import RegularDiagonal, criterion_l_values
 
 # ---------------------------------------------------------------------------
 # series values
@@ -465,10 +468,20 @@ def member_springer_matrix(g, gamma):
     return all(conj[i][j].effval() >= 0 for i in range(3) for j in range(3))
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_roots(gamma):
+    """r12 = g1 - g2 and r13 = g1 - g3 of an exact gamma by series
+    subtraction, as entries."""
+    if not all(map(exact, gamma.gamma)):
+        raise PrecisionLoss("the product forms need an exact gamma; see completions")
+    g1, g2, g3 = gamma.gamma
+    return tuple((r.lead, r.coeffs) for r in (g1 - g2, g1 - g3))
+
+
 def admits_by_products(gamma, d, e21, e31, e32):
-    """``RegularDiagonal.admits`` with its t31 test as products: the two
-    terms e21 e32 r12 and e31 eps^d2 r13 of t31, each cut at top, must agree
-    below top, and a truncated gamma must know both roots that far."""
+    """``RegularDiagonal.admits`` of an exact gamma with its t31 test as
+    products: the two terms e21 e32 r12 and e31 eps^d2 r13 of t31, each cut
+    at top, must agree below top."""
     _d1, d2, d3 = d
     c12, c23, c13 = gamma.c
     if e21[1] and e21[0] + c12 < d2 or e32[1] and e32[0] + c23 < d3:
@@ -478,32 +491,86 @@ def admits_by_products(gamma, d, e21, e31, e32):
     y = e31[0] + d2 + c13 if e31[1] else INF
     if min(x, y) >= top:
         return True
-    (r12, s12), (r13, s13) = gamma._roots
-    # unequal leads cannot cancel; a truncated gamma must reach top
-    if x != y or min(x - c12 + s12, y - c13 + s13) < top:
+    if x != y:  # unequal leads cannot cancel
         return False
-    p = gamma.field.p
+    p, (r12, r13) = gamma.field.p, _exact_roots(gamma)
     return _val_diff(_mul(_mul(e21, e32, p), r12, p, top),
                      _mul((e31[0] + d2, e31[1]), r13, p, top)) >= top
 
 
 def t31_ball_by_products(gamma, d, e21, e32):
-    """``RegularDiagonal.t31_ball`` of the product of e21 and e32 as three
-    products per pair: e21 e32, then r12, then the inverse of r13's unit part
-    u13, each cut at top, so the centre is e21 e32 r12 u13^-1 eps^-(d2+c13)."""
+    """``RegularDiagonal.t31_ball`` of an exact gamma and the product of e21
+    and e32 as three products per pair: e21 e32, then r12, then the inverse
+    of r13's unit part u13, each cut at top, so the centre is
+    e21 e32 r12 u13^-1 eps^-(d2+c13)."""
     _d1, d2, d3 = d
     c12, _c23, c13 = gamma.c
     top = d2 + d3
     x = e21[0] + e32[0] + c12 if e21[1] and e32[1] else INF
     if x >= top:
         return ZERO_ENTRY, d3 - c13
-    (r12, s12), (r13, s13) = gamma._roots
-    if min(s12 - c12, s13 - c13) < top - x:
-        return None
-    p = gamma.field.p
+    p, (r12, r13) = gamma.field.p, _exact_roots(gamma)
     u = (0, tuple(_inv(r13[1], top - x, p)))
     lead, cs = _mul(_mul(_mul(e21, e32, p), r12, p, top), u, p, top)
     return (lead - d2 - c13, cs), d3 - c13
+
+
+@functools.lru_cache(maxsize=None)
+def completions(gamma, top):
+    """Every exact gamma that agrees with ``gamma`` wherever its g_i are
+    known and has no unknown term at or above ``top``: the coefficients of
+    each truncated g_i on [prec, top) run over F_q.  Each has gamma's root
+    valuations, which ``RegularDiagonal.from_series`` requires to be known."""
+    field = gamma.field
+    free = [(g.prec, max(0, top - g.prec)) if g.prec is not None else (0, 0)
+            for g in gamma.gamma]
+    out = []
+    for cs in itertools.product(range(field.p), repeat=sum(n for _k, n in free)):
+        gs, i = [], 0
+        for g, (k, n) in zip(gamma.gamma, free):
+            lead, coeffs = _add((g.lead, g.coeffs), _entry(k, cs[i:i + n]), field.p)
+            gs.append(LaurentSeries(field, lead, coeffs))
+            i += n
+        out.append(RegularDiagonal.from_series(gs))
+        assert out[-1].c == gamma.c
+    return out
+
+
+def _point_completions(gamma, d, e21, e31, e32):
+    """The completions of gamma that can differ on the point (d, e21, e31, e32):
+    its t21 and t32 terms have the valuations gamma knows, and a term eps^k
+    of g_i moves the two products of t31 (``admits_by_products``) from
+    exponent k + v on, v the least of val(e21 e32) and val(e31) + d2, so
+    completions below top - v suffice."""
+    v = min(e21[0] + e32[0] if e21[1] and e32[1] else INF, e31[0] + d[1] if e31[1] else INF)
+    return completions(gamma, d[1] + d[2] - v)
+
+
+def admits_by_completions(gamma, d, e21, e31, e32):
+    """``RegularDiagonal.admits`` as a truncated gamma means it: whether
+    ``admits_by_products`` holds for every completion."""
+    return all(admits_by_products(g, d, e21, e31, e32)
+               for g in _point_completions(gamma, d, e21, e31, e32))
+
+
+def member_springer_by_completions(x, gamma):
+    """``member_springer_matrix`` of x's representative for every completion
+    of gamma: off the diagonal the conjugate holds t21, t32 and t31 times
+    monomials, so the completions of ``_point_completions`` suffice."""
+    return all(member_springer_matrix(x.h, g) for g in _point_completions(gamma, x.d, *x.entries))
+
+
+def t31_ball_by_completions(gamma, d, e21, e32):
+    """``RegularDiagonal.t31_ball`` as a truncated gamma means it: the t31
+    balls (``t31_ball_by_products``) of every completion met (``_meet``).  A
+    term eps^k of g_i moves e21 e32 r12 from exponent k + val(e21 e32) on and
+    the unit part of r13 from k - c13, so completions below
+    top - val(e21 e32) + max(0, c13 - c12) suffice."""
+    c12, _c23, c13 = gamma.c
+    v = e21[0] + e32[0] if e21[1] and e32[1] else INF
+    return functools.reduce(lambda a, b: a and _meet(a, b), (
+        t31_ball_by_products(g, d, e21, e32)
+        for g in completions(gamma, d[1] + d[2] - v + max(0, c13 - c12))))
 
 
 def criterion_l_values_by_table(n, b, c):

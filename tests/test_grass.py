@@ -350,6 +350,21 @@ def test_y_inverse_transition_law():
             assert all(agrees(a[i][j], b[i][j]) for i in range(3) for j in range(3))
 
 
+def test_transition_reads_its_word():
+    # the 3-move is an involution, so the one formula also goes from 212 to
+    # 121; any other word is refused, as y_inverse refuses it
+    rng = random.Random(27)
+    for _ in range(20):
+        ts = [random_with_val(FBIG, rng.randrange(3), rng) for _ in range(3)]
+        tp = transition("212", ts)
+        a, b = y_inverse("212", ts), y_inverse("121", tp)
+        assert all(agrees(a[i][j], b[i][j]) for i in range(3) for j in range(3))
+        assert all(agrees(t, u) for t, u in zip(transition("121", tp), ts))
+    for word in ("xyz", "12", "211", "1212", ""):
+        with pytest.raises(PreconditionViolated):
+            transition(word, ts)
+
+
 def _bfz_outcome(word, ts, fn):
     try:
         return fn(word, ts)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -24,12 +25,13 @@ from affgrass.springer import (RegularDiagonal, criterion, criterion_l_values,
                                synthesize_gamma, truncated_paving, ultrametric,
                                verification_primes)
 
-from reference import (_iter_entries, admits_by_products, criterion_bound_by_cases,
-                       criterion_l_values_by_table, criterion_oracle_by_families,
-                       criterion_oracle_on_cells, ec_counts_by_points, exact, iter_entries_windows,
+from reference import (_iter_entries, admits_by_completions, admits_by_products,
+                       criterion_bound_by_cases, criterion_l_values_by_table,
+                       criterion_oracle_by_families, criterion_oracle_on_cells,
+                       ec_counts_by_points, exact, iter_entries_windows,
                        iter_pairs_by_normal_forms, mat_identity, mat_inv, mat_mul,
-                       member_springer_matrix, normalize_gmv_by_families,
-                       t31_ball_by_products, translate_point)
+                       member_springer_by_completions, member_springer_matrix,
+                       normalize_gmv_by_families, t31_ball_by_completions, translate_point)
 
 F2 = PrimeField(2, 64)
 F3 = PrimeField(3, 64)
@@ -353,10 +355,11 @@ def test_member_kernel_matches_matrix(n, q):
     gams = [synthesize_gamma(c, field, rng) for c in itertools.product(range(3), repeat=3)
             if pattern_realizable(c, q)] + [_truncated_gamma(q)]
     pts = list(iter_points(MVPolytope.from_datum(LusztigDatum("121", n)).family, field))
-    # each point takes the gammas in turn, so every gamma meets many points
+    # each point takes the gammas in turn, so every gamma meets many points; a
+    # point is the truncated gamma's exactly when it is every completion's
     for k, x in enumerate(pts):
         gam = gams[k % len(gams)]
-        assert member_springer(x, gam) == member_springer_matrix(x.h, gam)
+        assert member_springer(x, gam) == member_springer_by_completions(x, gam)
 
 
 def _dprofile_series(x):
@@ -434,8 +437,8 @@ def test_greedy_verification_matches_series_loop():
 
 def _admitted_by_windows(fam, q, gam):
     """The Springer points by the window loop, each candidate tested by the
-    product form of ``admits``."""
-    return Counter(x for x in iter_entries_windows(fam, q) if admits_by_products(gam, *x[:4]))
+    product form of ``admits`` on every completion of gam."""
+    return Counter(x for x in iter_entries_windows(fam, q) if admits_by_completions(gam, *x[:4]))
 
 
 def _supports(points, nu):
@@ -473,10 +476,13 @@ def _gamma_222(rel12, rel13):
 
 @pytest.mark.parametrize("rel12, rel13, total", TRUNCATED)
 def test_truncated_gamma_must_reach_top(rel12, rel13, total):
-    # pattern (2, 2, 2): when the leads of t31 meet below top, top - x is at
-    # most c23 = 2, so roots known to relative precision 2 always reach top
-    # and precision 1 falls short on some (e21, e32)
+    # pattern (2, 2, 2) with g1 = 0 exact: the completions' r12 / r13 agree
+    # below slack = min(rel12, rel13), and when the leads of t31 meet below top,
+    # top - x is at most c23 = 2, so relative precision 2 always reaches top
+    # and precision 1 falls short on some (e21, e32), which no e31 then passes
+    # for every completion
     gam = _gamma_222(rel12, rel13)
+    assert gam._roots[2] == min((r for r in (rel12, rel13) if r is not None), default=math.inf)
     assert gam.c == (2, 2, 2)
     fam = fundamental_domain(gam)
     got, want = Counter(_iter_entries(fam, 3, gamma=gam)), _admitted_by_windows(fam, 3, gam)
@@ -484,7 +490,7 @@ def test_truncated_gamma_must_reach_top(rel12, rel13, total):
     assert sum(got.values()) == total
     assert _ec_supports(fam, 3, gam) == _supports(want, fam.nu)
     for x in iter_entries_windows(fam, 3):
-        assert gam.admits(*x[:4]) == admits_by_products(gam, *x[:4]), x
+        assert gam.admits(*x[:4]) == admits_by_completions(gam, *x[:4]), x
 
 
 def test_springer_budget_counts_whole_windows():
@@ -515,7 +521,9 @@ def test_t31_ball_matches_three_products():
     # every (d, e21, e32) of the e21 and e32 windows of the polytopes of
     # _cell_oracle_cells and of P(2, 2, 2) over F_3, the fundamental domain of
     # the truncated gammas of pattern (2, 2, 2), which give None on some pairs;
-    # one gamma per realizable pattern in {0..3}^3 and the truncated gammas
+    # one gamma per realizable pattern in {0..3}^3 and the truncated gammas,
+    # each against the three products met over its completions (one for an
+    # exact gamma)
     pairs = nones = 0
     cases = [*_cell_oracle_cells(), (MVPolytope.from_datum(LusztigDatum("121", (2, 2, 2))), F3)]
     for P, field in cases:
@@ -529,7 +537,7 @@ def test_t31_ball_matches_three_products():
             for e21, e32 in itertools.product(*windows):
                 prod = _mul(e21, e32, p) if e21[1] and e32[1] else ZERO_ENTRY
                 for gam in gams:
-                    want = t31_ball_by_products(gam, d, e21, e32)
+                    want = t31_ball_by_completions(gam, d, e21, e32)
                     assert gam.t31_ball(d, prod) == want, (d, e21, e32, gam.c)
                     pairs += 1
                     nones += want is None
@@ -576,13 +584,20 @@ def test_pair_walker_matches_normal_form_meet_on_grid():
     assert (cases, pairs) == (64 * 20 + 54 * 29, 220681)
 
 
+def _gamma_131():
+    """Pattern (1, 3, 1) over F_2 with g1 = eps + O(eps^2), g2 = 0, g3 = eps^3."""
+    return RegularDiagonal.from_series((LaurentSeries(F2, 1, [1], 2), zero(F2),
+                                        LaurentSeries(F2, 3, [1])))
+
+
 def test_truncated_gamma_drops_pairs_under_the_d0_ball():
     # pattern (1, 3, 1) with g1 = eps + O(eps^2): where the D0 ball lies
     # inside the t31 ball (r0 >= r2) and the balls meet, top - x can be 2,
-    # beyond what the roots are known to, so the pair is dropped though the
-    # walker lists the D0 ball; n in {0..3}^3 over F_2
-    gam = RegularDiagonal.from_series((LaurentSeries(F2, 1, [1], 2), zero(F2),
-                                       LaurentSeries(F2, 3, [1])))
+    # beyond what g1 is known to, yet every completion's t31 ball holds the D0
+    # ball: val(P) + slack > val(P) + c23 - c13 >= r2, so t31_ball is never
+    # None there and the walker, which does not ask it, drops no such pair;
+    # n in {0..3}^3 over F_2
+    gam = _gamma_131()
     c12, c23, c13 = gam.c
     assert gam.c == (1, 3, 1)
     dropped = 0
@@ -598,7 +613,59 @@ def test_truncated_gamma_drops_pairs_under_the_d0_ball():
                 prod = _mul(e21, e32, 2) if e21[1] and e32[1] else ZERO_ENTRY
                 meet = not prod[1] or prod[0] - d[1] + c23 - c13 >= r2
                 dropped += r0 >= r2 and meet and gam.t31_ball(d, prod) is None
-    assert dropped == 136
+    assert dropped == 0
+
+
+def _truncation(c, field, rng):
+    """A synthesized gamma of pattern c with each g_i cut 1 to 3 terms past
+    the root valuations it enters, so that every one stays known, or kept
+    exact."""
+    c12, c23, c13 = c
+    need = (max(c12, c13), max(c12, c23), max(c23, c13))
+    return RegularDiagonal.from_series([
+        g if k is None else LaurentSeries(field, g.lead, g.coeffs, n + k)
+        for g, n, k in zip(synthesize_gamma(c, field, rng).gamma, need,
+                           (rng.choice((None, 1, 2, 3)) for _ in range(3)))])
+
+
+def _completion_grid():
+    """(n, q, gamma): the gamma of (1, 3, 1) on n in {0..3}^3 over F_2;
+    ``_truncated_gamma(q)`` on P(2, 1, 1) and P(2, 2, 2) over F_q, as in
+    ``test_member_kernel_matches_matrix``; the ``_gamma_222`` on their
+    fundamental domain P(2, 2, 2) over F_3; seeded truncations of one gamma
+    per realizable pattern in {0..2}^3, on n in {0..2}^3 over F_2 and
+    n in {0, 1}^3 over F_3."""
+    for n in itertools.product(range(4), repeat=3):
+        yield n, 2, _gamma_131()
+    for n, q in itertools.product(((2, 1, 1), (2, 2, 2)), (2, 3)):
+        yield n, q, _truncated_gamma(q)
+    for rel12, rel13, _total in TRUNCATED:
+        yield (2, 2, 2), 3, _gamma_222(rel12, rel13)
+    for q, top in ((2, 3), (3, 2)):
+        field, rng = PrimeField(q), random.Random(90 + q)
+        gams = [_truncation(c, field, rng) for c in itertools.product(range(3), repeat=3)
+                if pattern_realizable(c, q)]
+        for n in itertools.product(range(top), repeat=3):
+            yield from ((n, q, gam) for gam in gams)
+
+
+def test_truncated_gammas_mean_every_completion():
+    # a point counts for a truncated gamma exactly when it is a Springer point
+    # of every completion: admits, point by point on the whole windows, and
+    # the counter, by Ec support, against the product forms on each completion
+    cases = verdicts = admitted = truncated = 0
+    for n, q, gam in _completion_grid():
+        fam = MVPolytope.from_datum(LusztigDatum("121", n)).family
+        want = Counter()
+        for x in iter_entries_windows(fam, q):
+            ok = admits_by_completions(gam, *x[:4])
+            assert gam.admits(*x[:4]) == ok, (n, q, gam.gamma, x)
+            want[tuple(-v for v in x[4])] += ok
+            verdicts += 1
+        assert _ec_supports(fam, q, gam) == +want, (n, q, gam.gamma)
+        cases, admitted = cases + 1, admitted + sum(want.values())
+        truncated += not all(map(exact, gam.gamma))
+    assert (cases, verdicts, admitted, truncated) == (412, 203591, 27095, 411)
 
 
 def test_admits_matches_products_on_cells():
